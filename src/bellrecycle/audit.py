@@ -239,11 +239,15 @@ def audit_tradeoff_chain(samples: int = 100_000, seed: int = 1) -> AuditReport:
     # boundary families: projective, trivial and unbiased observables
     s = np.concatenate([s, [1.0, 0.0, 0.5]])
     b = np.concatenate([b, [0.0, 0.7, 0.0]])
-    r = 0.5 * np.sqrt(np.clip((1 + b) ** 2 - s * s, 0, None)) + 0.5 * np.sqrt(
-        np.clip((1 - b) ** 2 - s * s, 0, None)
-    )
+    u = np.sqrt(np.clip((1 + b) ** 2 - s * s, 0, None))
+    v = np.sqrt(np.clip((1 - b) ** 2 - s * s, 0, None))
+    r = 0.5 * u + 0.5 * v
     r2 = r * r
-    d = np.sqrt(np.clip(1 - r2, 0, 1))
+    # D^2 = 2 S^2 / (1 - B^2 + S^2 + uv), the rationalised form of 1 - R^2
+    # that observables.decoherence uses; 1 - R^2 cancels as S -> 0
+    denom = (1 - b) * (1 + b) + s * s + u * v
+    d2 = np.divide(2 * s * s, denom, out=np.zeros_like(denom), where=denom > 0)
+    d = np.sqrt(np.clip(d2, 0, 1))
     margins = np.stack(
         [
             r2 - (1 - s),          # lower half of the chain

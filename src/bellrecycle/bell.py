@@ -1,10 +1,11 @@
 """CHSH functionals and the Horodecki criterion.
 
-Includes a reentrant Jacobi singular-value routine for 3x3 matrices (the
-only linear algebra the hot paths need), the raw CHSH value of four
-observables on a two-qubit state, the Horodecki-optimal CHSH value reachable
-downstream, and the tight strength/angle upper bound on the singlet CHSH
-together with its 3x3 W-matrix form.
+Includes the singular values of 3x3 correlation matrices, single and
+stacked (numpy's LAPACK SVD; the only linear algebra the hot paths need),
+the raw CHSH value of four observables on a two-qubit state, the
+Horodecki-optimal CHSH value reachable downstream, and the tight
+strength/angle upper bound on the singlet CHSH together with its 3x3
+W-matrix form.
 """
 
 from __future__ import annotations
@@ -17,9 +18,6 @@ import numpy as np
 from .errors import ConstraintViolation, NegativeRadicand
 from .observables import Observable
 from .states import TwoQubitState
-
-_JACOBI_TOL = 1e-14
-_JACOBI_MAX_SWEEPS = 50
 
 
 @dataclass(frozen=True)
@@ -47,75 +45,19 @@ def chsh_value(state: TwoQubitState, alice: MeasurementPair, bob: MeasurementPai
     )
 
 
-def _jacobi_eigvals_sym3(A: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a symmetric 3x3 matrix by cyclic Jacobi rotations."""
-    a = A.copy()
-    scale = max(float(np.sqrt((a * a).sum())), 1e-300)
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        off = max(abs(a[0, 1]), abs(a[0, 2]), abs(a[1, 2]))
-        if off <= _JACOBI_TOL * scale:
-            break
-        for p, q in ((0, 1), (0, 2), (1, 2)):
-            apq = a[p, q]
-            if abs(apq) <= _JACOBI_TOL * scale * 1e-2:
-                continue
-            tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-            t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
-            c = 1.0 / math.sqrt(1.0 + t * t)
-            s = t * c
-            rot = np.eye(3)
-            rot[p, p] = rot[q, q] = c
-            rot[p, q] = s
-            rot[q, p] = -s
-            a = rot.T @ a @ rot
-    return np.diag(a).copy()
-
-
 def svd3(M) -> tuple[float, float, float]:
-    """Singular values of a real 3x3 matrix, descending.
-
-    Computed as square roots of the eigenvalues of M^T M, themselves obtained
-    with Jacobi rotations; no global workspace, safe to call concurrently.
-    """
-    M = np.asarray(M, dtype=float).reshape(3, 3)
-    eigs = _jacobi_eigvals_sym3(M.T @ M)
-    eigs = np.sqrt(np.clip(np.sort(eigs)[::-1], 0.0, None))
-    return float(eigs[0]), float(eigs[1]), float(eigs[2])
+    """Singular values of a real 3x3 matrix, descending (LAPACK gesdd)."""
+    s = np.linalg.svd(np.asarray(M, dtype=float).reshape(3, 3), compute_uv=False)
+    return float(s[0]), float(s[1]), float(s[2])
 
 
-def singular_values_batch(M: np.ndarray, sweeps: int = 30) -> np.ndarray:
+def singular_values_batch(M: np.ndarray) -> np.ndarray:
     """Descending singular values of a stack of 3x3 matrices, shape (n, 3).
 
-    Same Jacobi scheme as svd3, vectorised over the stack; used by the
-    sampling audits and the optimizer hot loop.
+    One LAPACK call over the stack; used by the sampling audits and the
+    optimizer hot loop.
     """
-    M = np.asarray(M, dtype=float)
-    A = M.transpose(0, 2, 1) @ M
-    n = A.shape[0]
-    scale = np.maximum(np.sqrt((A * A).sum(axis=(1, 2))), 1e-300)
-    eye = np.broadcast_to(np.eye(3), (n, 3, 3))
-    for _ in range(sweeps):
-        off = np.max(np.abs(A[:, (0, 0, 1), (1, 2, 2)]), axis=1)
-        if np.all(off <= _JACOBI_TOL * scale):
-            break
-        for p, q in ((0, 1), (0, 2), (1, 2)):
-            apq = A[:, p, q]
-            active = np.abs(apq) > _JACOBI_TOL * scale * 1e-2
-            safe = np.where(active, apq, 1.0)
-            tau = (A[:, q, q] - A[:, p, p]) / (2.0 * safe)
-            t = np.copysign(1.0, tau) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            s = t * c
-            c = np.where(active, c, 1.0)
-            s = np.where(active, s, 0.0)
-            rot = eye.copy()
-            rot[:, p, p] = c
-            rot[:, q, q] = c
-            rot[:, p, q] = s
-            rot[:, q, p] = -s
-            A = rot.transpose(0, 2, 1) @ A @ rot
-    eigs = A[:, (0, 1, 2), (0, 1, 2)]
-    return np.sqrt(np.clip(np.sort(eigs, axis=1)[:, ::-1], 0.0, None))
+    return np.linalg.svd(np.asarray(M, dtype=float), compute_uv=False)
 
 
 def horodecki_sstar(T) -> float:

@@ -165,8 +165,7 @@ class ReversibilityProfile:
 
 
 def reversibility_profile(obs: Observable) -> ReversibilityProfile:
-    r = reversibility(obs)
-    return ReversibilityProfile(r, _clamped_sqrt(1.0 - r * r))
+    return ReversibilityProfile(reversibility(obs), decoherence(obs))
 
 
 def from_reversibility_angle(r: float, alpha: float) -> tuple[float, float]:

@@ -4,10 +4,11 @@ A self-contained differential-evolution engine (rand/1/bin, population 64,
 differential weight 0.7, crossover 0.9, reflecting box constraints) drives
 the search; the equality constraint |S(A1,B1)| = s enters through an
 adaptive penalty that starts at 10 and doubles every 50 generations while
-the incumbent is infeasible.  Each of four independent seeded restarts is
-finished with a deterministic SLSQP polish of the constrained problem, and
-the best feasible point wins.  Identical (mode, s, budget, seed) inputs give
-bit-identical results.
+the incumbent is infeasible.  Four independent seeded restarts advance in
+lockstep, one batched evaluation per generation; each restart's best is then
+finished with a deterministic SLSQP polish of the constrained problem that
+evaluates every point once, and the best feasible point wins.  Identical
+(mode, s, budget, seed) inputs give bit-identical results.
 """
 
 from __future__ import annotations
@@ -321,56 +322,83 @@ class _CountingEvaluator:
         return self.fn(P)
 
 
-def _de_restart(evaluator, lo, hi, target, budget, rng):
-    d = lo.shape[0]
-    pop = _POPULATION
-    X = lo + rng.random((pop, d)) * (hi - lo)
-    s1, ss = evaluator(X)
-    lam = _PENALTY_START
+def _trial(X, lo, hi, rng):
+    """One rand/1/bin trial population with reflecting bounds."""
+    pop, d = X.shape
+    r = rng.integers(0, pop, size=(3, pop))
+    mutant = X[r[0]] + _WEIGHT * (X[r[1]] - X[r[2]])
+    mutant = np.where(mutant < lo, 2 * lo - mutant, mutant)
+    mutant = np.where(mutant > hi, 2 * hi - mutant, mutant)
+    mutant = np.clip(mutant, lo, hi)
+    cross = rng.random((pop, d)) < _CROSSOVER
+    cross[np.arange(pop), rng.integers(0, d, pop)] = True
+    return np.where(cross, mutant, X)
+
+
+def _de_lockstep(evaluator, lo, hi, target, budget, rngs):
+    """Best point of each DE restart; one restart per generator.
+
+    The restarts advance in lockstep, so every generation is one evaluator
+    call over all of their trial populations.  Each restart keeps its own
+    generator, draw order and penalty weight, and rows do not interact, so
+    the result equals running the restarts one after another.
+    """
+    k, pop, d = len(rngs), _POPULATION, lo.shape[0]
+
+    def evaluate(X):
+        s1, ss = evaluator(X.reshape(k * pop, d))
+        return s1.reshape(k, pop), ss.reshape(k, pop)
 
     def fitness(s1, ss, lam):
         return ss - lam * np.abs(np.abs(s1) - target)
 
+    X = np.stack([lo + rng.random((pop, d)) * (hi - lo) for rng in rngs])
+    s1, ss = evaluate(X)
+    lam = np.full((k, 1), _PENALTY_START)
     fit = fitness(s1, ss, lam)
     gen = 0
     used = pop
     while used + pop <= budget:
         gen += 1
-        r = rng.integers(0, pop, size=(3, pop))
-        mutant = X[r[0]] + _WEIGHT * (X[r[1]] - X[r[2]])
-        mutant = np.where(mutant < lo, 2 * lo - mutant, mutant)
-        mutant = np.where(mutant > hi, 2 * hi - mutant, mutant)
-        mutant = np.clip(mutant, lo, hi)
-        cross = rng.random((pop, d)) < _CROSSOVER
-        cross[np.arange(pop), rng.integers(0, d, pop)] = True
-        trial = np.where(cross, mutant, X)
-        t1, tss = evaluator(trial)
+        trial = np.stack([_trial(X[i], lo, hi, rng) for i, rng in enumerate(rngs)])
+        t1, tss = evaluate(trial)
         used += pop
-        tfit = fitness(t1, tss, lam)
-        improved = tfit >= fit
+        improved = fitness(t1, tss, lam) >= fit
         X[improved] = trial[improved]
         s1[improved] = t1[improved]
         ss[improved] = tss[improved]
         if gen % _PENALTY_PERIOD == 0:
-            best = int(np.argmax(fitness(s1, ss, lam)))
-            if abs(abs(s1[best]) - target) > _FEASIBILITY_TOL and lam < 1e12:
-                lam *= 2.0
+            best = np.argmax(fitness(s1, ss, lam), axis=1)
+            miss = np.abs(np.abs(s1[np.arange(k), best]) - target)[:, None]
+            lam = np.where((miss > _FEASIBILITY_TOL) & (lam < 1e12), 2.0 * lam, lam)
         fit = fitness(s1, ss, lam)
-    best = int(np.argmax(fit))
-    return X[best].copy(), used
+    return X[np.arange(k), np.argmax(fit, axis=1)]
 
 
 def _slsqp_polish(evaluator, x0, lo, hi, target):
-    s1_0, _ = evaluator(x0[None, :])
-    sign = 1.0 if s1_0[0] >= 0.0 or target == 0.0 else -1.0
+    """SLSQP refinement of x0 on |S1| = target.
+
+    Returns [(x, S1, S2*)] for x0 and for the polished point.  Every point
+    is evaluated once: the sign probe, objective and constraint share a
+    memo keyed on the clipped parameter vector.
+    """
+    memo = {}
+
+    def values(v):
+        v = np.clip(v, lo, hi)
+        key = v.tobytes()
+        if key not in memo:
+            s1, ss = evaluator(v[None, :])
+            memo[key] = (float(s1[0]), float(ss[0]))
+        return memo[key]
+
+    sign = 1.0 if values(x0)[0] >= 0.0 or target == 0.0 else -1.0
 
     def objective(v):
-        _, ss = evaluator(np.clip(v, lo, hi)[None, :])
-        return -float(ss[0])
+        return -values(v)[1]
 
     def constraint(v):
-        s1, _ = evaluator(np.clip(v, lo, hi)[None, :])
-        return float(s1[0]) - sign * target
+        return values(v)[0] - sign * target
 
     res = minimize(
         objective,
@@ -380,7 +408,8 @@ def _slsqp_polish(evaluator, x0, lo, hi, target):
         constraints=[{"type": "eq", "fun": constraint}],
         options={"maxiter": 400, "ftol": 1e-14},
     )
-    return np.clip(res.x, lo, hi)
+    x = np.clip(res.x, lo, hi)
+    return [(x0, *values(x0)), (x, *values(x))]
 
 
 def boundary_point(
@@ -391,9 +420,10 @@ def boundary_point(
 ) -> BoundaryPoint:
     """Best found S2* subject to |S(A1,B1)| = s.
 
-    The budget is split over four independent restarts; every restart's best
-    is refined by an SLSQP polish whose evaluations are included in the
-    reported count.  Results are deterministic in (mode, s, budget, seed).
+    The budget is split over four independent restarts, run in lockstep;
+    every restart's best is then refined by an SLSQP polish whose
+    evaluations are included in the reported count.  Results are
+    deterministic in (mode, s, budget, seed).
     """
     if not 0.0 <= s <= S_MAX + 1e-12:
         raise DomainError(f"target {s} outside [0, 2*sqrt(2)]")
@@ -401,19 +431,14 @@ def boundary_point(
         raise BudgetTooSmall(f"budget {budget} below minimum {_MIN_BUDGET}")
     evaluator = _CountingEvaluator(make_batch_evaluator(mode))
     lo, hi = _bounds(mode)
-    streams = np.random.SeedSequence(seed).spawn(_RESTARTS)
-    candidates = []
-    for k in range(_RESTARTS):
-        rng = np.random.default_rng(streams[k])
-        xbest, _ = _de_restart(evaluator, lo, hi, s, budget // _RESTARTS, rng)
-        candidates.append(xbest)
-        polished = _slsqp_polish(evaluator, xbest, lo, hi, s)
-        candidates.append(polished)
+    rngs = [np.random.default_rng(stream)
+            for stream in np.random.SeedSequence(seed).spawn(_RESTARTS)]
+    starts = _de_lockstep(evaluator, lo, hi, s, budget // _RESTARTS, rngs)
+    candidates = [c for x0 in starts for c in _slsqp_polish(evaluator, x0, lo, hi, s)]
 
     best = None
-    for x in candidates:
-        s1, ss = evaluator.fn(x[None, :])  # re-evaluation, not counted twice
-        achieved, sstar = abs(float(s1[0])), float(ss[0])
+    for x, s1, sstar in candidates:
+        achieved = abs(s1)
         miss = abs(achieved - s)
         feasible = miss <= _FEASIBILITY_TOL
         key = (feasible, sstar if feasible else -miss)

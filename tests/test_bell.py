@@ -122,7 +122,45 @@ class TestSvd3:
         M = rng.normal(size=(500, 3, 3))
         batch = singular_values_batch(M)
         for i in range(500):
-            assert np.allclose(batch[i], svd3(M[i]), atol=1e-12)
+            assert np.allclose(batch[i], svd3(M[i]), atol=1e-14)
+
+
+def _rotation(axis, angle):
+    """Rodrigues rotation matrix about a unit axis."""
+    k = np.asarray(axis, dtype=float) / np.linalg.norm(axis)
+    K = np.array([[0, -k[2], k[1]], [k[2], 0, -k[0]], [-k[1], k[0], 0]])
+    return np.eye(3) + math.sin(angle) * K + (1 - math.cos(angle)) * K @ K
+
+
+class TestSingularValuesDegenerate:
+    """Closed-form singular values where all or some of them coincide."""
+
+    def test_singlet(self):
+        assert np.allclose(singular_values_batch(-np.eye(3)[None]), 1.0, rtol=0, atol=1e-15)
+        assert svd3(-np.eye(3)) == pytest.approx((1.0, 1.0, 1.0), abs=1e-15)
+
+    def test_scaled_rotation(self):
+        rng = np.random.default_rng(12)
+        c = rng.uniform(0.1, 1.0, 50)
+        M = np.stack([-ci * _rotation(rng.normal(size=3), rng.uniform(0, math.pi))
+                      for ci in c])
+        assert np.allclose(singular_values_batch(M), c[:, None], rtol=0, atol=1e-14)
+
+    def test_rank_one(self):
+        rng = np.random.default_rng(13)
+        u, v = rng.normal(size=(2, 50, 3))
+        M = np.einsum("ni,nj->nij", u, v)
+        expected = np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1)
+        sv = singular_values_batch(M)
+        assert np.allclose(sv[:, 0], expected, rtol=1e-14, atol=0)
+        assert np.all(np.abs(sv[:, 1:]) <= 1e-14 * expected[:, None])
+
+    def test_zero_matrix(self):
+        assert np.array_equal(singular_values_batch(np.zeros((4, 3, 3))), np.zeros((4, 3)))
+        assert svd3(np.zeros((3, 3))) == (0.0, 0.0, 0.0)
+
+    def test_empty_stack(self):
+        assert singular_values_batch(np.zeros((0, 3, 3))).shape == (0, 3)
 
 
 class TestWMatrix:

@@ -81,6 +81,13 @@ class TestReversibility:
         prof = reversibility_profile(make_observable(0.1, 0.5, (1, 0, 0)))
         assert prof.reversibility**2 + prof.decoherence**2 == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("strength", [1e-9, 1e-6, 0.5])
+    def test_profile_keeps_decoherence_above_strength(self, strength):
+        # 1 - R^2 cancels for weak observables; D must still dominate S
+        prof = reversibility_profile(make_observable(0.0, strength, (0, 0, 1)))
+        assert prof.decoherence >= strength
+        assert prof.reversibility**2 + prof.decoherence**2 == pytest.approx(1.0, abs=1e-15)
+
 
 class TestDecoherence:
     @pytest.mark.parametrize(

@@ -22,6 +22,7 @@ from bellrecycle import (
     region3_curve,
     search_mode,
 )
+from bellrecycle import optimizer
 from bellrecycle.optimizer import make_batch_evaluator
 
 ROOT2 = math.sqrt(2.0)
@@ -99,6 +100,24 @@ class TestDecodeParams:
                 assert res.s_star_second == pytest.approx(sstar[i], abs=1e-10)
 
 
+ALL_MODES = [GENERAL_BIASED, UNBIASED, UNBIASED_SINGLET, UNBIASED_SINGLET_EQUATORIAL,
+             REGION2_ANSATZ]
+
+
+class TestBatchEvaluatorRows:
+    @pytest.mark.parametrize("mode", ALL_MODES, ids=lambda m: m.tag)
+    def test_rows_independent_of_batch(self, mode):
+        # the lockstep DE and the polish memo rely on a row's value not
+        # depending on the batch it is evaluated in, bit for bit
+        evaluate = make_batch_evaluator(mode)
+        lo, hi = optimizer._bounds(mode)
+        P = lo + np.random.default_rng(17).random((64, mode.n_params)) * (hi - lo)
+        s1, sstar = evaluate(P)
+        for i in range(64):
+            r1, rstar = evaluate(P[i])
+            assert r1[0] == s1[i] and rstar[0] == sstar[i]
+
+
 class TestBoundaryPoint:
     def test_determinism(self):
         a = boundary_point(1.3, UNBIASED_SINGLET, budget=12_000, seed=5)
@@ -128,6 +147,27 @@ class TestBoundaryPoint:
         res = evaluate_scenario(decode_params(UNBIASED_SINGLET, point.params))
         assert abs(res.s_first) == pytest.approx(point.achieved_s, abs=1e-12)
         assert res.s_star_second == pytest.approx(point.s_star, abs=1e-12)
+
+    def test_polish_evaluates_each_point_once(self, monkeypatch):
+        seen = []
+
+        def recording(mode):
+            evaluate = make_batch_evaluator(mode)
+
+            def wrapper(P):
+                P = np.atleast_2d(P)
+                if P.shape[0] == 1:
+                    seen.append(P.tobytes())
+                return evaluate(P)
+
+            return wrapper
+
+        monkeypatch.setattr(optimizer, "make_batch_evaluator", recording)
+        point = boundary_point(2.4, UNBIASED_SINGLET, budget=10_000, seed=0)
+        assert seen and len(set(seen)) == len(seen)
+        # evaluations counts computed rows only: the DE batches plus one per point
+        de_rows = 4 * (10_000 // 4 // 64 * 64)
+        assert point.evaluations == de_rows + len(seen)
 
     def test_budget_too_small(self):
         with pytest.raises(BudgetTooSmall):
