@@ -5,6 +5,7 @@ relevant inequality for every sample, and reports the number of violations
 together with the worst margin and the configuration that attained it.  The
 known saturating configuration of each relation is appended to the sample
 set, so a healthy audit reports zero violations and a near-zero worst margin.
+The monogamy audits evaluate (|S1|, S2*) with `bell.sequential_chsh_batch`.
 
 Per-audit seeds derive from the caller's base seed plus a fixed offset per
 audit name, so audits can run independently (or in parallel) and stay
@@ -19,7 +20,7 @@ from typing import Any
 
 import numpy as np
 
-from .bell import singular_values_batch
+from .bell import schmidt_tensors, sequential_chsh_batch
 from .monogamy import ORTHOGONAL_MONOGAMY_BOUND, EQUAL_STRENGTH_MONOGAMY_BOUND
 
 _SEED_OFFSETS = {
@@ -87,61 +88,20 @@ def _random_rotations(rng: np.random.Generator, n: int) -> np.ndarray:
 
 def _random_pure_state_tensors(rng: np.random.Generator, n: int) -> np.ndarray:
     """Correlation matrices of Haar-like random pure two-qubit states."""
-    alpha = rng.uniform(0.0, np.pi / 4, size=n)
-    s2 = np.sin(2 * alpha)
-    T0 = np.zeros((n, 3, 3))
-    T0[:, 0, 0] = s2
-    T0[:, 1, 1] = -s2
-    T0[:, 2, 2] = 1.0
+    T0 = schmidt_tensors(rng.uniform(0.0, np.pi / 4, size=n))[2]
     Ra = _random_rotations(rng, n)
     Rb = _random_rotations(rng, n)
     return Ra @ T0 @ Rb.transpose(0, 2, 1)
 
 
-def _setting_channels(x: np.ndarray, xp: np.ndarray, r: np.ndarray, rp: np.ndarray) -> np.ndarray:
-    """Batch of averaged transfer matrices for two settings with reversibilities r, rp."""
-    eye = np.eye(3)
-    return 0.5 * (
-        (r + rp)[:, None, None] * eye
-        + (1 - r)[:, None, None] * np.einsum("ni,nj->nij", x, x)
-        + (1 - rp)[:, None, None] * np.einsum("ni,nj->nij", xp, xp)
-    )
-
-
-def _chsh_unbiased(T, x, xp, y, yp, sx, sxp, sy, syp) -> np.ndarray:
-    def term(s1, s2, u, v):
-        return s1 * s2 * np.einsum("ni,nij,nj->n", u, T, v)
-
-    return (
-        term(sx, sy, x, y)
-        + term(sx, syp, x, yp)
-        + term(sxp, sy, xp, y)
-        - term(sxp, syp, xp, yp)
-    )
-
-
-def _scenario_batch(T, x, xp, y, yp, sx, sxp, sy, syp):
-    """(|S1|, S2*) for a batch of unbiased square-root configurations."""
-    s1 = _chsh_unbiased(T, x, xp, y, yp, sx, sxp, sy, syp)
-    rx = np.sqrt(np.clip(1 - sx * sx, 0, 1))
-    rxp = np.sqrt(np.clip(1 - sxp * sxp, 0, 1))
-    ry = np.sqrt(np.clip(1 - sy * sy, 0, 1))
-    ryp = np.sqrt(np.clip(1 - syp * syp, 0, 1))
-    K = _setting_channels(x, xp, rx, rxp)
-    L = _setting_channels(y, yp, ry, ryp)
-    sv = singular_values_batch(K @ T @ L)
-    sstar = 2.0 * np.sqrt(sv[:, 0] ** 2 + sv[:, 1] ** 2)
-    return np.abs(s1), sstar
-
-
-def _config_dict(i, T, x, xp, y, yp, sx, sxp, sy, syp) -> dict[str, Any]:
+def _config_dict(i, T, x, xp, y, yp, s) -> dict[str, Any]:
     return {
         "T": T[i].tolist(),
         "x": x[i].tolist(),
         "x_prime": xp[i].tolist(),
         "y": y[i].tolist(),
         "y_prime": yp[i].tolist(),
-        "strengths": [float(sx[i]), float(sxp[i]), float(sy[i]), float(syp[i])],
+        "strengths": s[:, i].tolist(),
     }
 
 
@@ -157,47 +117,41 @@ def _monogamy_audit(name: str, bound: float, samples: int, seed: int,
     else:
         xp = _random_units(rng, samples)
         yp = _random_units(rng, samples)
+    # strengths of x, x', y, y'; the last column is the saturating configuration's
+    s = np.empty((4, samples + 1))
     if equal_strengths:
-        sx = sxp = rng.uniform(0, 1, samples)
-        sy = syp = rng.uniform(0, 1, samples)
+        s[:2, :-1] = rng.uniform(0, 1, samples)
+        s[2:, :-1] = rng.uniform(0, 1, samples)
     else:
-        sx, sxp = rng.uniform(0, 1, (2, samples))
-        sy, syp = rng.uniform(0, 1, (2, samples))
+        s[:, :-1] = rng.uniform(0, 1, (4, samples))
 
     # append the known saturating configuration
     root2 = math.sqrt(2.0)
     if name == "orthogonal-monogamy":
-        sat_s = 2.0 * root2 / 3.0
+        s[:, -1] = 2.0 * root2 / 3.0
         sat = {
-            "T": -np.eye(3)[None],
             "x": np.array([[0.0, 1.0, 0.0]]),
             "xp": np.array([[1.0, 0.0, 0.0]]),
             "y": np.array([[-1.0, -1.0, 0.0]]) / root2,
             "yp": np.array([[1.0, -1.0, 0.0]]) / root2,
-            "s": np.array([sat_s]),
         }
     else:
         # projective parallel settings saturate both the equal-strength bound and the conjecture
+        s[:, -1] = 1.0
         sat = {
-            "T": -np.eye(3)[None],
             "x": np.array([[0.0, 1.0, 0.0]]),
             "xp": np.array([[0.0, 1.0, 0.0]]),
             "y": np.array([[0.0, -1.0, 0.0]]),
             "yp": np.array([[0.0, -1.0, 0.0]]),
-            "s": np.array([1.0]),
         }
-    T = np.concatenate([T, sat["T"]])
+    T = np.concatenate([T, -np.eye(3)[None]])
     x = np.concatenate([x, sat["x"]])
     xp = np.concatenate([xp, sat["xp"]])
     y = np.concatenate([y, sat["y"]])
     yp = np.concatenate([yp, sat["yp"]])
-    sx = np.concatenate([sx, sat["s"]])
-    sxp = np.concatenate([sxp, sat["s"]])
-    sy = np.concatenate([sy, sat["s"]])
-    syp = np.concatenate([syp, sat["s"]])
 
-    s1, sstar = _scenario_batch(T, x, xp, y, yp, sx, sxp, sy, syp)
-    margins = bound - (s1 + sstar)
+    s1, sstar = sequential_chsh_batch(T, s, (x, xp, y, yp))
+    margins = bound - (np.abs(s1) + sstar)
     worst = int(np.argmin(margins))
     violations = int(np.sum(margins < -1e-9))
     return AuditReport(
@@ -205,7 +159,7 @@ def _monogamy_audit(name: str, bound: float, samples: int, seed: int,
         samples=len(margins),
         worst_margin=float(margins[worst]),
         violations=violations,
-        worst_config=_config_dict(worst, T, x, xp, y, yp, sx, sxp, sy, syp),
+        worst_config=_config_dict(worst, T, x, xp, y, yp, s),
     )
 
 

@@ -6,6 +6,13 @@ the raw CHSH value of four observables on a two-qubit state, the
 Horodecki-optimal CHSH value reachable downstream, and the tight
 strength/angle upper bound on the singlet CHSH together with its 3x3
 W-matrix form.
+
+`sequential_chsh_batch` is the one batched form of the sequential
+scenario: it maps stacks of correlation matrices and square-root settings
+to (S(A1,B1), S*(A2,B2)).  The optimizer's evaluator and the three
+monogamy audits call it; the scalar object path (`chsh_value`,
+`horodecki_sstar` and `monogamy.evaluate_scenario`) stays separate and is
+the reference the tests compare it against.
 """
 
 from __future__ import annotations
@@ -54,10 +61,81 @@ def svd3(M) -> tuple[float, float, float]:
 def singular_values_batch(M: np.ndarray) -> np.ndarray:
     """Descending singular values of a stack of 3x3 matrices, shape (n, 3).
 
-    One LAPACK call over the stack; used by the sampling audits and the
-    optimizer hot loop.
+    One LAPACK call over the stack; `sequential_chsh_batch` calls it by this
+    module-level name.
     """
     return np.linalg.svd(np.asarray(M, dtype=float), compute_uv=False)
+
+
+def schmidt_tensors(alpha: np.ndarray):
+    """Bloch vectors a, b and correlation matrices T of a stack of Schmidt states.
+
+    cos(alpha)|00> + sin(alpha)|11>, with alpha clipped to [0, pi/4]: a = b
+    along +z with length cos(2 alpha), T = diag(sin 2alpha, -sin 2alpha, 1).
+    """
+    n = alpha.shape[0]
+    alpha = np.clip(alpha, 0.0, np.pi / 4)
+    c2, s2 = np.cos(2 * alpha), np.sin(2 * alpha)
+    a = np.zeros((n, 3))
+    a[:, 2] = c2
+    T = np.zeros((n, 3, 3))
+    T[:, 0, 0] = s2
+    T[:, 1, 1] = -s2
+    T[:, 2, 2] = 1.0
+    return a, a, T
+
+
+def _channel_batch(u, up, ru, rup):
+    """Averaged transfer matrices of two settings with reversibilities ru, rup.
+
+    0.5 ((ru + rup) I + (1 - ru) u u^T + (1 - rup) up up^T), summed in place
+    so that a 10^6-row stack holds one temporary besides the result.
+    """
+    K = (ru + rup)[:, None, None] * np.eye(3)
+    t = np.einsum("ni,nj->nij", u, u)
+    t *= (1 - ru)[:, None, None]
+    K += t
+    np.einsum("ni,nj->nij", up, up, out=t)
+    t *= (1 - rup)[:, None, None]
+    K += t
+    K *= 0.5
+    return K
+
+
+def sequential_chsh_batch(T, s, dirs, biases=None, a=None, b=None):
+    """Signed S(A1,B1) and S*(A2,B2) for a stack of square-root scenarios.
+
+    T is an (n, 3, 3) stack of correlation matrices.  s, and biases when
+    given, are (4, n) arrays over the settings x, x', y, y', and dirs holds
+    their (n, 3) directions in the same order.  The Bloch vectors a and b
+    enter S1 only through the biases.  S* is the Horodecki value of K T L,
+    with K and L the averaged dephasing channels of each side's settings.
+    """
+    x, xp, y, yp = dirs
+
+    def term(i, j, u, v):
+        out = s[i] * s[j] * np.einsum("ni,nij,nj->n", u, T, v)
+        if biases is not None:
+            out = (
+                out
+                + biases[i] * biases[j]
+                + biases[i] * s[j] * np.einsum("ni,ni->n", b, v)
+                + s[i] * biases[j] * np.einsum("ni,ni->n", u, a)
+            )
+        return out
+
+    s1 = term(0, 2, x, y) + term(0, 3, x, yp) + term(1, 2, xp, y) - term(1, 3, xp, yp)
+    if biases is None:
+        r = np.sqrt(np.clip(1 - s * s, 0, 1))
+    else:
+        r = 0.5 * np.sqrt(np.clip((1 + biases) ** 2 - s * s, 0, None)) + 0.5 * np.sqrt(
+            np.clip((1 - biases) ** 2 - s * s, 0, None)
+        )
+    K = _channel_batch(x, xp, r[0], r[1])
+    L = _channel_batch(y, yp, r[2], r[3])
+    # K T L goes into K's buffer, one stack fewer at the audits' memory peak
+    sv = singular_values_batch(np.matmul(K @ T, L, out=K))
+    return s1, 2.0 * np.sqrt(sv[:, 0] ** 2 + sv[:, 1] ** 2)
 
 
 def horodecki_sstar(T) -> float:

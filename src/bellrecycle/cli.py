@@ -39,7 +39,7 @@ from .monogamy import (
 )
 from .multiparty import noise_robustness, plan_multibob, verify_noise_robustness
 from .observables import make_observable
-from .optimizer import S_MAX, boundary_curve, search_mode
+from .optimizer import boundary_curve, search_mode
 from .states import make_state, singlet
 
 EXIT_OK = 0
@@ -144,24 +144,21 @@ def _parse_kind(name: str, quality: float | None) -> MeasurementKind:
 def cmd_curve(args) -> int:
     try:
         grid = _parse_grid(args.grid)
-        if not grid:
-            raise ValueError("grid is empty")
         mode = search_mode(args.mode)
-        if args.budget < 10_000:
-            raise ValueError(f"budget {args.budget} below minimum 10000")
-        for g in grid:
-            if not 0.0 <= g <= S_MAX + 1e-12:
-                raise ValueError(f"grid value {g} outside [0, 2*sqrt(2)]")
+        workers = _resolve_workers(args.threads)
     except (ValueError, BellRecycleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
+    # the library rejects an empty grid, out-of-range targets and a small budget
     try:
-        points = boundary_curve(grid, mode, args.budget, args.seed,
-                                workers=_resolve_workers(args.threads))
+        points = boundary_curve(grid, mode, args.budget, args.seed, workers=workers)
     except Infeasible as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
+    except BellRecycleError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
     rows = []
     enriched = []
@@ -221,10 +218,6 @@ def cmd_audit(args) -> int:
 
 def cmd_multibob(args) -> int:
     try:
-        if args.n < 1:
-            raise ValueError("--n must be at least 1")
-        if args.margin <= 0:
-            raise ValueError("--margin must be positive")
         # the scheduler works at the correlation-matrix level, so accept any
         # contraction here; the planner itself rejects s1(T) > 1
         state = _parse_state(args.state, check=False)

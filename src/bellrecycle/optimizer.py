@@ -9,6 +9,11 @@ lockstep, one batched evaluation per generation; each restart's best is then
 finished with a deterministic SLSQP polish of the constrained problem that
 evaluates every point once, and the best feasible point wins.  Identical
 (mode, s, budget, seed) inputs give bit-identical results.
+
+One decoder, `_decode`, maps a parameter block of any search mode to the
+state and settings it encodes; the batch evaluator passes them to
+`bell.sequential_chsh_batch` and `decode_params` builds the scalar
+scenario from them.
 """
 
 from __future__ import annotations
@@ -21,12 +26,12 @@ from typing import Callable
 import numpy as np
 from scipy.optimize import minimize
 
-from .bell import MeasurementPair, singular_values_batch
+from .bell import MeasurementPair, schmidt_tensors, sequential_chsh_batch
 from .errors import BudgetTooSmall, DomainError, LengthMismatch
 from .instruments import SQUARE_ROOT
 from .monogamy import ScenarioConfig
 from .observables import make_observable
-from .states import from_schmidt, singlet
+from .states import make_state
 
 _POPULATION = 64
 _WEIGHT = 0.7
@@ -126,21 +131,8 @@ def _planar(angle: np.ndarray) -> np.ndarray:
     return np.stack([np.cos(angle), np.sin(angle), np.zeros_like(angle)], axis=-1)
 
 
-def _schmidt_tensors(alpha: np.ndarray):
-    n = alpha.shape[0]
-    alpha = np.clip(alpha, 0.0, np.pi / 4)
-    c2, s2 = np.cos(2 * alpha), np.sin(2 * alpha)
-    a = np.zeros((n, 3))
-    a[:, 2] = c2
-    T = np.zeros((n, 3, 3))
-    T[:, 0, 0] = s2
-    T[:, 1, 1] = -s2
-    T[:, 2, 2] = 1.0
-    return a, a, T
-
-
 def _unbiased_geometry(P: np.ndarray, planar: bool):
-    s = np.clip(P[:, :4], 0.0, 1.0)
+    s = np.clip(P[:, :4], 0.0, 1.0).T
     if planar:
         dirs = [_planar(P[:, 4 + i]) for i in range(4)]
     else:
@@ -149,59 +141,24 @@ def _unbiased_geometry(P: np.ndarray, planar: bool):
 
 
 def _biased_geometry(P: np.ndarray):
-    s = np.empty((P.shape[0], 4))
-    biases = np.empty((P.shape[0], 4))
+    s = np.empty((4, P.shape[0]))
+    biases = np.empty((4, P.shape[0]))
     dirs = []
     for i in range(4):
         r = np.clip(P[:, 4 * i], 0.0, 1.0)
         alpha = P[:, 4 * i + 1] * np.arcsin(r)
-        s[:, i] = np.sqrt(np.clip(1 - r * r, 0, 1)) * np.cos(alpha)
-        biases[:, i] = r * np.sin(alpha)
+        s[i] = np.sqrt(np.clip(1 - r * r, 0, 1)) * np.cos(alpha)
+        biases[i] = r * np.sin(alpha)
         dirs.append(_sph(P[:, 4 * i + 2], P[:, 4 * i + 3]))
     return s, biases, dirs
 
 
-def _chsh_batch(a, b, T, s, biases, dirs):
-    x, xp, y, yp = dirs
+def _region2_geometry(P: np.ndarray, T: np.ndarray):
+    """The ansatz settings, with x' the better of its two admissible choices.
 
-    def term(i, j, u, v):
-        out = s[:, i] * s[:, j] * np.einsum("ni,nij,nj->n", u, T, v)
-        if biases is not None:
-            out = (
-                out
-                + biases[:, i] * biases[:, j]
-                + biases[:, i] * s[:, j] * np.einsum("ni,ni->n", b, v)
-                + s[:, i] * biases[:, j] * np.einsum("ni,ni->n", u, a)
-            )
-        return out
-
-    return term(0, 2, x, y) + term(0, 3, x, yp) + term(1, 2, xp, y) - term(1, 3, xp, yp)
-
-
-def _sstar_batch(T, s, biases, dirs):
-    x, xp, y, yp = dirs
-    if biases is None:
-        r = np.sqrt(np.clip(1 - s * s, 0, 1))
-    else:
-        r = 0.5 * np.sqrt(np.clip((1 + biases) ** 2 - s * s, 0, None)) + 0.5 * np.sqrt(
-            np.clip((1 - biases) ** 2 - s * s, 0, None)
-        )
-    eye = np.eye(3)
-
-    def channel(u, up, ru, rup):
-        return 0.5 * (
-            (ru + rup)[:, None, None] * eye
-            + (1 - ru)[:, None, None] * np.einsum("ni,nj->nij", u, u)
-            + (1 - rup)[:, None, None] * np.einsum("ni,nj->nij", up, up)
-        )
-
-    K = channel(x, xp, r[:, 0], r[:, 1])
-    L = channel(y, yp, r[:, 2], r[:, 3])
-    sv = singular_values_batch(K @ T @ L)
-    return 2.0 * np.sqrt(sv[:, 0] ** 2 + sv[:, 1] ** 2)
-
-
-def _region2_variants(P: np.ndarray):
+    x' is (1, 0, 0) unless (sin 2theta, cos 2theta, 0) gives a strictly
+    larger S2* at that row.
+    """
     n = P.shape[0]
     sx = np.clip(P[:, 0], 0, 1)
     sxp = np.clip(P[:, 1], 0, 1)
@@ -212,99 +169,67 @@ def _region2_variants(P: np.ndarray):
     x = np.tile([0.0, 1.0, 0.0], (n, 1))
     xp_a = np.tile([1.0, 0.0, 0.0], (n, 1))
     xp_b = np.stack([np.sin(2 * theta), np.cos(2 * theta), np.zeros(n)], axis=-1)
-    s = np.stack([sx, sxp, sy, sy], axis=1)
-    return s, x, (xp_a, xp_b), y, yp
+    s = np.stack([sx, sxp, sy, sy])
+    _, ss_a = sequential_chsh_batch(T, s, (x, xp_a, y, yp))
+    _, ss_b = sequential_chsh_batch(T, s, (x, xp_b, y, yp))
+    xp = np.where((ss_b > ss_a)[:, None], xp_b, xp_a)
+    return s, (x, xp, y, yp)
+
+
+def _decode(mode: SearchMode, P: np.ndarray):
+    """Map an (n, d) parameter block to (a, b, T, s, biases, dirs).
+
+    s and biases are (4, n) over the settings x, x', y, y' (biases is None
+    for unbiased modes) and dirs their four (n, 3) directions.
+    """
+    if P.shape[1] != mode.n_params:
+        raise LengthMismatch(
+            f"{mode.tag} expects {mode.n_params} parameters, got {P.shape[1]}"
+        )
+    if mode.tag == "general-biased":
+        a, b, T = schmidt_tensors(P[:, -1])
+        s, biases, dirs = _biased_geometry(P[:, :-1])
+        return a, b, T, s, biases, dirs
+    if mode.tag == "unbiased":
+        a, b, T = schmidt_tensors(P[:, -1])
+        s, dirs = _unbiased_geometry(P[:, :-1], planar=False)
+        return a, b, T, s, None, dirs
+    n = P.shape[0]
+    a = b = np.zeros((n, 3))
+    T = np.broadcast_to(-np.eye(3), (n, 3, 3))
+    if mode.tag == "region2-ansatz":
+        s, dirs = _region2_geometry(P, T)
+    elif mode.tag in ("unbiased-singlet", "unbiased-singlet-equatorial"):
+        s, dirs = _unbiased_geometry(P, planar=mode.tag.endswith("equatorial"))
+    else:  # pragma: no cover
+        raise DomainError(mode.tag)
+    return a, b, T, s, None, dirs
 
 
 def make_batch_evaluator(mode: SearchMode) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
     """Vectorised map from a (n, d) parameter block to (S1, S2*) arrays.
 
-    S1 is signed; callers compare |S1| against the target.  For the
-    region-2 ansatz the better of the two admissible x' choices is taken
-    pointwise on S2* at equal |S1| (the two choices share S1).
+    S1 is signed; callers compare |S1| against the target.
     """
 
     def evaluate(P: np.ndarray):
-        P = np.atleast_2d(np.asarray(P, dtype=float))
-        if P.shape[1] != mode.n_params:
-            raise LengthMismatch(
-                f"{mode.tag} expects {mode.n_params} parameters, got {P.shape[1]}"
-            )
-        n = P.shape[0]
-        if mode.tag in ("unbiased-singlet", "unbiased-singlet-equatorial"):
-            s, dirs = _unbiased_geometry(P, planar=mode.tag.endswith("equatorial"))
-            T = np.broadcast_to(-np.eye(3), (n, 3, 3))
-            a = b = np.zeros((n, 3))
-            s1 = _chsh_batch(a, b, T, s, None, dirs)
-            return s1, _sstar_batch(T, s, None, dirs)
-        if mode.tag == "unbiased":
-            s, dirs = _unbiased_geometry(P[:, :-1], planar=False)
-            a, b, T = _schmidt_tensors(P[:, -1])
-            s1 = _chsh_batch(a, b, T, s, None, dirs)
-            return s1, _sstar_batch(T, s, None, dirs)
-        if mode.tag == "general-biased":
-            s, biases, dirs = _biased_geometry(P[:, :-1])
-            a, b, T = _schmidt_tensors(P[:, -1])
-            s1 = _chsh_batch(a, b, T, s, biases, dirs)
-            return s1, _sstar_batch(T, s, biases, dirs)
-        if mode.tag == "region2-ansatz":
-            s, x, (xp_a, xp_b), y, yp = _region2_variants(P)
-            T = np.broadcast_to(-np.eye(3), (n, 3, 3))
-            a = b = np.zeros((n, 3))
-            best_s1 = np.empty(n)
-            best_ss = np.full(n, -np.inf)
-            for xp in (xp_a, xp_b):
-                dirs = (x, xp, y, yp)
-                s1 = _chsh_batch(a, b, T, s, None, dirs)
-                ss = _sstar_batch(T, s, None, dirs)
-                take = ss > best_ss
-                best_s1 = np.where(take, s1, best_s1)
-                best_ss = np.where(take, ss, best_ss)
-            return best_s1, best_ss
-        raise DomainError(mode.tag)  # pragma: no cover
+        a, b, T, s, biases, dirs = _decode(mode, np.atleast_2d(np.asarray(P, dtype=float)))
+        return sequential_chsh_batch(T, s, dirs, biases, a, b)
 
     return evaluate
 
 
 def decode_params(mode: SearchMode, params) -> ScenarioConfig:
     """Map a flat parameter vector to the scenario it encodes."""
-    params = np.asarray(params, dtype=float).reshape(-1)
-    if params.shape[0] != mode.n_params:
-        raise LengthMismatch(
-            f"{mode.tag} expects {mode.n_params} parameters, got {params.shape[0]}"
-        )
-    P = params[None, :]
-    if mode.tag in ("unbiased-singlet", "unbiased-singlet-equatorial"):
-        s, dirs = _unbiased_geometry(P, planar=mode.tag.endswith("equatorial"))
-        state = singlet()
-        biases = np.zeros((1, 4))
-    elif mode.tag == "unbiased":
-        s, dirs = _unbiased_geometry(P[:, :-1], planar=False)
-        state = from_schmidt(float(np.clip(params[-1], 0, np.pi / 4)))
-        biases = np.zeros((1, 4))
-    elif mode.tag == "general-biased":
-        s, biases, dirs = _biased_geometry(P[:, :-1])
-        state = from_schmidt(float(np.clip(params[-1], 0, np.pi / 4)))
-    elif mode.tag == "region2-ansatz":
-        s, x, (xp_a, xp_b), y, yp = _region2_variants(P)
-        state = singlet()
-        biases = np.zeros((1, 4))
-        # resolve the x' alternative exactly as the evaluator does
-        ss = []
-        for xp in (xp_a, xp_b):
-            ss.append(float(_sstar_batch(np.broadcast_to(-np.eye(3), (1, 3, 3)),
-                                         s, None, (x, xp, y, yp))[0]))
-        xp = xp_a if ss[0] >= ss[1] else xp_b
-        dirs = (x, xp, y, yp)
-    else:  # pragma: no cover
-        raise DomainError(mode.tag)
-
+    a, b, T, s, biases, dirs = _decode(mode, np.asarray(params, dtype=float).reshape(1, -1))
+    if biases is None:
+        biases = np.zeros((4, 1))
     observables = [
-        make_observable(float(biases[0, i]), float(s[0, i]), dirs[i][0])
+        make_observable(float(biases[i, 0]), float(s[i, 0]), dirs[i][0])
         for i in range(4)
     ]
     return ScenarioConfig(
-        state=state,
+        state=make_state(a[0], b[0], T[0], check=False),
         alice=MeasurementPair(observables[0], observables[1]),
         bob=MeasurementPair(observables[2], observables[3]),
         kind=SQUARE_ROOT,

@@ -99,6 +99,10 @@ class TestCurveCommand:
               "--threads", "4", "--format", "csv", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_bad_thread_env_exit_2(self, monkeypatch):
+        monkeypatch.setenv("BELL_RECYCLE_THREADS", "abc")
+        assert main(["curve", "--grid", "1.0", "--budget", "10000"]) == 2
+
 
 class TestAuditCommand:
     def test_small_audit_passes(self, tmp_path, schema):

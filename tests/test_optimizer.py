@@ -90,7 +90,8 @@ class TestDecodeParams:
 
     def test_batch_evaluator_matches_decode(self):
         rng = np.random.default_rng(3)
-        for mode in (UNBIASED_SINGLET, UNBIASED, GENERAL_BIASED, UNBIASED_SINGLET_EQUATORIAL):
+        for mode in (UNBIASED_SINGLET, UNBIASED, GENERAL_BIASED, UNBIASED_SINGLET_EQUATORIAL,
+                     REGION2_ANSATZ):
             evaluate = make_batch_evaluator(mode)
             P = rng.uniform(0.05, 0.95, size=(20, mode.n_params))
             s1, sstar = evaluate(P)
