@@ -170,9 +170,13 @@ def _region2_geometry(P: np.ndarray, T: np.ndarray):
     xp_a = np.tile([1.0, 0.0, 0.0], (n, 1))
     xp_b = np.stack([np.sin(2 * theta), np.cos(2 * theta), np.zeros(n)], axis=-1)
     s = np.stack([sx, sxp, sy, sy])
-    _, ss_a = sequential_chsh_batch(T, s, (x, xp_a, y, yp))
-    _, ss_b = sequential_chsh_batch(T, s, (x, xp_b, y, yp))
-    xp = np.where((ss_b > ss_a)[:, None], xp_b, xp_a)
+    # both choices in one kernel call: rows :n take x'_a, rows n: take x'_b
+    _, ss = sequential_chsh_batch(
+        np.concatenate([T, T]),
+        np.tile(s, 2),
+        [np.concatenate(pair) for pair in ((x, x), (xp_a, xp_b), (y, y), (yp, yp))],
+    )
+    xp = np.where((ss[n:] > ss[:n])[:, None], xp_b, xp_a)
     return s, (x, xp, y, yp)
 
 

@@ -110,7 +110,21 @@ class TestPlanMultibob:
     def test_margin_is_respected(self):
         for margin in (0.02, 0.1, 0.3):
             schedule = plan_multibob(-np.eye(3), 2, margin=margin)
-            assert schedule.chsh_values[0] == pytest.approx(2 + margin, abs=1e-7)
+            assert schedule.chsh_values[0] == pytest.approx(2 + margin, abs=1e-12)
+
+    def test_strength_is_the_smallest_reaching_the_margin(self):
+        for margin in (0.02, 0.1, 0.3):
+            schedule = plan_multibob(-np.eye(3), 2, margin=margin)
+            weaker = schedule.bob_plan((schedule.bob_strengths[0] * (1 - 1e-9),))
+            alice_plan = ObserverPlan(pairs=(schedule.alice,))
+            assert chain_chsh(schedule.state, alice_plan, weaker, 1, 1) < 2 + margin
+
+    @pytest.mark.parametrize(
+        "T", [-np.eye(3), np.diag([1.0, 0.9, 0.0]), 0.95 * -np.eye(3)]
+    )
+    def test_rerun_reproduces_planned_values(self, T):
+        schedule = plan_multibob(T, 2, margin=0.05)
+        assert rerun_schedule(schedule) == schedule.chsh_values
 
     def test_parameter_validation(self):
         with pytest.raises(ConstraintViolation):
@@ -187,6 +201,24 @@ class TestMultipairScenario:
         assert matrix.shape == (2, 2)
         assert (matrix > 2.0).all()
         assert np.allclose(matrix[0], matrix[1], atol=1e-12)
+
+    @pytest.mark.parametrize("m_alices", [1, 2, 3])
+    def test_matches_explicit_lift(self, m_alices):
+        # on pair q Alice q measures the base pair and every other Alice the
+        # identity; S_mn is the best value over the pairs
+        schedule = plan_multibob(-np.eye(3), 2, margin=0.05)
+        idle = MeasurementPair(trivial(1.0), trivial(1.0))
+        bob_plan = schedule.bob_plan()
+        lift = np.full((m_alices, 2), -np.inf)
+        for q in range(m_alices):
+            alice_plan = ObserverPlan(
+                pairs=tuple(schedule.alice if m == q else idle for m in range(m_alices))
+            )
+            for m in range(1, m_alices + 1):
+                for n in (1, 2):
+                    value = chain_chsh(schedule.state, alice_plan, bob_plan, m, n)
+                    lift[m - 1, n - 1] = max(lift[m - 1, n - 1], value)
+        assert np.array_equal(multipair_scenario(m_alices, 2, schedule), lift)
 
     def test_identity_observable_channel(self):
         ch = channel_of(trivial(1.0), SQUARE_ROOT)
