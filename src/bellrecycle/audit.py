@@ -1,19 +1,22 @@
 """Vectorised sampling audits of the tradeoff and monogamy relations.
 
-Each audit draws a large batch of random configurations, evaluates the
-relevant inequality for every sample, and reports the number of violations
-together with the worst margin and the configuration that attained it.  The
-known saturating configuration of each relation is appended to the sample
-set, so a healthy audit reports zero violations and a near-zero worst margin.
-The monogamy audits evaluate (|S1|, S2*) with `bell.sequential_chsh_batch`.
+Each audit draws random configurations, evaluates the relevant inequality
+for every sample, and reports the number of violations together with the
+worst margin and the configuration that attained it.  The known saturating
+configuration of each relation is evaluated after the random samples, so a
+healthy audit reports zero violations and a near-zero worst margin.  The
+monogamy audits evaluate (|S1|, S2*) with `bell.sequential_chsh_batch`.
 
-Per-audit seeds derive from the caller's base seed plus a fixed offset per
-audit name, so audits can run independently (or in parallel) and stay
-reproducible.
+The random samples are drawn and evaluated in chunks of `_CHUNK` rows, each
+from its own stream spawned from `SeedSequence(seed + offset)`, with a fixed
+offset per audit name; only a running worst margin, its configuration and
+the violation count outlive a chunk, so memory does not grow with the
+sample count.  Audits run independently and stay reproducible.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Any
@@ -29,6 +32,9 @@ _SEED_OFFSETS = {
     "tradeoff-chain": 303,
     "conjecture": 404,
 }
+
+# rows per chunk of random draws; each chunk has its own SeedSequence stream
+_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -105,62 +111,77 @@ def _config_dict(i, T, x, xp, y, yp, s) -> dict[str, Any]:
     }
 
 
-def _monogamy_audit(name: str, bound: float, samples: int, seed: int,
-                    orthogonal: bool, equal_strengths: bool) -> AuditReport:
-    rng = np.random.default_rng(seed + _SEED_OFFSETS[name])
-    T = _random_pure_state_tensors(rng, samples)
-    x = _random_units(rng, samples)
-    y = _random_units(rng, samples)
+def _chunk_rngs(name: str, samples: int, seed: int):
+    """(generator, rows) of each fixed-size chunk of an audit's random draws."""
+    n_chunks = -(-samples // _CHUNK)
+    streams = np.random.SeedSequence(seed + _SEED_OFFSETS[name]).spawn(n_chunks)
+    for i, stream in enumerate(streams):
+        yield np.random.default_rng(stream), min(_CHUNK, samples - i * _CHUNK)
+
+
+def _fold(name: str, tol: float, chunks) -> AuditReport:
+    """One report from (margins, config of their argmin) per chunk.
+
+    Keeps the sample and violation counts and the first worst margin, with
+    its configuration, over all chunks.
+    """
+    samples = violations = 0
+    worst, config = math.inf, None
+    for margins, chunk_config in chunks:
+        samples += margins.size
+        violations += int(np.count_nonzero(margins < -tol))
+        low = margins.min(initial=math.inf)
+        if low < worst:
+            worst, config = float(low), chunk_config
+    return AuditReport(name=name, samples=samples, worst_margin=worst,
+                       violations=violations, worst_config=config)
+
+
+def _monogamy_margins(bound, T, x, xp, y, yp, s):
+    """Margins bound - (|S1| + S2*) and the configuration of the worst row."""
+    s1, sstar = sequential_chsh_batch(T, s, (x, xp, y, yp))
+    margins = bound - (np.abs(s1) + sstar)
+    return margins, _config_dict(int(np.argmin(margins)), T, x, xp, y, yp, s)
+
+
+def _monogamy_chunk(rng, n: int, bound: float, orthogonal: bool, equal_strengths: bool):
+    T = _random_pure_state_tensors(rng, n)
+    x = _random_units(rng, n)
+    y = _random_units(rng, n)
     if orthogonal:
         xp = _orthogonal_partners(rng, x)
         yp = _orthogonal_partners(rng, y)
     else:
-        xp = _random_units(rng, samples)
-        yp = _random_units(rng, samples)
-    # strengths of x, x', y, y'; the last column is the saturating configuration's
-    s = np.empty((4, samples + 1))
+        xp = _random_units(rng, n)
+        yp = _random_units(rng, n)
+    # strengths of x, x', y, y'
     if equal_strengths:
-        s[:2, :-1] = rng.uniform(0, 1, samples)
-        s[2:, :-1] = rng.uniform(0, 1, samples)
+        s = np.repeat(rng.uniform(0, 1, (2, 1, n)), 2, axis=1).reshape(4, n)
     else:
-        s[:, :-1] = rng.uniform(0, 1, (4, samples))
+        s = rng.uniform(0, 1, (4, n))
+    return _monogamy_margins(bound, T, x, xp, y, yp, s)
 
-    # append the known saturating configuration
+
+def _saturating(name: str, bound: float):
+    """The margins of the relation's known saturating configuration, on the singlet."""
     root2 = math.sqrt(2.0)
     if name == "orthogonal-monogamy":
-        s[:, -1] = 2.0 * root2 / 3.0
-        sat = {
-            "x": np.array([[0.0, 1.0, 0.0]]),
-            "xp": np.array([[1.0, 0.0, 0.0]]),
-            "y": np.array([[-1.0, -1.0, 0.0]]) / root2,
-            "yp": np.array([[1.0, -1.0, 0.0]]) / root2,
-        }
+        strength = 2.0 * root2 / 3.0
+        dirs = ([0.0, 1.0, 0.0], [1.0, 0.0, 0.0],
+                [-1 / root2, -1 / root2, 0.0], [1 / root2, -1 / root2, 0.0])
     else:
         # projective parallel settings saturate both the equal-strength bound and the conjecture
-        s[:, -1] = 1.0
-        sat = {
-            "x": np.array([[0.0, 1.0, 0.0]]),
-            "xp": np.array([[0.0, 1.0, 0.0]]),
-            "y": np.array([[0.0, -1.0, 0.0]]),
-            "yp": np.array([[0.0, -1.0, 0.0]]),
-        }
-    T = np.concatenate([T, -np.eye(3)[None]])
-    x = np.concatenate([x, sat["x"]])
-    xp = np.concatenate([xp, sat["xp"]])
-    y = np.concatenate([y, sat["y"]])
-    yp = np.concatenate([yp, sat["yp"]])
+        strength = 1.0
+        dirs = ([0.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, -1.0, 0.0], [0.0, -1.0, 0.0])
+    x, xp, y, yp = (np.array([d]) for d in dirs)
+    return _monogamy_margins(bound, -np.eye(3)[None], x, xp, y, yp, np.full((4, 1), strength))
 
-    s1, sstar = sequential_chsh_batch(T, s, (x, xp, y, yp))
-    margins = bound - (np.abs(s1) + sstar)
-    worst = int(np.argmin(margins))
-    violations = int(np.sum(margins < -1e-9))
-    return AuditReport(
-        name=name,
-        samples=len(margins),
-        worst_margin=float(margins[worst]),
-        violations=violations,
-        worst_config=_config_dict(worst, T, x, xp, y, yp, s),
-    )
+
+def _monogamy_audit(name: str, bound: float, samples: int, seed: int,
+                    orthogonal: bool, equal_strengths: bool) -> AuditReport:
+    chunks = (_monogamy_chunk(rng, n, bound, orthogonal, equal_strengths)
+              for rng, n in _chunk_rngs(name, samples, seed))
+    return _fold(name, 1e-9, itertools.chain(chunks, [_saturating(name, bound)]))
 
 
 def audit_orthogonal_monogamy(samples: int = 100_000, seed: int = 1) -> AuditReport:
@@ -181,18 +202,8 @@ def audit_conjecture(samples: int = 100_000, seed: int = 1) -> AuditReport:
                            orthogonal=False, equal_strengths=False)
 
 
-def audit_tradeoff_chain(samples: int = 100_000, seed: int = 1) -> AuditReport:
-    """Strength/bias/reversibility tradeoffs over random valid observables.
-
-    Checks, within 1e-12: 1-S <= R^2 <= 1-S^2, D >= S >= D^2, |B| <= R^2 and
-    R^2 + S^2 >= 3/4.
-    """
-    rng = np.random.default_rng(seed + _SEED_OFFSETS["tradeoff-chain"])
-    s = rng.uniform(0, 1, samples)
-    b = rng.uniform(-1, 1, samples) * (1 - s)
-    # boundary families: projective, trivial and unbiased observables
-    s = np.concatenate([s, [1.0, 0.0, 0.5]])
-    b = np.concatenate([b, [0.0, 0.7, 0.0]])
+def _tradeoff_margins(s: np.ndarray, b: np.ndarray):
+    """Smallest margin of the tradeoff chain per observable, and the worst one's config."""
     u = np.sqrt(np.clip((1 + b) ** 2 - s * s, 0, None))
     v = np.sqrt(np.clip((1 - b) ** 2 - s * s, 0, None))
     r = 0.5 * u + 0.5 * v
@@ -211,17 +222,28 @@ def audit_tradeoff_chain(samples: int = 100_000, seed: int = 1) -> AuditReport:
             r2 - np.abs(b),        # bias lower-bounds squared reversibility
             r2 + s * s - 0.75,     # complementary lower bound
         ]
-    )
-    per_sample = margins.min(axis=0)
-    worst = int(np.argmin(per_sample))
-    violations = int(np.sum(per_sample < -1e-12))
-    return AuditReport(
-        name="tradeoff-chain",
-        samples=len(per_sample),
-        worst_margin=float(per_sample[worst]),
-        violations=violations,
-        worst_config={"bias": float(b[worst]), "strength": float(s[worst])},
-    )
+    ).min(axis=0)
+    worst = int(np.argmin(margins))
+    return margins, {"bias": float(b[worst]), "strength": float(s[worst])}
+
+
+def _tradeoff_chunk(rng, n: int):
+    s = rng.uniform(0, 1, n)
+    b = rng.uniform(-1, 1, n) * (1 - s)
+    return _tradeoff_margins(s, b)
+
+
+def audit_tradeoff_chain(samples: int = 100_000, seed: int = 1) -> AuditReport:
+    """Strength/bias/reversibility tradeoffs over random valid observables.
+
+    Checks, within 1e-12: 1-S <= R^2 <= 1-S^2, D >= S >= D^2, |B| <= R^2 and
+    R^2 + S^2 >= 3/4.
+    """
+    name = "tradeoff-chain"
+    chunks = (_tradeoff_chunk(rng, n) for rng, n in _chunk_rngs(name, samples, seed))
+    # boundary families: projective, trivial and unbiased observables
+    boundary = _tradeoff_margins(np.array([1.0, 0.0, 0.5]), np.array([0.0, 0.7, 0.0]))
+    return _fold(name, 1e-12, itertools.chain(chunks, [boundary]))
 
 
 def run_all_audits(samples: int = 100_000, seed: int = 1) -> list[AuditReport]:

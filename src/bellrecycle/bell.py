@@ -1,18 +1,19 @@
 """CHSH functionals and the Horodecki criterion.
 
 Includes the singular values of 3x3 correlation matrices, single and
-stacked (numpy's LAPACK SVD; the only linear algebra the hot paths need),
-the raw CHSH value of four observables on a two-qubit state, the
+stacked (numpy's LAPACK SVD), the Horodecki value of a stack in closed
+form, the raw CHSH value of four observables on a two-qubit state, the
 Horodecki-optimal CHSH value reachable downstream, and the tight
 strength/angle upper bound on the singlet CHSH together with its 3x3
 W-matrix form.
 
 `sequential_chsh_batch` is the one batched form of the sequential
 scenario: it maps stacks of correlation matrices and square-root settings
-to (S(A1,B1), S*(A2,B2)).  The optimizer's evaluator and the three
-monogamy audits call it; the scalar object path (`chsh_value`,
-`horodecki_sstar` and `monogamy.evaluate_scenario`) stays separate and is
-the reference the tests compare it against.
+to (S(A1,B1), S*(A2,B2)), taking S* from `horodecki_sstar_batch`.  The
+optimizer's evaluator and the three monogamy audits call it; the scalar
+object path (`chsh_value`, `horodecki_sstar` and
+`monogamy.evaluate_scenario`) keeps the SVD, stays separate, and is the
+reference the tests compare it against.
 """
 
 from __future__ import annotations
@@ -61,10 +62,46 @@ def svd3(M) -> tuple[float, float, float]:
 def singular_values_batch(M: np.ndarray) -> np.ndarray:
     """Descending singular values of a stack of 3x3 matrices, shape (n, 3).
 
-    One LAPACK call over the stack; `sequential_chsh_batch` calls it by this
-    module-level name.
+    One LAPACK call over the stack; `horodecki_sstar_batch` sends its
+    near-degenerate rows here by this module-level name.
     """
     return np.linalg.svd(np.asarray(M, dtype=float), compute_uv=False)
+
+
+# rows whose two smallest eigenvalues of M^T M nearly coincide go to the SVD
+_FALLBACK_R = 1.0 - 1e-6
+_TINY = np.finfo(float).tiny
+
+
+def horodecki_sstar_batch(M: np.ndarray) -> np.ndarray:
+    """2 sqrt(s1^2 + s2^2) of each matrix in an (n, 3, 3) stack.
+
+    s1^2 + s2^2 = tr G - lambda_min(G) with G = M^T M, and lambda_min comes
+    from the trigonometric cubic (O. K. Smith, Commun. ACM 4:168, 1961):
+    with m = tr G / 3, p^2 = |G - m I|_F^2 / 6 and
+    r = det(G - m I) / (2 p^3), tr G - lambda_min = 2 (m + p cos((pi -
+    acos r) / 3)), a sum of non-negative terms.  Near r = 1 the two
+    smallest eigenvalues meet and acos loses accuracy to about sqrt(eps);
+    those rows are sent to `singular_values_batch`, called by its
+    module-level name.
+    """
+    M = np.asarray(M, dtype=float)
+    G = np.matmul(M.transpose(0, 2, 1), M)
+    g01, g02, g12 = G[:, 0, 1], G[:, 0, 2], G[:, 1, 2]
+    m = (G[:, 0, 0] + G[:, 1, 1] + G[:, 2, 2]) / 3
+    k00, k11, k22 = G[:, 0, 0] - m, G[:, 1, 1] - m, G[:, 2, 2] - m
+    p2 = (k00 * k00 + k11 * k11 + k22 * k22 + 2 * (g01 * g01 + g02 * g02 + g12 * g12)) / 6
+    p = np.sqrt(p2)
+    det = (k00 * (k11 * k22 - g12 * g12) - g01 * (g01 * k22 - g12 * g02)
+           + g02 * (g01 * g12 - k11 * g02))
+    # tiny keeps 0/0 out when G = m I; it moves r only for p below ~1e-97
+    r = np.maximum(np.minimum(det / (2 * p2 * p + _TINY), 1.0), -1.0)
+    out = np.sqrt(8 * (m + p * np.cos((math.pi - np.arccos(r)) / 3)))
+    near = r > _FALLBACK_R
+    if near.any():
+        sv = singular_values_batch(M[near])
+        out[near] = 2.0 * np.sqrt(sv[:, 0] ** 2 + sv[:, 1] ** 2)
+    return out
 
 
 def schmidt_tensors(alpha: np.ndarray):
@@ -134,8 +171,7 @@ def sequential_chsh_batch(T, s, dirs, biases=None, a=None, b=None):
     K = _channel_batch(x, xp, r[0], r[1])
     L = _channel_batch(y, yp, r[2], r[3])
     # K T L goes into K's buffer, one stack fewer at the audits' memory peak
-    sv = singular_values_batch(np.matmul(K @ T, L, out=K))
-    return s1, 2.0 * np.sqrt(sv[:, 0] ** 2 + sv[:, 1] ** 2)
+    return s1, horodecki_sstar_batch(np.matmul(K @ T, L, out=K))
 
 
 def horodecki_sstar(T) -> float:

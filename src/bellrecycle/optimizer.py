@@ -7,8 +7,9 @@ adaptive penalty that starts at 10 and doubles every 50 generations while
 the incumbent is infeasible.  Four independent seeded restarts advance in
 lockstep, one batched evaluation per generation; each restart's best is then
 finished with a deterministic SLSQP polish of the constrained problem that
-evaluates every point once, and the best feasible point wins.  Identical
-(mode, s, budget, seed) inputs give bit-identical results.
+evaluates every point once, each finite-difference stencil in one batched
+call, and the best feasible point wins.  Identical (mode, s, budget, seed)
+inputs give bit-identical results.
 
 One decoder, `_decode`, maps a parameter block of any search mode to the
 state and settings it encodes; the batch evaluator passes them to
@@ -309,17 +310,36 @@ def _slsqp_polish(evaluator, x0, lo, hi, target):
 
     Returns [(x, S1, S2*)] for x0 and for the polished point.  Every point
     is evaluated once: the sign probe, objective and constraint share a
-    memo keyed on the clipped parameter vector.
+    memo keyed on the clipped parameter vector.  SLSQP's `workers` map
+    receives each finite-difference stencil of the objective; it evaluates
+    the stencil's new rows in one evaluator call, so the constraint
+    Jacobian at the same points reads the memo.
     """
     memo = {}
+
+    def evaluate(new):
+        """Evaluate {key: clipped point} in one evaluator call, into the memo."""
+        s1, ss = evaluator(np.stack(list(new.values())))
+        memo.update(zip(new, zip(s1.tolist(), ss.tolist())))
 
     def values(v):
         v = np.clip(v, lo, hi)
         key = v.tobytes()
         if key not in memo:
-            s1, ss = evaluator(v[None, :])
-            memo[key] = (float(s1[0]), float(ss[0]))
+            evaluate({key: v})
         return memo[key]
+
+    def stencil_map(fun, points):
+        points = list(points)
+        new = {}
+        for v in points:
+            v = np.clip(v, lo, hi)
+            key = v.tobytes()
+            if key not in memo:
+                new[key] = v
+        if new:
+            evaluate(new)
+        return list(map(fun, points))
 
     sign = 1.0 if values(x0)[0] >= 0.0 or target == 0.0 else -1.0
 
@@ -335,7 +355,7 @@ def _slsqp_polish(evaluator, x0, lo, hi, target):
         method="SLSQP",
         bounds=list(zip(lo, hi)),
         constraints=[{"type": "eq", "fun": constraint}],
-        options={"maxiter": 400, "ftol": 1e-14},
+        options={"maxiter": 400, "ftol": 1e-14, "workers": stencil_map},
     )
     x = np.clip(res.x, lo, hi)
     return [(x0, *values(x0)), (x, *values(x))]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,35 @@ from bellrecycle import (
     make_observable,
     make_state,
 )
-from bellrecycle.audit import _random_pure_state_tensors, _random_units, audit_tradeoff_chain
+from bellrecycle import audit
+from bellrecycle.audit import (
+    _random_pure_state_tensors,
+    _random_units,
+    audit_tradeoff_chain,
+    run_all_audits,
+)
 from bellrecycle.bell import sequential_chsh_batch
+from bellrecycle.monogamy import EQUAL_STRENGTH_MONOGAMY_BOUND, ORTHOGONAL_MONOGAMY_BOUND
+
+BOUNDS = {
+    "orthogonal-monogamy": ORTHOGONAL_MONOGAMY_BOUND,
+    "equal-strength-monogamy": EQUAL_STRENGTH_MONOGAMY_BOUND,
+    "conjecture": EQUAL_STRENGTH_MONOGAMY_BOUND,
+}
+
+
+def scalar_margin(bound, config):
+    """bound - (|S1| + S2*) of an audit configuration, through the object path."""
+    x, xp, y, yp = (
+        make_observable(0.0, strength, config[key])
+        for strength, key in zip(config["strengths"], ("x", "x_prime", "y", "y_prime"))
+    )
+    res = evaluate_scenario(ScenarioConfig(
+        state=make_state(np.zeros(3), np.zeros(3), np.array(config["T"]), check=False),
+        alice=MeasurementPair(x, xp),
+        bob=MeasurementPair(y, yp),
+    ))
+    return bound - (abs(res.s_first) + res.s_star_second)
 
 
 class TestTradeoffChainAudit:
@@ -45,3 +74,50 @@ class TestAuditKernel:
             ))
             assert res.s_first == pytest.approx(s1[i], abs=1e-12)
             assert res.s_star_second == pytest.approx(sstar[i], abs=1e-12)
+
+
+class TestChunkedAudits:
+    @pytest.mark.parametrize("samples", [1, 2**16, 2**16 + 1])
+    def test_sample_counts(self, samples):
+        # each monogamy audit adds its saturating configuration, the tradeoff
+        # chain its three boundary observables
+        counts = {r.name: r.samples for r in run_all_audits(samples, 4)}
+        assert counts == {
+            "orthogonal-monogamy": samples + 1,
+            "equal-strength-monogamy": samples + 1,
+            "tradeoff-chain": samples + 3,
+            "conjecture": samples + 1,
+        }
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_worst_config_reproduces_worst_margin(self, seed):
+        for report in run_all_audits(2**16 + 1, seed):
+            if report.name in BOUNDS:
+                margin = scalar_margin(BOUNDS[report.name], report.worst_config)
+                assert margin == pytest.approx(report.worst_margin, abs=1e-12)
+
+    @pytest.mark.parametrize("orthogonal,equal_strengths,bound", [
+        (True, False, ORTHOGONAL_MONOGAMY_BOUND),
+        (False, True, EQUAL_STRENGTH_MONOGAMY_BOUND),
+        (False, False, EQUAL_STRENGTH_MONOGAMY_BOUND),
+    ])
+    def test_chunk_config_is_its_worst_random_row(self, orthogonal, equal_strengths, bound):
+        # the saturating row wins every report, so check a random chunk alone
+        rng = np.random.default_rng(11)
+        margins, config = audit._monogamy_chunk(rng, 500, bound, orthogonal, equal_strengths)
+        assert scalar_margin(bound, config) == pytest.approx(margins.min(), abs=1e-12)
+        s = config["strengths"]
+        if equal_strengths:
+            assert s[0] == s[1] and s[2] == s[3]
+        if orthogonal:
+            assert abs(np.dot(config["x"], config["x_prime"])) <= 1e-12
+            assert abs(np.dot(config["y"], config["y_prime"])) <= 1e-12
+
+    def test_memory_does_not_grow_with_samples(self):
+        tracemalloc.start()
+        try:
+            run_all_audits(2**18, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48e6

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellrecycle import (
     ConstraintViolation,
@@ -19,7 +21,8 @@ from bellrecycle import (
     unbiased,
     w_matrix,
 )
-from bellrecycle.bell import singular_values_batch
+from bellrecycle.audit import run_all_audits
+from bellrecycle.bell import horodecki_sstar_batch, singular_values_batch
 
 from oracles import grid_search_sstar
 
@@ -161,6 +164,66 @@ class TestSingularValuesDegenerate:
 
     def test_empty_stack(self):
         assert singular_values_batch(np.zeros((0, 3, 3))).shape == (0, 3)
+
+
+def _sstar_svd(M):
+    sv = np.linalg.svd(M, compute_uv=False)
+    return 2.0 * np.sqrt(sv[:, 0] ** 2 + sv[:, 1] ** 2)
+
+
+def _orthogonal(rng, n):
+    return np.linalg.qr(rng.normal(size=(n, 3, 3)))[0]
+
+
+@st.composite
+def matrix_stacks(draw):
+    """Stacks of 3x3 matrices, from generic to exactly or nearly degenerate."""
+    family = draw(st.sampled_from(
+        ["gaussian", "rank1", "rank2", "double-low", "double-high", "triple", "minus-cQ"]
+    ))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 64))
+    if family == "gaussian":
+        return rng.normal(size=(n, 3, 3)) * draw(st.floats(0.01, 2.0))
+    a, b = rng.uniform(0.5, 1.0, n), rng.uniform(0.0, 0.5, n)
+    # relative splits of clustered singular values, 1e-9 down to 1e-12
+    d = rng.choice([1e-9, 1e-10, 1e-11, 1e-12], (2, n)) * rng.choice([-1.0, 1.0], (2, n))
+    zero = np.zeros(n)
+    sv = {
+        "rank1": (a, zero, zero),
+        "rank2": (a, b, zero),
+        "double-low": (a, b, b * (1 + d[0])),
+        "double-high": (a, a * (1 + d[0]), b),
+        "triple": (a, a * (1 + d[0]), a * (1 + d[1])),
+        "minus-cQ": (-a, -a, -a),
+    }[family]
+    return np.einsum("nij,nj,nkj->nik", _orthogonal(rng, n), np.stack(sv, axis=1),
+                     _orthogonal(rng, n))
+
+
+class TestHorodeckiBatch:
+    """The closed-form S* kernel against numpy's SVD."""
+
+    @given(matrix_stacks())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_svd(self, M):
+        assert np.allclose(horodecki_sstar_batch(M), _sstar_svd(M), rtol=0, atol=1e-12)
+
+    def test_zero_matrix(self):
+        assert np.array_equal(horodecki_sstar_batch(np.zeros((4, 3, 3))), np.zeros(4))
+
+    def test_empty_stack(self):
+        assert horodecki_sstar_batch(np.zeros((0, 3, 3))).shape == (0,)
+
+    def test_singlet(self):
+        assert horodecki_sstar_batch(-np.eye(3)[None])[0] == pytest.approx(2 * ROOT2, abs=1e-15)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 101, 110])
+    def test_saturating_audit_rows_hold(self, seed):
+        # each audit's appended saturating row is rank one; without the SVD
+        # fallback the cubic reads its margin as about -4e-9
+        for report in run_all_audits(1, seed):
+            assert report.worst_margin >= -1e-12
 
 
 class TestWMatrix:

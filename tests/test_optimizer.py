@@ -150,15 +150,19 @@ class TestBoundaryPoint:
         assert res.s_star_second == pytest.approx(point.s_star, abs=1e-12)
 
     def test_polish_evaluates_each_point_once(self, monkeypatch):
-        seen = []
+        # rows of every call but the 256-row DE generations: one-row polish
+        # points and the finite-difference stencils of its workers map
+        seen, stencils = [], []
 
         def recording(mode):
             evaluate = make_batch_evaluator(mode)
 
             def wrapper(P):
                 P = np.atleast_2d(P)
-                if P.shape[0] == 1:
-                    seen.append(P.tobytes())
+                if P.shape[0] != 4 * 64:
+                    seen.extend(row.tobytes() for row in P)
+                    if P.shape[0] > 1:
+                        stencils.append(P.shape[0])
                 return evaluate(P)
 
             return wrapper
@@ -166,9 +170,33 @@ class TestBoundaryPoint:
         monkeypatch.setattr(optimizer, "make_batch_evaluator", recording)
         point = boundary_point(2.4, UNBIASED_SINGLET, budget=10_000, seed=0)
         assert seen and len(set(seen)) == len(seen)
+        assert stencils
         # evaluations counts computed rows only: the DE batches plus one per point
         de_rows = 4 * (10_000 // 4 // 64 * 64)
         assert point.evaluations == de_rows + len(seen)
+
+    @pytest.mark.parametrize("s,mode", [(2.4, UNBIASED_SINGLET), (1.0, GENERAL_BIASED)],
+                             ids=["unbiased-singlet", "general-biased"])
+    def test_batched_stencils_match_one_row_calls(self, monkeypatch, s, mode):
+        # a row's value does not depend on its batch, so evaluating each
+        # stencil in one call must give the same point, bit for bit
+        batched = boundary_point(s, mode, budget=10_000, seed=0)
+
+        def one_row_calls(mode):
+            evaluate = make_batch_evaluator(mode)
+
+            def split(P):
+                rows = [evaluate(row) for row in np.atleast_2d(P)]
+                return tuple(np.concatenate(parts) for parts in zip(*rows))
+
+            return split
+
+        monkeypatch.setattr(optimizer, "make_batch_evaluator", one_row_calls)
+        split = boundary_point(s, mode, budget=10_000, seed=0)
+        assert split.s_star.hex() == batched.s_star.hex()
+        assert split.achieved_s.hex() == batched.achieved_s.hex()
+        assert [v.hex() for v in split.params] == [v.hex() for v in batched.params]
+        assert split.evaluations == batched.evaluations
 
     def test_budget_too_small(self):
         with pytest.raises(BudgetTooSmall):
