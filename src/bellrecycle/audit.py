@@ -12,6 +12,12 @@ from its own stream spawned from `SeedSequence(seed + offset)`, with a fixed
 offset per audit name; only a running worst margin, its configuration and
 the violation count outlive a chunk, so memory does not grow with the
 sample count.  Audits run independently and stay reproducible.
+
+The samplers write the kernel's component-major layout directly:
+directions are (3, n), rotations and correlation matrices (3, 3, n), with
+T = Ra diag(s2, -s2, 1) Rb^T summed from outer products of the rotations'
+columns.  They make the same generator calls in the same order as an
+(n, 3) layout would, so the draws do not depend on the layout.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from typing import Any
 
 import numpy as np
 
-from .bell import schmidt_tensors, sequential_chsh_batch
+from .bell import sequential_chsh_batch
 from .monogamy import ORTHOGONAL_MONOGAMY_BOUND, EQUAL_STRENGTH_MONOGAMY_BOUND
 
 _SEED_OFFSETS = {
@@ -55,58 +61,83 @@ class AuditReport:
         }
 
 
+def _components(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
+    """n standard normal draws of dimension d as a component-major (d, n) array.
+
+    The draws are those of `rng.normal(size=(n, d))`, in the same order.
+    """
+    return np.ascontiguousarray(rng.normal(size=(n, d)).T)
+
+
+def _lengths(v: np.ndarray) -> np.ndarray:
+    """Length of each column of a component-major (d, n) array."""
+    return np.sqrt(sum(c * c for c in v))
+
+
 def _random_units(rng: np.random.Generator, n: int) -> np.ndarray:
-    v = rng.normal(size=(n, 3))
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
+    """n uniform random unit vectors, shape (3, n)."""
+    v = _components(rng, n, 3)
+    return v / _lengths(v)
 
 
 def _orthogonal_partners(rng: np.random.Generator, u: np.ndarray) -> np.ndarray:
-    """Random unit vectors orthogonal to each row of u."""
-    w = rng.normal(size=u.shape)
-    w -= np.einsum("ni,ni->n", w, u)[:, None] * u
-    norms = np.linalg.norm(w, axis=1, keepdims=True)
+    """Random unit vectors orthogonal to each column of u, shape (3, n)."""
+    w = _components(rng, u.shape[1], 3)
+    w -= (w[0] * u[0] + w[1] * u[1] + w[2] * u[2]) * u
+    norms = _lengths(w)
     # a collinear draw is measure-zero; fall back to a deterministic partner
-    bad = norms[:, 0] < 1e-12
+    bad = norms < 1e-12
     if np.any(bad):
-        alt = np.cross(u[bad], np.where(np.abs(u[bad, :1]) < 0.9, [1.0, 0, 0], [0, 1.0, 0]))
-        w[bad] = alt
-        norms = np.linalg.norm(w, axis=1, keepdims=True)
+        ub = u[:, bad]
+        axis = np.where(np.abs(ub[0]) < 0.9, [[1.0], [0.0], [0.0]], [[0.0], [1.0], [0.0]])
+        w[:, bad] = np.cross(ub, axis, axis=0)
+        norms = _lengths(w)
     return w / norms
 
 
 def _random_rotations(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Uniform random rotation matrices via normalised quaternions."""
-    q = rng.normal(size=(n, 4))
-    q /= np.linalg.norm(q, axis=1, keepdims=True)
-    w, x, y, z = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
-    R = np.empty((n, 3, 3))
-    R[:, 0, 0] = 1 - 2 * (y * y + z * z)
-    R[:, 0, 1] = 2 * (x * y - z * w)
-    R[:, 0, 2] = 2 * (x * z + y * w)
-    R[:, 1, 0] = 2 * (x * y + z * w)
-    R[:, 1, 1] = 1 - 2 * (x * x + z * z)
-    R[:, 1, 2] = 2 * (y * z - x * w)
-    R[:, 2, 0] = 2 * (x * z - y * w)
-    R[:, 2, 1] = 2 * (y * z + x * w)
-    R[:, 2, 2] = 1 - 2 * (x * x + y * y)
+    """Uniform random rotation matrices via normalised quaternions, shape (3, 3, n)."""
+    q = _components(rng, n, 4)
+    q /= _lengths(q)
+    w, x, y, z = q
+    R = np.empty((3, 3, n))
+    R[0, 0] = 1 - 2 * (y * y + z * z)
+    R[0, 1] = 2 * (x * y - z * w)
+    R[0, 2] = 2 * (x * z + y * w)
+    R[1, 0] = 2 * (x * y + z * w)
+    R[1, 1] = 1 - 2 * (x * x + z * z)
+    R[1, 2] = 2 * (y * z - x * w)
+    R[2, 0] = 2 * (x * z - y * w)
+    R[2, 1] = 2 * (y * z + x * w)
+    R[2, 2] = 1 - 2 * (x * x + y * y)
     return R
 
 
 def _random_pure_state_tensors(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Correlation matrices of Haar-like random pure two-qubit states."""
-    T0 = schmidt_tensors(rng.uniform(0.0, np.pi / 4, size=n))[2]
+    """Correlation matrices of Haar-like random pure two-qubit states, (3, 3, n).
+
+    T = Ra diag(s2, -s2, 1) Rb^T = s2 (ra0 rb0^T - ra1 rb1^T) + ra2 rb2^T,
+    with ra_k and rb_k the columns of the two rotations.
+    """
+    # sin 2alpha of a Schmidt angle alpha in [0, pi/4]
+    s2 = np.sin(2 * rng.uniform(0.0, np.pi / 4, size=n))
     Ra = _random_rotations(rng, n)
     Rb = _random_rotations(rng, n)
-    return Ra @ T0 @ Rb.transpose(0, 2, 1)
+    T = Ra[:, None, 0] * Rb[:, 0]
+    T -= Ra[:, None, 1] * Rb[:, 1]
+    T *= s2
+    T += Ra[:, None, 2] * Rb[:, 2]
+    return T
 
 
-def _config_dict(i, T, x, xp, y, yp, s) -> dict[str, Any]:
+def _config_dict(i, T, dirs, s) -> dict[str, Any]:
+    x, xp, y, yp = dirs[:, :, i].tolist()
     return {
-        "T": T[i].tolist(),
-        "x": x[i].tolist(),
-        "x_prime": xp[i].tolist(),
-        "y": y[i].tolist(),
-        "y_prime": yp[i].tolist(),
+        "T": T[:, :, i].tolist(),
+        "x": x,
+        "x_prime": xp,
+        "y": y,
+        "y_prime": yp,
         "strengths": s[:, i].tolist(),
     }
 
@@ -137,29 +168,31 @@ def _fold(name: str, tol: float, chunks) -> AuditReport:
                        violations=violations, worst_config=config)
 
 
-def _monogamy_margins(bound, T, x, xp, y, yp, s):
+def _monogamy_margins(bound, T, dirs, s):
     """Margins bound - (|S1| + S2*) and the configuration of the worst row."""
-    s1, sstar = sequential_chsh_batch(T, s, (x, xp, y, yp))
+    s1, sstar = sequential_chsh_batch(T, s, dirs)
     margins = bound - (np.abs(s1) + sstar)
-    return margins, _config_dict(int(np.argmin(margins)), T, x, xp, y, yp, s)
+    return margins, _config_dict(int(np.argmin(margins)), T, dirs, s)
 
 
 def _monogamy_chunk(rng, n: int, bound: float, orthogonal: bool, equal_strengths: bool):
     T = _random_pure_state_tensors(rng, n)
-    x = _random_units(rng, n)
-    y = _random_units(rng, n)
+    # directions of x, x', y, y', drawn in the order x, y, x', y'
+    dirs = np.empty((4, 3, n))
+    dirs[0] = _random_units(rng, n)
+    dirs[2] = _random_units(rng, n)
     if orthogonal:
-        xp = _orthogonal_partners(rng, x)
-        yp = _orthogonal_partners(rng, y)
+        dirs[1] = _orthogonal_partners(rng, dirs[0])
+        dirs[3] = _orthogonal_partners(rng, dirs[2])
     else:
-        xp = _random_units(rng, n)
-        yp = _random_units(rng, n)
+        dirs[1] = _random_units(rng, n)
+        dirs[3] = _random_units(rng, n)
     # strengths of x, x', y, y'
     if equal_strengths:
         s = np.repeat(rng.uniform(0, 1, (2, 1, n)), 2, axis=1).reshape(4, n)
     else:
         s = rng.uniform(0, 1, (4, n))
-    return _monogamy_margins(bound, T, x, xp, y, yp, s)
+    return _monogamy_margins(bound, T, dirs, s)
 
 
 def _saturating(name: str, bound: float):
@@ -173,8 +206,8 @@ def _saturating(name: str, bound: float):
         # projective parallel settings saturate both the equal-strength bound and the conjecture
         strength = 1.0
         dirs = ([0.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, -1.0, 0.0], [0.0, -1.0, 0.0])
-    x, xp, y, yp = (np.array([d]) for d in dirs)
-    return _monogamy_margins(bound, -np.eye(3)[None], x, xp, y, yp, np.full((4, 1), strength))
+    return _monogamy_margins(bound, -np.eye(3)[:, :, None], np.array(dirs)[:, :, None],
+                             np.full((4, 1), strength))
 
 
 def _monogamy_audit(name: str, bound: float, samples: int, seed: int,

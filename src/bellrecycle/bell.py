@@ -9,11 +9,14 @@ W-matrix form.
 
 `sequential_chsh_batch` is the one batched form of the sequential
 scenario: it maps stacks of correlation matrices and square-root settings
-to (S(A1,B1), S*(A2,B2)), taking S* from `horodecki_sstar_batch`.  The
-optimizer's evaluator and the three monogamy audits call it; the scalar
-object path (`chsh_value`, `horodecki_sstar` and
-`monogamy.evaluate_scenario`) keeps the SVD, stays separate, and is the
-reference the tests compare it against.
+to (S(A1,B1), S*(A2,B2)).  Its stacks are component-major (directions
+(3, n), correlation matrices (3, 3, n)), so every step is an elementwise
+operation over rows of n contiguous values: K T L is built from rank-one
+updates of T, G = M^T M from six column dot products, and S* from the
+closed form in `_sstar`.  The optimizer's evaluator and the three
+monogamy audits call it; the scalar object path (`chsh_value`,
+`horodecki_sstar` and `monogamy.evaluate_scenario`) keeps the SVD, stays
+separate, and is the reference the tests compare it against.
 """
 
 from __future__ import annotations
@@ -73,23 +76,30 @@ _FALLBACK_R = 1.0 - 1e-6
 _TINY = np.finfo(float).tiny
 
 
-def horodecki_sstar_batch(M: np.ndarray) -> np.ndarray:
-    """2 sqrt(s1^2 + s2^2) of each matrix in an (n, 3, 3) stack.
+def _sum3(term):
+    """term(0) + term(1) + term(2), accumulated in place."""
+    out = term(0)
+    out += term(1)
+    out += term(2)
+    return out
 
-    s1^2 + s2^2 = tr G - lambda_min(G) with G = M^T M, and lambda_min comes
-    from the trigonometric cubic (O. K. Smith, Commun. ACM 4:168, 1961):
-    with m = tr G / 3, p^2 = |G - m I|_F^2 / 6 and
-    r = det(G - m I) / (2 p^3), tr G - lambda_min = 2 (m + p cos((pi -
-    acos r) / 3)), a sum of non-negative terms.  Near r = 1 the two
-    smallest eigenvalues meet and acos loses accuracy to about sqrt(eps);
-    those rows are sent to `singular_values_batch`, called by its
-    module-level name.
+
+def _sstar(M: np.ndarray) -> np.ndarray:
+    """2 sqrt(s1^2 + s2^2) of each matrix in a component-major (3, 3, n) stack.
+
+    s1^2 + s2^2 = tr G - lambda_min(G) with G = M^T M, whose six distinct
+    entries are dot products of M's columns, and lambda_min comes from the
+    trigonometric cubic (O. K. Smith, Commun. ACM 4:168, 1961): with
+    m = tr G / 3, p^2 = |G - m I|_F^2 / 6 and r = det(G - m I) / (2 p^3),
+    tr G - lambda_min = 2 (m + p cos((pi - acos r) / 3)), a sum of
+    non-negative terms.  Near r = 1 the two smallest eigenvalues meet and
+    acos loses accuracy to about sqrt(eps); those rows are sent to
+    `singular_values_batch`, called by its module-level name.
     """
-    M = np.asarray(M, dtype=float)
-    G = np.matmul(M.transpose(0, 2, 1), M)
-    g01, g02, g12 = G[:, 0, 1], G[:, 0, 2], G[:, 1, 2]
-    m = (G[:, 0, 0] + G[:, 1, 1] + G[:, 2, 2]) / 3
-    k00, k11, k22 = G[:, 0, 0] - m, G[:, 1, 1] - m, G[:, 2, 2] - m
+    g00, g11, g22 = _sum3(lambda i: M[i] * M[i])
+    g01, g12, g02 = _sum3(lambda i: M[i] * M[i, [1, 2, 0]])
+    m = (g00 + g11 + g22) / 3
+    k00, k11, k22 = g00 - m, g11 - m, g22 - m
     p2 = (k00 * k00 + k11 * k11 + k22 * k22 + 2 * (g01 * g01 + g02 * g02 + g12 * g12)) / 6
     p = np.sqrt(p2)
     det = (k00 * (k11 * k22 - g12 * g12) - g01 * (g01 * k22 - g12 * g02)
@@ -99,9 +109,18 @@ def horodecki_sstar_batch(M: np.ndarray) -> np.ndarray:
     out = np.sqrt(8 * (m + p * np.cos((math.pi - np.arccos(r)) / 3)))
     near = r > _FALLBACK_R
     if near.any():
-        sv = singular_values_batch(M[near])
+        sv = singular_values_batch(M[:, :, near].transpose(2, 0, 1))
         out[near] = 2.0 * np.sqrt(sv[:, 0] ** 2 + sv[:, 1] ** 2)
     return out
+
+
+def horodecki_sstar_batch(M: np.ndarray) -> np.ndarray:
+    """2 sqrt(s1^2 + s2^2) of each matrix in an (n, 3, 3) stack.
+
+    Runs the component-major kernel of `sequential_chsh_batch` on the
+    transposed view, with the same near-degenerate SVD fallback.
+    """
+    return _sstar(np.asarray(M, dtype=float).transpose(1, 2, 0))
 
 
 def schmidt_tensors(alpha: np.ndarray):
@@ -109,69 +128,84 @@ def schmidt_tensors(alpha: np.ndarray):
 
     cos(alpha)|00> + sin(alpha)|11>, with alpha clipped to [0, pi/4]: a = b
     along +z with length cos(2 alpha), T = diag(sin 2alpha, -sin 2alpha, 1).
+    Component-major: a and b are (3, n) and T is (3, 3, n).
     """
     n = alpha.shape[0]
     alpha = np.clip(alpha, 0.0, np.pi / 4)
     c2, s2 = np.cos(2 * alpha), np.sin(2 * alpha)
-    a = np.zeros((n, 3))
-    a[:, 2] = c2
-    T = np.zeros((n, 3, 3))
-    T[:, 0, 0] = s2
-    T[:, 1, 1] = -s2
-    T[:, 2, 2] = 1.0
+    a = np.zeros((3, n))
+    a[2] = c2
+    T = np.zeros((3, 3, n))
+    T[0, 0] = s2
+    T[1, 1] = -s2
+    T[2, 2] = 1.0
     return a, a, T
 
 
-def _channel_batch(u, up, ru, rup):
-    """Averaged transfer matrices of two settings with reversibilities ru, rup.
+def _add_outer(M, c, U, V):
+    """M + c_0 U_0 V_0^T + c_1 U_1 V_1^T, in place, for (2, 3, n) stacks U and V."""
+    for k in range(2):
+        M += (c[k] * U[k])[:, None] * V[k]
+    return M
 
-    0.5 ((ru + rup) I + (1 - ru) u u^T + (1 - rup) up up^T), summed in place
-    so that a 10^6-row stack holds one temporary besides the result.
+
+def _s1(AT, A, B, s, biases, a, b):
+    """Signed S(A1,B1) from AT[k] = u_k^T T over u = (x, x'), v = (y, y')."""
+    terms = _sum3(lambda j: AT[:, None, j] * B[:, j])
+    terms *= s[:2, None] * s[2:]
+    if biases is not None:
+        ua = _sum3(lambda i: A[:, i] * a[i])
+        bv = _sum3(lambda i: B[:, i] * b[i])
+        terms += biases[:2, None] * biases[2:]
+        terms += biases[:2, None] * s[2:] * bv
+        terms += (s[:2] * ua)[:, None] * biases[2:]
+    return terms[0, 0] + terms[0, 1] + terms[1, 0] - terms[1, 1]
+
+
+def _first_pair(T, s, D, biases, a, b):
+    """S1 and K T L of `sequential_chsh_batch`, with D the (4, 3, n) directions.
+
+    Kept apart from `_sstar` so that its temporaries are freed before the
+    Horodecki step runs.
     """
-    K = (ru + rup)[:, None, None] * np.eye(3)
-    t = np.einsum("ni,nj->nij", u, u)
-    t *= (1 - ru)[:, None, None]
-    K += t
-    np.einsum("ni,nj->nij", up, up, out=t)
-    t *= (1 - rup)[:, None, None]
-    K += t
-    K *= 0.5
-    return K
-
-
-def sequential_chsh_batch(T, s, dirs, biases=None, a=None, b=None):
-    """Signed S(A1,B1) and S*(A2,B2) for a stack of square-root scenarios.
-
-    T is an (n, 3, 3) stack of correlation matrices.  s, and biases when
-    given, are (4, n) arrays over the settings x, x', y, y', and dirs holds
-    their (n, 3) directions in the same order.  The Bloch vectors a and b
-    enter S1 only through the biases.  S* is the Horodecki value of K T L,
-    with K and L the averaged dephasing channels of each side's settings.
-    """
-    x, xp, y, yp = dirs
-
-    def term(i, j, u, v):
-        out = s[i] * s[j] * np.einsum("ni,nij,nj->n", u, T, v)
-        if biases is not None:
-            out = (
-                out
-                + biases[i] * biases[j]
-                + biases[i] * s[j] * np.einsum("ni,ni->n", b, v)
-                + s[i] * biases[j] * np.einsum("ni,ni->n", u, a)
-            )
-        return out
-
-    s1 = term(0, 2, x, y) + term(0, 3, x, yp) + term(1, 2, xp, y) - term(1, 3, xp, yp)
+    A, B = D[:2], D[2:]
+    AT = _sum3(lambda i: A[:, i, None] * T[i])
+    s1 = _s1(AT, A, B, s, biases, a, b)
     if biases is None:
         r = np.sqrt(np.clip(1 - s * s, 0, 1))
     else:
         r = 0.5 * np.sqrt(np.clip((1 + biases) ** 2 - s * s, 0, None)) + 0.5 * np.sqrt(
             np.clip((1 - biases) ** 2 - s * s, 0, None)
         )
-    K = _channel_batch(x, xp, r[0], r[1])
-    L = _channel_batch(y, yp, r[2], r[3])
-    # K T L goes into K's buffer, one stack fewer at the audits' memory peak
-    return s1, horodecki_sstar_batch(np.matmul(K @ T, L, out=K))
+    c = 0.5 * (1 - r)
+    # K T = c0 T + c1 x (x^T T) + c2 x' (x'^T T), then (K T) v_l and K T L
+    # by the same rank-one update on the right; AT is dropped first, as the
+    # right update is the audits' memory peak
+    M = _add_outer(0.5 * (r[0] + r[1]) * T, c[:2], A, AT)
+    del AT
+    KTB = _sum3(lambda j: M[:, j] * B[:, None, j])
+    M *= 0.5 * (r[2] + r[3])
+    return s1, _add_outer(M, c[2:], KTB, B)
+
+
+def sequential_chsh_batch(T, s, dirs, biases=None, a=None, b=None):
+    """Signed S(A1,B1) and S*(A2,B2) for a stack of square-root scenarios.
+
+    Every stack is component-major, so each operation runs over rows of n
+    contiguous values: T is (3, 3, n), with T[i, j] the n values of entry
+    (i, j); dirs is a (4, 3, n) array (or four (3, n) arrays) holding the
+    directions of the settings x, x', y, y'; s, and biases when given, are
+    (4, n) in the same order.  The Bloch vectors a and b, (3, n), enter S1
+    only through the biases.
+
+    S* is the Horodecki value of M = K T L, with K = c0 I + c1 x x^T +
+    c2 x' x'^T and L the averaged dephasing channels of each side's
+    settings.  M is built from rank-one updates, never from K or L:
+    K T = c0 T + c1 x (x^T T) + c2 x' (x'^T T) reuses the x^T T rows of
+    S1, and the same update on the right with (K T) y and (K T) y' gives M.
+    """
+    s1, M = _first_pair(T, s, np.asarray(dirs, dtype=float), biases, a, b)
+    return s1, _sstar(M)
 
 
 def horodecki_sstar(T) -> float:

@@ -12,9 +12,10 @@ call, and the best feasible point wins.  Identical (mode, s, budget, seed)
 inputs give bit-identical results.
 
 One decoder, `_decode`, maps a parameter block of any search mode to the
-state and settings it encodes; the batch evaluator passes them to
-`bell.sequential_chsh_batch` and `decode_params` builds the scalar
-scenario from them.
+state and settings it encodes, already in the kernel's component-major
+layout (directions (4, 3, n), correlation matrices (3, 3, n)); the batch
+evaluator passes them to `bell.sequential_chsh_batch` and `decode_params`
+builds the scalar scenario from column 0.
 """
 
 from __future__ import annotations
@@ -123,35 +124,37 @@ def _bounds(mode: SearchMode) -> tuple[np.ndarray, np.ndarray]:
     return np.array(lo), np.array(hi)
 
 
+def _rows(X: np.ndarray) -> np.ndarray:
+    """The columns of an (n, k) parameter block as contiguous (k, n) rows."""
+    return np.ascontiguousarray(X.T)
+
+
 def _sph(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """(k, 3, n) unit vectors from (k, n) polar angles and azimuths."""
     st = np.sin(theta)
-    return np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=-1)
+    return np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=1)
 
 
 def _planar(angle: np.ndarray) -> np.ndarray:
-    return np.stack([np.cos(angle), np.sin(angle), np.zeros_like(angle)], axis=-1)
+    """(k, 3, n) unit vectors in the x-y plane from (k, n) azimuths."""
+    return np.stack([np.cos(angle), np.sin(angle), np.zeros_like(angle)], axis=1)
 
 
 def _unbiased_geometry(P: np.ndarray, planar: bool):
-    s = np.clip(P[:, :4], 0.0, 1.0).T
+    s = np.clip(_rows(P[:, :4]), 0.0, 1.0)
     if planar:
-        dirs = [_planar(P[:, 4 + i]) for i in range(4)]
+        dirs = _planar(_rows(P[:, 4:8]))
     else:
-        dirs = [_sph(P[:, 4 + 2 * i], P[:, 5 + 2 * i]) for i in range(4)]
+        dirs = _sph(_rows(P[:, 4::2]), _rows(P[:, 5::2]))
     return s, dirs
 
 
 def _biased_geometry(P: np.ndarray):
-    s = np.empty((4, P.shape[0]))
-    biases = np.empty((4, P.shape[0]))
-    dirs = []
-    for i in range(4):
-        r = np.clip(P[:, 4 * i], 0.0, 1.0)
-        alpha = P[:, 4 * i + 1] * np.arcsin(r)
-        s[i] = np.sqrt(np.clip(1 - r * r, 0, 1)) * np.cos(alpha)
-        biases[i] = r * np.sin(alpha)
-        dirs.append(_sph(P[:, 4 * i + 2], P[:, 4 * i + 3]))
-    return s, biases, dirs
+    r = np.clip(_rows(P[:, 0::4]), 0.0, 1.0)
+    alpha = _rows(P[:, 1::4]) * np.arcsin(r)
+    s = np.sqrt(np.clip(1 - r * r, 0, 1)) * np.cos(alpha)
+    biases = r * np.sin(alpha)
+    return s, biases, _sph(_rows(P[:, 2::4]), _rows(P[:, 3::4]))
 
 
 def _region2_geometry(P: np.ndarray, T: np.ndarray):
@@ -161,31 +164,34 @@ def _region2_geometry(P: np.ndarray, T: np.ndarray):
     larger S2* at that row.
     """
     n = P.shape[0]
-    sx = np.clip(P[:, 0], 0, 1)
-    sxp = np.clip(P[:, 1], 0, 1)
-    sy = np.clip(P[:, 2], 0, 1)
-    theta = P[:, 3]
-    y = np.stack([np.sin(theta), np.cos(theta), np.zeros(n)], axis=-1)
-    yp = np.stack([-np.sin(theta), np.cos(theta), np.zeros(n)], axis=-1)
-    x = np.tile([0.0, 1.0, 0.0], (n, 1))
-    xp_a = np.tile([1.0, 0.0, 0.0], (n, 1))
-    xp_b = np.stack([np.sin(2 * theta), np.cos(2 * theta), np.zeros(n)], axis=-1)
-    s = np.stack([sx, sxp, sy, sy])
-    # both choices in one kernel call: rows :n take x'_a, rows n: take x'_b
-    _, ss = sequential_chsh_batch(
-        np.concatenate([T, T]),
-        np.tile(s, 2),
-        [np.concatenate(pair) for pair in ((x, x), (xp_a, xp_b), (y, y), (yp, yp))],
-    )
-    xp = np.where((ss[n:] > ss[:n])[:, None], xp_b, xp_a)
-    return s, (x, xp, y, yp)
+    rows = _rows(P)
+    s = np.clip(rows[[0, 1, 2, 2]], 0, 1)
+    theta = rows[3]
+    zero, one = np.zeros(n), np.ones(n)
+    sin, cos = np.sin(theta), np.cos(theta)
+    dirs = np.stack([
+        np.stack([zero, one, zero]),
+        np.stack([one, zero, zero]),
+        np.stack([sin, cos, zero]),
+        np.stack([-sin, cos, zero]),
+    ])
+    xp_b = np.stack([np.sin(2 * theta), np.cos(2 * theta), zero])
+    # both choices in one kernel call: rows :n take x' = (1, 0, 0), rows n: take xp_b
+    both = np.concatenate([dirs, dirs], axis=2)
+    both[1, :, n:] = xp_b
+    _, ss = sequential_chsh_batch(np.concatenate([T, T], axis=2), np.tile(s, 2), both)
+    dirs[1] = np.where(ss[n:] > ss[:n], xp_b, dirs[1])
+    return s, dirs
 
 
 def _decode(mode: SearchMode, P: np.ndarray):
     """Map an (n, d) parameter block to (a, b, T, s, biases, dirs).
 
-    s and biases are (4, n) over the settings x, x', y, y' (biases is None
-    for unbiased modes) and dirs their four (n, 3) directions.
+    Component-major, as `bell.sequential_chsh_batch` takes them: a and b
+    are (3, n), T is (3, 3, n) (the singlet's -I broadcast, without a copy,
+    in the singlet modes), s and biases are (4, n) over the settings x, x',
+    y, y' (biases is None for unbiased modes) and dirs their directions,
+    (4, 3, n).
     """
     if P.shape[1] != mode.n_params:
         raise LengthMismatch(
@@ -200,8 +206,8 @@ def _decode(mode: SearchMode, P: np.ndarray):
         s, dirs = _unbiased_geometry(P[:, :-1], planar=False)
         return a, b, T, s, None, dirs
     n = P.shape[0]
-    a = b = np.zeros((n, 3))
-    T = np.broadcast_to(-np.eye(3), (n, 3, 3))
+    a = b = np.zeros((3, n))
+    T = np.broadcast_to(-np.eye(3)[:, :, None], (3, 3, n))
     if mode.tag == "region2-ansatz":
         s, dirs = _region2_geometry(P, T)
     elif mode.tag in ("unbiased-singlet", "unbiased-singlet-equatorial"):
@@ -230,11 +236,11 @@ def decode_params(mode: SearchMode, params) -> ScenarioConfig:
     if biases is None:
         biases = np.zeros((4, 1))
     observables = [
-        make_observable(float(biases[i, 0]), float(s[i, 0]), dirs[i][0])
+        make_observable(float(biases[i, 0]), float(s[i, 0]), dirs[i][:, 0])
         for i in range(4)
     ]
     return ScenarioConfig(
-        state=make_state(a[0], b[0], T[0], check=False),
+        state=make_state(a[:, 0], b[:, 0], T[:, :, 0], check=False),
         alice=MeasurementPair(observables[0], observables[1]),
         bob=MeasurementPair(observables[2], observables[3]),
         kind=SQUARE_ROOT,

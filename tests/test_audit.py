@@ -52,9 +52,12 @@ class TestTradeoffChainAudit:
 
 
 class TestAuditKernel:
-    def test_matches_scalar_path_on_rotated_pure_states(self):
+    @pytest.mark.parametrize("biased", [False, True], ids=["pure-unbiased", "mixed-biased"])
+    def test_matches_scalar_path_on_rotated_pure_states(self, biased):
         # the monogamy audits' inputs: rotated pure-state T and unbiased
-        # settings, here with strengths 0 and 1 mixed in
+        # settings, here with strengths 0 and 1 mixed in; the biased input
+        # shrinks T to a rotated mixed state and adds independent Bloch
+        # vectors a != b and biased settings
         n = 200
         rng = np.random.default_rng(5)
         T = _random_pure_state_tensors(rng, n)
@@ -64,16 +67,46 @@ class TestAuditKernel:
         s[:, 3::7] = 1.0
         s[1, 5::11] = 0.0
         s[2, 5::11] = 1.0
-        s1, sstar = sequential_chsh_batch(T, s, dirs)
+        a = b = np.zeros((3, n))
+        biases = None
+        if biased:
+            T *= rng.uniform(0, 1, n)
+            a = _random_units(rng, n) * rng.uniform(0, 1, n)
+            b = _random_units(rng, n) * rng.uniform(0, 1, n)
+            biases = rng.uniform(-1, 1, (4, n)) * (1 - s)
+        s1, sstar = sequential_chsh_batch(T, s, dirs, biases, a, b)
         for i in range(n):
-            x, xp, y, yp = (make_observable(0.0, s[k, i], dirs[k][i]) for k in range(4))
+            x, xp, y, yp = (
+                make_observable(0.0 if biases is None else biases[k, i], s[k, i], dirs[k][:, i])
+                for k in range(4)
+            )
             res = evaluate_scenario(ScenarioConfig(
-                state=make_state(np.zeros(3), np.zeros(3), T[i], check=False),
+                state=make_state(a[:, i], b[:, i], T[:, :, i], check=False),
                 alice=MeasurementPair(x, xp),
                 bob=MeasurementPair(y, yp),
             ))
             assert res.s_first == pytest.approx(s1[i], abs=1e-12)
             assert res.s_star_second == pytest.approx(sstar[i], abs=1e-12)
+
+
+class TestOrthogonalPartners:
+    def test_collinear_draw_falls_back_to_a_unit_partner(self):
+        # a generator whose draws are parallel to u leaves w - (w.u) u at
+        # rounding level, so every row takes the deterministic partner
+        u = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.95, 0.0, 0.3], [-0.99, 0.1, 0.1],
+                      [0.0, 1.0, 0.0], [0.0, 0.0, -1.0], [0.6, 0.8, 0.0], [0.1, 0.6, 0.8]]).T
+        u /= np.sqrt((u * u).sum(axis=0))
+        n = u.shape[1]
+
+        class Parallel:
+            def normal(self, size):
+                assert size == (n, 3)
+                return 2.5 * u.T
+
+        w = audit._orthogonal_partners(Parallel(), u)
+        assert w.shape == (3, n)
+        assert np.allclose(np.sqrt((w * w).sum(axis=0)), 1.0, rtol=0, atol=1e-15)
+        assert np.abs((u * w).sum(axis=0)).max() <= 1e-12
 
 
 class TestChunkedAudits:

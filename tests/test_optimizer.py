@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -117,6 +121,42 @@ class TestBatchEvaluatorRows:
         for i in range(64):
             r1, rstar = evaluate(P[i])
             assert r1[0] == s1[i] and rstar[0] == sstar[i]
+
+
+# hashes the batch evaluator's rows and the lockstep DE starts of two modes
+_THREAD_PROBE = """
+import hashlib
+import numpy as np
+from bellrecycle import optimizer
+from bellrecycle.optimizer import GENERAL_BIASED, UNBIASED_SINGLET, make_batch_evaluator
+digest = hashlib.sha256()
+for mode in (UNBIASED_SINGLET, GENERAL_BIASED):
+    evaluate = make_batch_evaluator(mode)
+    lo, hi = optimizer._bounds(mode)
+    P = lo + np.random.default_rng(1).random((4096, mode.n_params)) * (hi - lo)
+    for out in evaluate(P):
+        digest.update(out.tobytes())
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(0).spawn(4)]
+    digest.update(optimizer._de_lockstep(evaluate, lo, hi, 2.4, 2_500, rngs).tobytes())
+print(digest.hexdigest())
+"""
+
+
+class TestBlasThreads:
+    @staticmethod
+    def probe(threads):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        return subprocess.run([sys.executable, "-c", _THREAD_PROBE], env=env,
+                              capture_output=True, text=True, check=True).stdout
+
+    def test_evaluator_rows_and_de_starts_do_not_depend_on_them(self):
+        # the SLSQP polish calls OpenBLAS and may move with the thread
+        # count; everything before it must not
+        single = self.probe(1)
+        assert len(single.strip()) == 64
+        assert self.probe(2) == single
 
 
 class TestBoundaryPoint:
