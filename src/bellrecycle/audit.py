@@ -30,6 +30,7 @@ from typing import Any
 import numpy as np
 
 from .bell import sequential_chsh_batch
+from .errors import DomainError
 from .monogamy import ORTHOGONAL_MONOGAMY_BOUND, EQUAL_STRENGTH_MONOGAMY_BOUND
 
 _SEED_OFFSETS = {
@@ -143,11 +144,16 @@ def _config_dict(i, T, dirs, s) -> dict[str, Any]:
 
 
 def _chunk_rngs(name: str, samples: int, seed: int):
-    """(generator, rows) of each fixed-size chunk of an audit's random draws."""
+    """(generator, rows) of each fixed-size chunk of an audit's random draws.
+
+    Raises DomainError at once for samples < 1; the generators are made lazily.
+    """
+    if samples < 1:
+        raise DomainError(f"samples must be at least 1, got {samples}")
     n_chunks = -(-samples // _CHUNK)
     streams = np.random.SeedSequence(seed + _SEED_OFFSETS[name]).spawn(n_chunks)
-    for i, stream in enumerate(streams):
-        yield np.random.default_rng(stream), min(_CHUNK, samples - i * _CHUNK)
+    return ((np.random.default_rng(stream), min(_CHUNK, samples - i * _CHUNK))
+            for i, stream in enumerate(streams))
 
 
 def _fold(name: str, tol: float, chunks) -> AuditReport:

@@ -65,8 +65,9 @@ def svd3(M) -> tuple[float, float, float]:
 def singular_values_batch(M: np.ndarray) -> np.ndarray:
     """Descending singular values of a stack of 3x3 matrices, shape (n, 3).
 
-    One LAPACK call over the stack; `horodecki_sstar_batch` sends its
-    near-degenerate rows here by this module-level name.
+    One LAPACK call over the stack; `_sstar` (behind `horodecki_sstar_batch`
+    and `sequential_chsh_batch`) sends its near-degenerate rows here by this
+    module-level name.
     """
     return np.linalg.svd(np.asarray(M, dtype=float), compute_uv=False)
 

@@ -8,9 +8,11 @@ Subcommands:
   scenario  one-shot evaluation of a JSON-described recycling scenario
 
 All floating-point output is printed with 12 significant digits and every
-command is deterministic given --seed, so reruns produce byte-identical
-files.  Exit codes: 0 success, 2 invalid configuration, 3 infeasible
-schedule, 4 audit violation.
+command is deterministic given --seed, so reruns under the same BLAS thread
+settings (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS) produce byte-identical
+files; the SLSQP polish of `curve` calls BLAS and may move in its last bits
+with the thread count.  Exit codes: 0 success, 2 invalid configuration,
+3 infeasible schedule, 4 audit violation.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .monogamy import (
 )
 from .multiparty import noise_robustness, plan_multibob, verify_noise_robustness
 from .observables import make_observable
-from .optimizer import boundary_curve, search_mode
+from .optimizer import _MODES, boundary_curve, search_mode
 from .states import make_state, singlet
 
 EXIT_OK = 0
@@ -111,20 +113,24 @@ def _resolve_workers(requested: int | None) -> int:
     return max(workers, 1)
 
 
-def _parse_state(text: str | None, check: bool = True):
-    if text is None:
-        return singlet()
-    payload = json.loads(text)
-    if isinstance(payload.get("T"), str):
-        spec = payload["T"].strip()
+def _json_object(payload, what: str) -> dict:
+    if not isinstance(payload, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    return payload
+
+
+def _parse_state(payload, check: bool = True):
+    payload = _json_object(payload, "state")
+    T = payload["T"]
+    if isinstance(T, str):
+        spec = T.strip()
         if not (spec.startswith("diag(") and spec.endswith(")")):
             raise ValueError(f"unsupported T shorthand {spec!r}")
-        diag = [float(v) for v in spec[5:-1].split(",")]
-        payload["T"] = np.diag(diag).tolist()
+        T = np.diag([float(v) for v in spec[5:-1].split(",")])
     return make_state(
         payload.get("a", [0.0, 0.0, 0.0]),
         payload.get("b", [0.0, 0.0, 0.0]),
-        payload["T"],
+        T,
         check=check,
     )
 
@@ -194,10 +200,12 @@ def cmd_curve(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    if args.samples < 1:
-        print("error: --samples must be at least 1", file=sys.stderr)
+    # the library rejects a sample count below 1
+    try:
+        reports = run_all_audits(args.samples, args.seed)
+    except BellRecycleError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    reports = run_all_audits(args.samples, args.seed)
     document = {
         "kind": "audit-report",
         "version": __version__,
@@ -220,8 +228,9 @@ def cmd_multibob(args) -> int:
     try:
         # the scheduler works at the correlation-matrix level, so accept any
         # contraction here; the planner itself rejects s1(T) > 1
-        state = _parse_state(args.state, check=False)
-    except (ValueError, KeyError, BellRecycleError) as exc:
+        state = (singlet() if args.state is None
+                 else _parse_state(json.loads(args.state), check=False))
+    except (ValueError, KeyError, TypeError, BellRecycleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
@@ -271,7 +280,8 @@ def cmd_multibob(args) -> int:
     return EXIT_OK
 
 
-def _observable_from_dict(payload: dict):
+def _observable_from_dict(payload):
+    payload = _json_object(payload, "observable")
     return make_observable(
         payload.get("bias", 0.0), payload["strength"], payload["direction"]
     )
@@ -284,13 +294,14 @@ def cmd_scenario(args) -> int:
         else:
             with open(args.config) as fh:
                 payload = json.load(fh)
+        payload = _json_object(payload, "config")
         state_spec = payload.get("state", "singlet")
-        state = singlet() if state_spec == "singlet" else _parse_state(json.dumps(state_spec))
+        state = singlet() if state_spec == "singlet" else _parse_state(state_spec)
         alice = MeasurementPair(*(_observable_from_dict(o) for o in payload["alice"]))
         bob = MeasurementPair(*(_observable_from_dict(o) for o in payload["bob"]))
         kind = _parse_kind(payload.get("kind", "square-root"), payload.get("quality"))
         cfg = ScenarioConfig(state=state, alice=alice, bob=bob, kind=kind)
-    except (ValueError, KeyError, TypeError, BellRecycleError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, BellRecycleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
@@ -319,11 +330,10 @@ def build_parser() -> argparse.ArgumentParser:
     curve = sub.add_parser("curve", help="optimize the tradeoff boundary over a grid")
     curve.add_argument("--grid", required=True,
                        help="comma list '0.5,1.0' or inclusive range 'start:stop:step'")
-    curve.add_argument("--mode", default="unbiased-singlet",
-                       choices=["general-biased", "unbiased", "unbiased-singlet",
-                                "unbiased-singlet-equatorial", "region2-ansatz"])
+    curve.add_argument("--mode", default="unbiased-singlet", choices=list(_MODES))
     curve.add_argument("--budget", type=int, default=200_000,
-                       help="objective evaluations per grid point (default 200000)")
+                       help="DE evaluations per grid point (default 200000); the SLSQP "
+                            "polish's evaluations are counted on top")
     curve.add_argument("--seed", type=int, default=0)
     curve.add_argument("--threads", type=int, default=None,
                        help=f"parallel grid workers (capped by ${_ENV_THREADS})")

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .bell import MeasurementPair, chsh_value, horodecki_sstar
 from .errors import DomainError, NoRealRoot, PreconditionViolation
@@ -210,23 +211,13 @@ def region3_curve(s: float) -> float:
 
 
 def max_exponent_d() -> float:
-    """Largest exponent d with (2v2)^d + (1/v2)^d = 2^(d+1), by bisection.
+    """Largest exponent d with (2v2)^d + (1/v2)^d = 2^(d+1), by Brent's method.
 
     Bounds how far the additive monogamy relation can be strengthened to a
-    d-th-power form; evaluates to about 1.758.
+    d-th-power form; evaluates to about 1.758.  The residual changes sign
+    once on [1, 3].
     """
     def residual(d: float) -> float:
         return (2.0 * math.sqrt(2.0)) ** d + 2.0 ** (-d / 2.0) - 2.0 ** (d + 1.0)
 
-    lo, hi = 1.0, 3.0
-    flo = residual(lo)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fmid = residual(mid)
-        if fmid == 0.0:
-            return mid
-        if (fmid < 0.0) == (flo < 0.0):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return brentq(residual, 1.0, 3.0, xtol=1e-15)

@@ -9,13 +9,15 @@ lockstep, one batched evaluation per generation; each restart's best is then
 finished with a deterministic SLSQP polish of the constrained problem that
 evaluates every point once, each finite-difference stencil in one batched
 call, and the best feasible point wins.  Identical (mode, s, budget, seed)
-inputs give bit-identical results.
+inputs give bit-identical results under the same BLAS thread settings (the
+polish calls BLAS through scipy; everything before it does not depend on them).
 
-One decoder, `_decode`, maps a parameter block of any search mode to the
-state and settings it encodes, already in the kernel's component-major
-layout (directions (4, 3, n), correlation matrices (3, 3, n)); the batch
-evaluator passes them to `bell.sequential_chsh_batch` and `decode_params`
-builds the scalar scenario from column 0.
+Each search mode is one `SearchMode` declaration: its tag, its box bounds
+and its decoder, which maps a parameter block to the state and settings it
+encodes in the kernel's component-major layout (directions (4, 3, n),
+correlation matrices (3, 3, n)).  The batch evaluator passes them to
+`bell.sequential_chsh_batch`, `decode_params` builds the scalar scenario
+from column 0 and `boundary_point` searches the box.
 """
 
 from __future__ import annotations
@@ -48,39 +50,6 @@ S_MAX = 2.0 * math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
-class SearchMode:
-    """Parameter chart of the search space."""
-
-    tag: str
-    n_params: int
-
-
-GENERAL_BIASED = SearchMode("general-biased", 17)
-UNBIASED = SearchMode("unbiased", 13)
-UNBIASED_SINGLET = SearchMode("unbiased-singlet", 12)
-UNBIASED_SINGLET_EQUATORIAL = SearchMode("unbiased-singlet-equatorial", 8)
-REGION2_ANSATZ = SearchMode("region2-ansatz", 4)
-
-_MODES = {
-    m.tag: m
-    for m in (
-        GENERAL_BIASED,
-        UNBIASED,
-        UNBIASED_SINGLET,
-        UNBIASED_SINGLET_EQUATORIAL,
-        REGION2_ANSATZ,
-    )
-}
-
-
-def search_mode(tag: str) -> SearchMode:
-    try:
-        return _MODES[tag]
-    except KeyError:
-        raise DomainError(f"unknown search mode {tag!r}") from None
-
-
-@dataclass(frozen=True)
 class BoundaryPoint:
     """One optimised point of the tradeoff boundary."""
 
@@ -102,28 +71,6 @@ class BoundaryPoint:
         }
 
 
-def _bounds(mode: SearchMode) -> tuple[np.ndarray, np.ndarray]:
-    pi, twopi = math.pi, 2.0 * math.pi
-    if mode.tag == "unbiased-singlet-equatorial":
-        lo = [0.0] * 4 + [0.0] * 4
-        hi = [1.0] * 4 + [twopi] * 4
-    elif mode.tag == "unbiased-singlet":
-        lo = [0.0] * 4 + [0.0, 0.0] * 4
-        hi = [1.0] * 4 + [pi, twopi] * 4
-    elif mode.tag == "unbiased":
-        lo = [0.0] * 4 + [0.0, 0.0] * 4 + [0.0]
-        hi = [1.0] * 4 + [pi, twopi] * 4 + [pi / 4]
-    elif mode.tag == "general-biased":
-        lo = [0.0, -1.0, 0.0, 0.0] * 4 + [0.0]
-        hi = [1.0, 1.0, pi, twopi] * 4 + [pi / 4]
-    elif mode.tag == "region2-ansatz":
-        lo = [0.0, 0.0, 0.0, 0.0]
-        hi = [1.0, 1.0, 1.0, pi / 2]
-    else:  # pragma: no cover
-        raise DomainError(mode.tag)
-    return np.array(lo), np.array(hi)
-
-
 def _rows(X: np.ndarray) -> np.ndarray:
     """The columns of an (n, k) parameter block as contiguous (k, n) rows."""
     return np.ascontiguousarray(X.T)
@@ -140,13 +87,13 @@ def _planar(angle: np.ndarray) -> np.ndarray:
     return np.stack([np.cos(angle), np.sin(angle), np.zeros_like(angle)], axis=1)
 
 
-def _unbiased_geometry(P: np.ndarray, planar: bool):
-    s = np.clip(_rows(P[:, :4]), 0.0, 1.0)
-    if planar:
-        dirs = _planar(_rows(P[:, 4:8]))
-    else:
-        dirs = _sph(_rows(P[:, 4::2]), _rows(P[:, 5::2]))
-    return s, dirs
+def _strengths(P: np.ndarray) -> np.ndarray:
+    """(4, n) unbiased strengths from the block's first four columns."""
+    return np.clip(_rows(P[:, :4]), 0.0, 1.0)
+
+
+def _unbiased_geometry(P: np.ndarray):
+    return _strengths(P), None, _sph(_rows(P[:, 4::2]), _rows(P[:, 5::2]))
 
 
 def _biased_geometry(P: np.ndarray):
@@ -181,40 +128,89 @@ def _region2_geometry(P: np.ndarray, T: np.ndarray):
     both[1, :, n:] = xp_b
     _, ss = sequential_chsh_batch(np.concatenate([T, T], axis=2), np.tile(s, 2), both)
     dirs[1] = np.where(ss[n:] > ss[:n], xp_b, dirs[1])
-    return s, dirs
+    return s, None, dirs
 
 
-def _decode(mode: SearchMode, P: np.ndarray):
-    """Map an (n, d) parameter block to (a, b, T, s, biases, dirs).
-
-    Component-major, as `bell.sequential_chsh_batch` takes them: a and b
-    are (3, n), T is (3, 3, n) (the singlet's -I broadcast, without a copy,
-    in the singlet modes), s and biases are (4, n) over the settings x, x',
-    y, y' (biases is None for unbiased modes) and dirs their directions,
-    (4, 3, n).
-    """
-    if P.shape[1] != mode.n_params:
-        raise LengthMismatch(
-            f"{mode.tag} expects {mode.n_params} parameters, got {P.shape[1]}"
-        )
-    if mode.tag == "general-biased":
-        a, b, T = schmidt_tensors(P[:, -1])
-        s, biases, dirs = _biased_geometry(P[:, :-1])
-        return a, b, T, s, biases, dirs
-    if mode.tag == "unbiased":
-        a, b, T = schmidt_tensors(P[:, -1])
-        s, dirs = _unbiased_geometry(P[:, :-1], planar=False)
-        return a, b, T, s, None, dirs
-    n = P.shape[0]
+def _singlet(n: int):
+    """a, b and T of n singlet rows; T is -I broadcast without a copy."""
     a = b = np.zeros((3, n))
-    T = np.broadcast_to(-np.eye(3)[:, :, None], (3, 3, n))
-    if mode.tag == "region2-ansatz":
-        s, dirs = _region2_geometry(P, T)
-    elif mode.tag in ("unbiased-singlet", "unbiased-singlet-equatorial"):
-        s, dirs = _unbiased_geometry(P, planar=mode.tag.endswith("equatorial"))
-    else:  # pragma: no cover
-        raise DomainError(mode.tag)
-    return a, b, T, s, None, dirs
+    return a, b, np.broadcast_to(-np.eye(3)[:, :, None], (3, 3, n))
+
+
+def _decode_general_biased(P: np.ndarray):
+    return (*schmidt_tensors(P[:, -1]), *_biased_geometry(P[:, :-1]))
+
+
+def _decode_unbiased(P: np.ndarray):
+    return (*schmidt_tensors(P[:, -1]), *_unbiased_geometry(P[:, :-1]))
+
+
+def _decode_unbiased_singlet(P: np.ndarray):
+    return (*_singlet(P.shape[0]), *_unbiased_geometry(P))
+
+
+def _decode_equatorial(P: np.ndarray):
+    return (*_singlet(P.shape[0]), _strengths(P), None, _planar(_rows(P[:, 4:8])))
+
+
+def _decode_region2(P: np.ndarray):
+    a, b, T = _singlet(P.shape[0])
+    return (a, b, T, *_region2_geometry(P, T))
+
+
+@dataclass(frozen=True)
+class SearchMode:
+    """One parameter chart of the search space: its box bounds and decoder.
+
+    `decoder` maps an (n, d) parameter block to (a, b, T, s, biases, dirs),
+    component-major as `bell.sequential_chsh_batch` takes them: a and b are
+    (3, n), T is (3, 3, n), s and biases are (4, n) over the settings x, x',
+    y, y' (biases is None in the unbiased charts) and dirs their directions,
+    (4, 3, n).  Decoders are module-level functions, so a mode pickles.
+    """
+
+    tag: str
+    lo: tuple[float, ...]
+    hi: tuple[float, ...]
+    decoder: Callable[[np.ndarray], tuple]
+
+    @property
+    def n_params(self) -> int:
+        return len(self.lo)
+
+    def decode(self, P: np.ndarray):
+        """The decoder's output for an (n, d) block with d = n_params."""
+        if P.shape[1] != self.n_params:
+            raise LengthMismatch(f"{self.tag} expects {self.n_params} parameters, "
+                                 f"got {P.shape[1]}")
+        return self.decoder(P)
+
+
+_PI, _TWOPI = math.pi, 2.0 * math.pi
+
+# unbiased charts: four strengths, then (theta, phi) per setting (phi alone on
+# the equator); biased: (r, alpha / arcsin r, theta, phi) per setting; the
+# Schmidt angle last; the ansatz: strengths of x, x' and both y, then theta
+GENERAL_BIASED = SearchMode("general-biased", (0.0, -1.0, 0.0, 0.0) * 4 + (0.0,),
+                            (1.0, 1.0, _PI, _TWOPI) * 4 + (_PI / 4,), _decode_general_biased)
+UNBIASED = SearchMode("unbiased", (0.0,) * 13,
+                      (1.0,) * 4 + (_PI, _TWOPI) * 4 + (_PI / 4,), _decode_unbiased)
+UNBIASED_SINGLET = SearchMode("unbiased-singlet", (0.0,) * 12,
+                              (1.0,) * 4 + (_PI, _TWOPI) * 4, _decode_unbiased_singlet)
+UNBIASED_SINGLET_EQUATORIAL = SearchMode("unbiased-singlet-equatorial", (0.0,) * 8,
+                                         (1.0,) * 4 + (_TWOPI,) * 4, _decode_equatorial)
+REGION2_ANSATZ = SearchMode("region2-ansatz", (0.0,) * 4,
+                            (1.0, 1.0, 1.0, _PI / 2), _decode_region2)
+
+_MODES = {m.tag: m for m in (GENERAL_BIASED, UNBIASED, UNBIASED_SINGLET,
+                              UNBIASED_SINGLET_EQUATORIAL, REGION2_ANSATZ)}
+
+
+def search_mode(tag: str) -> SearchMode:
+    try:
+        return _MODES[tag]
+    except KeyError:
+        raise DomainError(f"unknown search mode {tag!r}") from None
 
 
 def make_batch_evaluator(mode: SearchMode) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
@@ -224,7 +220,7 @@ def make_batch_evaluator(mode: SearchMode) -> Callable[[np.ndarray], tuple[np.nd
     """
 
     def evaluate(P: np.ndarray):
-        a, b, T, s, biases, dirs = _decode(mode, np.atleast_2d(np.asarray(P, dtype=float)))
+        a, b, T, s, biases, dirs = mode.decode(np.atleast_2d(np.asarray(P, dtype=float)))
         return sequential_chsh_batch(T, s, dirs, biases, a, b)
 
     return evaluate
@@ -232,7 +228,7 @@ def make_batch_evaluator(mode: SearchMode) -> Callable[[np.ndarray], tuple[np.nd
 
 def decode_params(mode: SearchMode, params) -> ScenarioConfig:
     """Map a flat parameter vector to the scenario it encodes."""
-    a, b, T, s, biases, dirs = _decode(mode, np.asarray(params, dtype=float).reshape(1, -1))
+    a, b, T, s, biases, dirs = mode.decode(np.asarray(params, dtype=float).reshape(1, -1))
     if biases is None:
         biases = np.zeros((4, 1))
     observables = [
@@ -376,16 +372,18 @@ def boundary_point(
     """Best found S2* subject to |S(A1,B1)| = s.
 
     The budget is split over four independent restarts, run in lockstep;
-    every restart's best is then refined by an SLSQP polish whose
-    evaluations are included in the reported count.  Results are
-    deterministic in (mode, s, budget, seed).
+    every restart's best is then refined by an SLSQP polish.  The polish's
+    evaluations are counted on top of the DE budget, so the reported count
+    can exceed it: (2.4, UNBIASED_SINGLET, 10_000, 0) reports 28,967.
+    Results are deterministic in (mode, s, budget, seed) under the same BLAS
+    thread settings; the polish calls BLAS and may move with the thread count.
     """
     if not 0.0 <= s <= S_MAX + 1e-12:
         raise DomainError(f"target {s} outside [0, 2*sqrt(2)]")
     if budget < _MIN_BUDGET:
         raise BudgetTooSmall(f"budget {budget} below minimum {_MIN_BUDGET}")
     evaluator = _CountingEvaluator(make_batch_evaluator(mode))
-    lo, hi = _bounds(mode)
+    lo, hi = np.array(mode.lo), np.array(mode.hi)
     rngs = [np.random.default_rng(stream)
             for stream in np.random.SeedSequence(seed).spawn(_RESTARTS)]
     starts = _de_lockstep(evaluator, lo, hi, s, budget // _RESTARTS, rngs)
@@ -411,8 +409,7 @@ def boundary_point(
 
 
 def _point_task(args):
-    s, tag, budget, seed = args
-    return boundary_point(s, search_mode(tag), budget, seed)
+    return boundary_point(*args)
 
 
 def boundary_curve(
@@ -434,7 +431,7 @@ def boundary_curve(
     for g in grid:
         if not 0.0 <= g <= S_MAX + 1e-12:
             raise DomainError(f"grid value {g} outside [0, 2*sqrt(2)]")
-    tasks = [(g, mode.tag, budget, seed) for g in grid]
+    tasks = [(g, mode, budget, seed) for g in grid]
     if workers and workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_point_task, tasks))

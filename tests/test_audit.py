@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bellrecycle import (
+    DomainError,
     MeasurementPair,
     ScenarioConfig,
     evaluate_scenario,
@@ -14,6 +15,9 @@ from bellrecycle import audit
 from bellrecycle.audit import (
     _random_pure_state_tensors,
     _random_units,
+    audit_conjecture,
+    audit_equal_strength_monogamy,
+    audit_orthogonal_monogamy,
     audit_tradeoff_chain,
     run_all_audits,
 )
@@ -121,6 +125,15 @@ class TestChunkedAudits:
             "tradeoff-chain": samples + 3,
             "conjecture": samples + 1,
         }
+
+    @pytest.mark.parametrize("samples", [0, -5])
+    @pytest.mark.parametrize("run", [run_all_audits, audit_orthogonal_monogamy,
+                                     audit_equal_strength_monogamy, audit_tradeoff_chain,
+                                     audit_conjecture], ids=lambda f: f.__name__)
+    def test_rejects_fewer_than_one_sample(self, run, samples):
+        # a report holding only the fixed configurations would look like a pass
+        with pytest.raises(DomainError):
+            run(samples, 1)
 
     @pytest.mark.parametrize("seed", [1, 7])
     def test_worst_config_reproduces_worst_margin(self, seed):

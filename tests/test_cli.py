@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 from importlib import resources
@@ -5,7 +6,8 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from bellrecycle.cli import main
+from bellrecycle import optimizer
+from bellrecycle.cli import build_parser, main
 
 ROOT2 = math.sqrt(2.0)
 
@@ -99,6 +101,13 @@ class TestCurveCommand:
               "--threads", "4", "--format", "csv", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_mode_choices_match_library_and_schema(self, schema):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        choices = next(a.choices for a in sub.choices["curve"]._actions if a.dest == "mode")
+        enum = schema["$defs"]["boundaryCurve"]["properties"]["mode"]["enum"]
+        assert set(choices) == set(optimizer._MODES) == set(enum)
+
     def test_bad_thread_env_exit_2(self, monkeypatch):
         monkeypatch.setenv("BELL_RECYCLE_THREADS", "abc")
         assert main(["curve", "--grid", "1.0", "--budget", "10000"]) == 2
@@ -162,6 +171,10 @@ class TestMultibobCommand:
         assert main(["multibob", "--n", "1", "--margin", "-1"]) == 2
         assert main(["multibob", "--n", "1", "--state", '{"T": "oops"}']) == 2
 
+    @pytest.mark.parametrize("state", ["[1]", "null", '{"T": {"x": 1}}'])
+    def test_state_not_an_object_exit_2(self, state):
+        assert main(["multibob", "--n", "2", "--state", state]) == 2
+
 
 class TestScenarioCommand:
     CONFIG = {
@@ -204,6 +217,20 @@ class TestScenarioCommand:
 
     def test_bad_config_exit_2(self):
         assert main(["scenario", "--config", '{"alice": []}']) == 2
+
+    @pytest.mark.parametrize("config", [
+        {"state": [1], "alice": [], "bob": []},
+        dict(CONFIG, alice=[1, 2]),
+    ], ids=["state", "observable"])
+    def test_part_not_an_object_exit_2(self, config):
+        assert main(["scenario", "--config", json.dumps(config)]) == 2
+
+    @pytest.mark.parametrize("content", [None, "[1]"], ids=["missing", "array"])
+    def test_bad_config_file_exit_2(self, tmp_path, content):
+        cfg = tmp_path / "config.json"
+        if content is not None:
+            cfg.write_text(content)
+        assert main(["scenario", "--config", str(cfg)]) == 2
 
     def test_measurement_kind_variants(self, tmp_path):
         weak = dict(self.CONFIG)

@@ -53,6 +53,8 @@ class TestSearchMode:
     )
     def test_parameter_counts(self, mode, expected):
         assert mode.n_params == expected
+        assert len(mode.hi) == expected
+        assert all(lo < hi for lo, hi in zip(mode.lo, mode.hi))
 
 
 class TestDecodeParams:
@@ -115,7 +117,7 @@ class TestBatchEvaluatorRows:
         # the lockstep DE and the polish memo rely on a row's value not
         # depending on the batch it is evaluated in, bit for bit
         evaluate = make_batch_evaluator(mode)
-        lo, hi = optimizer._bounds(mode)
+        lo, hi = np.array(mode.lo), np.array(mode.hi)
         P = lo + np.random.default_rng(17).random((64, mode.n_params)) * (hi - lo)
         s1, sstar = evaluate(P)
         for i in range(64):
@@ -132,7 +134,7 @@ from bellrecycle.optimizer import GENERAL_BIASED, UNBIASED_SINGLET, make_batch_e
 digest = hashlib.sha256()
 for mode in (UNBIASED_SINGLET, GENERAL_BIASED):
     evaluate = make_batch_evaluator(mode)
-    lo, hi = optimizer._bounds(mode)
+    lo, hi = np.array(mode.lo), np.array(mode.hi)
     P = lo + np.random.default_rng(1).random((4096, mode.n_params)) * (hi - lo)
     for out in evaluate(P):
         digest.update(out.tobytes())
