@@ -12,7 +12,9 @@ command is deterministic given --seed, so reruns under the same BLAS thread
 settings (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS) produce byte-identical
 files; the SLSQP polish of `curve` calls BLAS and may move in its last bits
 with the thread count.  Exit codes: 0 success, 2 invalid configuration,
-3 infeasible schedule, 4 audit violation.
+3 infeasible schedule, 4 audit violation.  Every failure prints one `error:`
+line to stderr.  An --out directory that does not exist is rejected before
+any work runs, and a scenario's `quality` is accepted only with weak-pointer.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from . import __version__
 from .audit import run_all_audits
 from .bell import MeasurementPair
 from .errors import BellRecycleError, Infeasible
-from .instruments import SIMPLE_MODEL, SQUARE_ROOT, MeasurementKind, weak_pointer
+from .instruments import MeasurementKind
 from .monogamy import (
     ScenarioConfig,
     conjecture_margin,
@@ -105,12 +107,11 @@ def _parse_grid(spec: str) -> list[float]:
     return [float(p) for p in spec.split(",") if p.strip()]
 
 
-def _resolve_workers(requested: int | None) -> int:
+def _resolve_workers(requested: int) -> int:
     cap = os.environ.get(_ENV_THREADS)
-    workers = requested if requested is not None else 1
     if cap is not None:
-        workers = min(workers, max(int(cap), 1))
-    return max(workers, 1)
+        requested = min(requested, max(int(cap), 1))
+    return max(requested, 1)
 
 
 def _json_object(payload, what: str) -> dict:
@@ -135,55 +136,22 @@ def _parse_state(payload, check: bool = True):
     )
 
 
-def _parse_kind(name: str, quality: float | None) -> MeasurementKind:
-    if name == "square-root":
-        return SQUARE_ROOT
-    if name == "simple-model":
-        return SIMPLE_MODEL
-    if name == "weak-pointer":
-        if quality is None:
-            raise ValueError("weak-pointer kind requires a quality factor")
-        return weak_pointer(quality)
-    raise ValueError(f"unknown measurement kind {name!r}")
-
-
 def cmd_curve(args) -> int:
-    try:
-        grid = _parse_grid(args.grid)
-        mode = search_mode(args.mode)
-        workers = _resolve_workers(args.threads)
-    except (ValueError, BellRecycleError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
+    grid = _parse_grid(args.grid)
+    mode = search_mode(args.mode)
+    workers = _resolve_workers(args.threads)
     # the library rejects an empty grid, out-of-range targets and a small budget
-    try:
-        points = boundary_curve(grid, mode, args.budget, args.seed, workers=workers)
-    except Infeasible as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except BellRecycleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    rows = []
-    enriched = []
-    for p in points:
-        r1 = region1_closed(p.target_s) if p.target_s <= 2.0 + 1e-12 else None
-        r3 = region3_curve(p.target_s)
-        rows.append([p.target_s, p.achieved_s, p.s_star, p.seed, p.evaluations, r1, r3])
+    points = []
+    for p in boundary_curve(grid, mode, args.budget, args.seed, workers=workers):
         entry = p.as_dict()
-        entry["region1_closed"] = r1
-        entry["region3_curve"] = r3
-        enriched.append(entry)
+        entry["region1_closed"] = region1_closed(p.target_s) if p.target_s <= 2.0 + 1e-12 else None
+        entry["region3_curve"] = region3_curve(p.target_s)
+        points.append(entry)
 
     if args.format == "csv":
-        _emit_csv(
-            ["target_s", "achieved_s", "s_star", "seed", "evaluations",
-             "region1_closed", "region3_curve"],
-            rows,
-            args.out,
-        )
+        header = ["target_s", "achieved_s", "s_star", "seed", "evaluations",
+                  "region1_closed", "region3_curve"]
+        _emit_csv(header, [[entry[k] for k in header] for entry in points], args.out)
     else:
         _emit_json(
             {
@@ -192,7 +160,7 @@ def cmd_curve(args) -> int:
                 "mode": mode.tag,
                 "budget": args.budget,
                 "seed": args.seed,
-                "points": enriched,
+                "points": points,
             },
             args.out,
         )
@@ -201,11 +169,7 @@ def cmd_curve(args) -> int:
 
 def cmd_audit(args) -> int:
     # the library rejects a sample count below 1
-    try:
-        reports = run_all_audits(args.samples, args.seed)
-    except BellRecycleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    reports = run_all_audits(args.samples, args.seed)
     document = {
         "kind": "audit-report",
         "version": __version__,
@@ -225,24 +189,11 @@ def cmd_audit(args) -> int:
 
 
 def cmd_multibob(args) -> int:
-    try:
-        # the scheduler works at the correlation-matrix level, so accept any
-        # contraction here; the planner itself rejects s1(T) > 1
-        state = (singlet() if args.state is None
-                 else _parse_state(json.loads(args.state), check=False))
-    except (ValueError, KeyError, TypeError, BellRecycleError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
-        schedule = plan_multibob(state.T, args.n, args.margin)
-    except Infeasible as exc:
-        print(f"error: infeasible (observer {exc.failing_n}): {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except BellRecycleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
+    # the scheduler works at the correlation-matrix level, so accept any
+    # contraction here; the planner itself rejects s1(T) > 1
+    state = (singlet() if args.state is None
+             else _parse_state(json.loads(args.state), check=False))
+    schedule = plan_multibob(state.T, args.n, args.margin)
     robustness = noise_robustness(schedule)
     p_check = min(robustness.p_min + 0.01, 1.0)
     verified = verify_noise_robustness(schedule, p_check)
@@ -288,24 +239,19 @@ def _observable_from_dict(payload):
 
 
 def cmd_scenario(args) -> int:
-    try:
-        if args.config.strip().startswith("{"):
-            payload = json.loads(args.config)
-        else:
-            with open(args.config) as fh:
-                payload = json.load(fh)
-        payload = _json_object(payload, "config")
-        state_spec = payload.get("state", "singlet")
-        state = singlet() if state_spec == "singlet" else _parse_state(state_spec)
-        alice = MeasurementPair(*(_observable_from_dict(o) for o in payload["alice"]))
-        bob = MeasurementPair(*(_observable_from_dict(o) for o in payload["bob"]))
-        kind = _parse_kind(payload.get("kind", "square-root"), payload.get("quality"))
-        cfg = ScenarioConfig(state=state, alice=alice, bob=bob, kind=kind)
-    except (OSError, ValueError, KeyError, TypeError, BellRecycleError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    result = evaluate_scenario(cfg)
+    if args.config.strip().startswith("{"):
+        payload = json.loads(args.config)
+    else:
+        with open(args.config) as fh:
+            payload = json.load(fh)
+    payload = _json_object(payload, "config")
+    state_spec = payload.get("state", "singlet")
+    state = singlet() if state_spec == "singlet" else _parse_state(state_spec)
+    alice = MeasurementPair(*(_observable_from_dict(o) for o in payload["alice"]))
+    bob = MeasurementPair(*(_observable_from_dict(o) for o in payload["bob"]))
+    # the library checks the tag and that quality is given iff it is weak-pointer
+    kind = MeasurementKind(payload.get("kind", "square-root"), payload.get("quality"))
+    result = evaluate_scenario(ScenarioConfig(state=state, alice=alice, bob=bob, kind=kind))
     _emit_json(
         {
             "kind": "scenario",
@@ -335,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="DE evaluations per grid point (default 200000); the SLSQP "
                             "polish's evaluations are counted on top")
     curve.add_argument("--seed", type=int, default=0)
-    curve.add_argument("--threads", type=int, default=None,
+    curve.add_argument("--threads", type=int, default=1,
                        help=f"parallel grid workers (capped by ${_ENV_THREADS})")
     curve.add_argument("--format", default="csv", choices=["csv", "json"])
     curve.add_argument("--out", default=None, help="output path (default stdout)")
@@ -366,7 +312,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        if args.out not in (None, "-"):
+            directory = os.path.dirname(args.out) or "."
+            if not os.path.isdir(directory):
+                raise FileNotFoundError(f"output directory {directory!r} does not exist")
+        return args.func(args)
+    except Infeasible as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE
+    except (BellRecycleError, OSError, ValueError, KeyError, TypeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

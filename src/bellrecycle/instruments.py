@@ -106,7 +106,6 @@ def apply_local(
     state: TwoQubitState,
     side: Literal["alice", "bob"],
     K: np.ndarray,
-    unital: bool = True,
 ) -> TwoQubitState:
     """Apply a local 3x3 transfer matrix to one side of the state.
 
@@ -115,8 +114,6 @@ def apply_local(
     updates below exact: on the measured side the Bloch vector maps through K
     and T picks up K on that side; the other side is untouched.
     """
-    if not unital:
-        raise ConstraintViolation("only unital transfer matrices are supported")
     K = np.asarray(K, dtype=float).reshape(3, 3)
     if side == "alice":
         return make_state(K @ state.a, state.b, K @ state.T, check=False)

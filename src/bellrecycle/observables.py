@@ -55,18 +55,6 @@ class Observable:
     def __post_init__(self):
         self.direction.setflags(write=False)
 
-    @property
-    def is_unbiased(self) -> bool:
-        return abs(self.bias) <= INTERFACE_TOL
-
-    @property
-    def is_projective(self) -> bool:
-        return abs(self.strength - 1.0) <= INTERFACE_TOL
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.strength <= INTERFACE_TOL
-
 
 def make_observable(bias: float, strength: float, direction) -> Observable:
     """Validate and normalise the parameters of a two-valued observable.

@@ -319,28 +319,26 @@ def _slsqp_polish(evaluator, x0, lo, hi, target):
     """
     memo = {}
 
-    def evaluate(new):
-        """Evaluate {key: clipped point} in one evaluator call, into the memo."""
-        s1, ss = evaluator(np.stack(list(new.values())))
-        memo.update(zip(new, zip(s1.tolist(), ss.tolist())))
-
-    def values(v):
-        v = np.clip(v, lo, hi)
-        key = v.tobytes()
-        if key not in memo:
-            evaluate({key: v})
-        return memo[key]
-
-    def stencil_map(fun, points):
-        points = list(points)
-        new = {}
+    def fill(points):
+        """Evaluate the points' memo misses in one evaluator call; return their keys."""
+        keys, new = [], {}
         for v in points:
             v = np.clip(v, lo, hi)
             key = v.tobytes()
+            keys.append(key)
             if key not in memo:
                 new[key] = v
         if new:
-            evaluate(new)
+            s1, ss = evaluator(np.stack(list(new.values())))
+            memo.update(zip(new, zip(s1.tolist(), ss.tolist())))
+        return keys
+
+    def values(v):
+        return memo[fill([v])[0]]
+
+    def stencil_map(fun, points):
+        points = list(points)
+        fill(points)
         return list(map(fun, points))
 
     sign = 1.0 if values(x0)[0] >= 0.0 or target == 0.0 else -1.0

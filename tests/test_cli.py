@@ -1,12 +1,16 @@
 import argparse
 import json
 import math
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 
-from bellrecycle import optimizer
+from bellrecycle import cli, optimizer
 from bellrecycle.cli import build_parser, main
 
 ROOT2 = math.sqrt(2.0)
@@ -22,6 +26,15 @@ def schema():
 
 def validate(document, schema):
     jsonschema.Draft202012Validator(schema).validate(document)
+
+
+def assert_fails(argv, code, capsys):
+    """main(argv) returns `code` and prints exactly one `error:` line to stderr."""
+    capsys.readouterr()
+    assert main(argv) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    return err[0]
 
 
 class TestCurveCommand:
@@ -158,8 +171,9 @@ class TestMultibobCommand:
         assert lines[0] == "n,strength,chsh_value,p_min"
         assert len(lines) == 3
 
-    def test_three_bobs_exit_3(self):
-        assert main(["multibob", "--n", "3", "--margin", "0.05"]) == 3
+    def test_three_bobs_exit_3(self, capsys):
+        line = assert_fails(["multibob", "--n", "3", "--margin", "0.05"], 3, capsys)
+        assert line.startswith("error: observer B3 cannot exceed the CHSH bound")
 
     def test_weak_diag_state_exit_3(self):
         code = main(["multibob", "--n", "2", "--margin", "0.05",
@@ -263,3 +277,63 @@ class TestScenarioCommand:
         config = dict(self.CONFIG)
         config["kind"] = "weak-pointer"
         assert main(["scenario", "--config", json.dumps(config)]) == 2
+
+    @pytest.mark.parametrize("kind, quality, alice_bias, message", [
+        # strength 0.6 has reversibility R = 0.8
+        ("weak-pointer", 0.9, 0.0, "exceeds reversibility"),
+        ("weak-pointer", 0.5, 0.2, "unbiased observables only"),
+        ("square-root", 0.5, 0.0, "quality is set iff"),
+    ], ids=["quality-above-reversibility", "biased-weak-pointer", "quality-without-weak-pointer"])
+    def test_rejected_measurement_kind_exit_2(self, kind, quality, alice_bias, message, capsys):
+        settings = [{"strength": 0.6, "direction": [1, 0, 0]},
+                    {"strength": 0.6, "direction": [0, 1, 0]}]
+        config = dict(self.CONFIG, alice=[dict(settings[0], bias=alice_bias), settings[1]],
+                      bob=settings, kind=kind, quality=quality)
+        assert message in assert_fails(["scenario", "--config", json.dumps(config)], 2, capsys)
+
+
+class TestFailureBoundary:
+    ARGV = {
+        "curve": ["curve", "--grid", "1.0", "--budget", "10000"],
+        "audit": ["audit", "--samples", "10"],
+        "multibob": ["multibob", "--n", "2"],
+        "scenario": ["scenario", "--config", json.dumps(TestScenarioCommand.CONFIG)],
+    }
+
+    @pytest.mark.parametrize("command", list(ARGV))
+    def test_out_in_missing_directory_exit_2(self, command, tmp_path, capsys):
+        out = tmp_path / "missing" / "result"
+        line = assert_fails(self.ARGV[command] + ["--out", str(out)], 2, capsys)
+        assert "does not exist" in line
+        assert not out.parent.exists()
+
+    def test_out_directory_checked_before_the_optimizer(self, tmp_path, monkeypatch, capsys):
+        def boom(*args, **kwargs):
+            raise AssertionError("boundary_curve ran before --out was checked")
+
+        monkeypatch.setattr(cli, "boundary_curve", boom)
+        argv = self.ARGV["curve"] + ["--out", str(tmp_path / "missing" / "c.csv")]
+        assert_fails(argv, 2, capsys)
+
+    def test_out_in_current_directory_accepted(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(self.ARGV["multibob"] + ["--out", "mb.json"]) == 0
+        assert json.loads((tmp_path / "mb.json").read_text())["n_bobs"] == 2
+
+    def test_process_exit_status_and_stderr(self):
+        # through the real process boundary, as a shell user runs it
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        setting = {"strength": 0.6, "direction": [1, 0, 0]}
+        config = dict(TestScenarioCommand.CONFIG, alice=[setting] * 2, bob=[setting] * 2,
+                      kind="weak-pointer", quality=0.9)
+        proc = subprocess.run(
+            [sys.executable, "-m", "bellrecycle.cli", "scenario", "--config", json.dumps(config)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr

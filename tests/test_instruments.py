@@ -7,7 +7,6 @@ from bellrecycle import (
     SIMPLE_MODEL,
     SQUARE_ROOT,
     BiasedWeakPointer,
-    ConstraintViolation,
     QualityExceedsReversibility,
     add_isotropic_noise,
     apply_chain,
@@ -129,10 +128,6 @@ class TestApplyLocal:
         assert np.allclose(out.T, state.T @ K.T, atol=1e-15)
         assert np.allclose(out.b, K @ state.b, atol=1e-15)
         assert np.allclose(out.a, state.a, atol=1e-15)
-
-    def test_nonunital_rejected(self):
-        with pytest.raises(ConstraintViolation):
-            apply_local(singlet(), "alice", np.eye(3), unital=False)
 
     def test_validity_preserved(self):
         rng = np.random.default_rng(13)
