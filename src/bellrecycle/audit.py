@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any
 
 import numpy as np
@@ -53,13 +53,7 @@ class AuditReport:
     worst_config: dict[str, Any]
 
     def as_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "samples": self.samples,
-            "worst_margin": self.worst_margin,
-            "violations": self.violations,
-            "worst_config": self.worst_config,
-        }
+        return asdict(self)
 
 
 def _components(rng: np.random.Generator, n: int, d: int) -> np.ndarray:

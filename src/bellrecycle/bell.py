@@ -30,6 +30,9 @@ from .errors import ConstraintViolation, NegativeRadicand
 from .observables import Observable
 from .states import TwoQubitState
 
+#: Tsirelson's bound 2 sqrt(2), the largest |S| any two-qubit state reaches.
+S_MAX = 2.0 * math.sqrt(2.0)
+
 
 @dataclass(frozen=True)
 class MeasurementPair:
@@ -39,21 +42,19 @@ class MeasurementPair:
     second: Observable
 
 
-def _pair_expectation(state: TwoQubitState, x: Observable, y: Observable) -> float:
-    """<XY> = (B_X, S_X x^T) Theta (B_Y; S_Y y)."""
-    left = np.concatenate(([x.bias], x.strength * x.direction))
-    right = np.concatenate(([y.bias], y.strength * y.direction))
-    return float(left @ state.theta @ right)
+def _settings(pair: MeasurementPair) -> np.ndarray:
+    """(4, 2) columns (B, S n) of a pair: <XY> = (B_X, S_X x^T) Theta (B_Y; S_Y y)."""
+    cols = np.empty((4, 2))
+    for k, obs in enumerate((pair.first, pair.second)):
+        cols[0, k] = obs.bias
+        cols[1:, k] = obs.strength * obs.direction
+    return cols
 
 
 def chsh_value(state: TwoQubitState, alice: MeasurementPair, bob: MeasurementPair) -> float:
-    """S = <XY> + <XY'> + <X'Y> - <X'Y'> for the given setting pairs."""
-    return (
-        _pair_expectation(state, alice.first, bob.first)
-        + _pair_expectation(state, alice.first, bob.second)
-        + _pair_expectation(state, alice.second, bob.first)
-        - _pair_expectation(state, alice.second, bob.second)
-    )
+    """S = <XY> + <XY'> + <X'Y> - <X'Y'>, the entries of one product V_A^T Theta V_B."""
+    E = _settings(alice).T @ state.theta @ _settings(bob)
+    return float(E[0, 0] + E[0, 1] + E[1, 0] - E[1, 1])
 
 
 def svd3(M) -> tuple[float, float, float]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .bell import MeasurementPair, chsh_value, horodecki_sstar
+from .bell import S_MAX, MeasurementPair, chsh_value, horodecki_sstar
 from .errors import DomainError, NoRealRoot, PreconditionViolation
 from .instruments import SQUARE_ROOT, MeasurementKind, setting_channel
 from .states import TwoQubitState
@@ -180,7 +180,7 @@ def region1_closed(s: float) -> float:
     if not 0.0 <= s <= 2.0 + 1e-12:
         raise DomainError(f"|S1| = {s} outside [0, 2]")
     if s < 1e-6:
-        return 2.0 * math.sqrt(2.0)  # analytic limit: undisturbed singlet
+        return S_MAX  # analytic limit: undisturbed singlet
     if s > 2.0 - 1e-9:
         return 2.0  # h diverges; limiting strengths are projective
     s2 = s * s
@@ -205,7 +205,7 @@ def region1_closed(s: float) -> float:
 
 def region3_curve(s: float) -> float:
     """Optimal S2* for the high-violation region: sqrt(2) - s/4 + sqrt(2 - s/sqrt(2))."""
-    if s > 2.0 * math.sqrt(2.0) + 1e-12 or s < 0.0:
+    if s > S_MAX + 1e-12 or s < 0.0:
         raise DomainError(f"|S1| = {s} outside [0, 2*sqrt(2)]")
     return math.sqrt(2.0) - s / 4.0 + math.sqrt(max(2.0 - s / math.sqrt(2.0), 0.0))
 
@@ -218,6 +218,6 @@ def max_exponent_d() -> float:
     once on [1, 3].
     """
     def residual(d: float) -> float:
-        return (2.0 * math.sqrt(2.0)) ** d + 2.0 ** (-d / 2.0) - 2.0 ** (d + 1.0)
+        return S_MAX ** d + 2.0 ** (-d / 2.0) - 2.0 ** (d + 1.0)
 
     return brentq(residual, 1.0, 3.0, xtol=1e-15)

@@ -33,14 +33,14 @@ INTERFACE_TOL = 1e-9
 _ZERO_STRENGTH_DIRECTION = (0.0, 0.0, 1.0)
 
 
-def _clamped_sqrt(radicand: float, tol: float = CONSTRUCTION_TOL) -> float:
-    """sqrt with negative radicands within -tol clamped to zero.
+def _clamped_sqrt(radicand: float) -> float:
+    """sqrt with negative radicands within -CONSTRUCTION_TOL clamped to zero.
 
-    Radicands more negative than -tol indicate a genuine bug upstream and
+    Radicands more negative than that indicate a genuine bug upstream and
     raise NegativeRadicand rather than returning NaN.
     """
-    if radicand < -tol:
-        raise NegativeRadicand(f"radicand {radicand!r} below -{tol}")
+    if radicand < -CONSTRUCTION_TOL:
+        raise NegativeRadicand(f"radicand {radicand!r} below -{CONSTRUCTION_TOL}")
     return math.sqrt(max(radicand, 0.0))
 
 
@@ -61,8 +61,9 @@ def make_observable(bias: float, strength: float, direction) -> Observable:
 
     Raises ConstraintViolation if strength or bias leave their ranges or if
     strength + |bias| exceeds 1, and ZeroDirection if a nonzero-strength
-    observable comes with a vanishing direction.  A zero-strength observable
-    gets the canonical direction (0, 0, 1).
+    observable comes with a vanishing direction.  Within CONSTRUCTION_TOL of
+    the constraints, bias is clamped to [-1, 1] and strength to [0, 1 - |bias|].
+    A zero-strength observable gets the canonical direction (0, 0, 1).
     """
     bias = float(bias)
     strength = float(strength)
@@ -74,8 +75,8 @@ def make_observable(bias: float, strength: float, direction) -> Observable:
         raise ConstraintViolation(
             f"strength + |bias| = {strength + abs(bias)} exceeds 1"
         )
-    strength = min(max(strength, 0.0), 1.0)
     bias = min(max(bias, -1.0), 1.0)
+    strength = min(max(strength, 0.0), 1.0 - abs(bias))
 
     if strength == 0.0:
         vec = np.array(_ZERO_STRENGTH_DIRECTION)
@@ -123,25 +124,17 @@ def decoherence(obs: Observable) -> float:
 
     Evaluated in the rationalised form D^2 = 2 S^2 / (u + sqrt(f+ f-)) with
     u = 1 - B^2 + S^2 and f+- the factored radicands of the reversibility,
-    which stays accurate where 1 - R^2 would cancel (weak observables).
+    which stays accurate where 1 - R^2 would cancel (weak observables); f+-
+    rounded below 0 on the constraint boundary s + |b| = 1 are clamped to 0.
     """
     b, s = obs.bias, obs.strength
-    f_plus = (1.0 + b - s) * (1.0 + b + s)
-    f_minus = (1.0 - b - s) * (1.0 - b + s)
-    if f_plus >= 0.0 and f_minus >= 0.0:
-        u = (1.0 - b) * (1.0 + b) + s * s
-        denom = u + math.sqrt(f_plus) * math.sqrt(f_minus)
-        if denom <= 0.0:
-            # only reachable at |bias| = 1, strength = 0, where D = 0 exactly
-            return 0.0
-        return min(math.sqrt(2.0 * s * s / denom), 1.0)
-    # one radicand rounded negative: s + |b| sits on the constraint boundary,
-    # the corresponding factor of R is clamped to 0 and D^2 = 1 - f/4 directly
-    if f_minus < 0.0:
-        d2 = 0.25 * ((1.0 - b) * (3.0 + b) + s * s)
-    else:
-        d2 = 0.25 * ((1.0 + b) * (3.0 - b) + s * s)
-    return min(math.sqrt(max(d2, 0.0)), 1.0)
+    f_plus = max((1.0 + b - s) * (1.0 + b + s), 0.0)
+    f_minus = max((1.0 - b - s) * (1.0 - b + s), 0.0)
+    denom = (1.0 - b) * (1.0 + b) + s * s + math.sqrt(f_plus) * math.sqrt(f_minus)
+    if denom <= 0.0:
+        # only reachable at |bias| = 1, strength = 0, where D = 0 exactly
+        return 0.0
+    return min(math.sqrt(2.0 * s * s / denom), 1.0)
 
 
 @dataclass(frozen=True)

@@ -24,13 +24,13 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
 from scipy.optimize import minimize
 
-from .bell import MeasurementPair, schmidt_tensors, sequential_chsh_batch
+from .bell import S_MAX, MeasurementPair, schmidt_tensors, sequential_chsh_batch
 from .errors import BudgetTooSmall, DomainError, LengthMismatch
 from .instruments import SQUARE_ROOT
 from .monogamy import ScenarioConfig
@@ -46,8 +46,6 @@ _PENALTY_PERIOD = 50
 _FEASIBILITY_TOL = 1e-4
 _MIN_BUDGET = 10_000
 
-S_MAX = 2.0 * math.sqrt(2.0)
-
 
 @dataclass(frozen=True)
 class BoundaryPoint:
@@ -61,14 +59,7 @@ class BoundaryPoint:
     seed: int
 
     def as_dict(self) -> dict:
-        return {
-            "target_s": self.target_s,
-            "achieved_s": self.achieved_s,
-            "s_star": self.s_star,
-            "params": list(self.params),
-            "evaluations": self.evaluations,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def _rows(X: np.ndarray) -> np.ndarray:
@@ -361,6 +352,11 @@ def _slsqp_polish(evaluator, x0, lo, hi, target):
     return [(x0, *values(x0)), (x, *values(x))]
 
 
+def _check_target(s: float) -> None:
+    if not 0.0 <= s <= S_MAX + 1e-12:
+        raise DomainError(f"target {s} outside [0, 2*sqrt(2)]")
+
+
 def boundary_point(
     s: float,
     mode: SearchMode = UNBIASED_SINGLET,
@@ -372,12 +368,12 @@ def boundary_point(
     The budget is split over four independent restarts, run in lockstep;
     every restart's best is then refined by an SLSQP polish.  The polish's
     evaluations are counted on top of the DE budget, so the reported count
-    can exceed it: (2.4, UNBIASED_SINGLET, 10_000, 0) reports 28,967.
-    Results are deterministic in (mode, s, budget, seed) under the same BLAS
-    thread settings; the polish calls BLAS and may move with the thread count.
+    can exceed it: (2.4, UNBIASED_SINGLET, 10_000, 0) reports 28,967 with one
+    BLAS thread.  Results are deterministic in (mode, s, budget, seed) under
+    the same BLAS thread settings; the polish calls BLAS and may move with the
+    thread count.
     """
-    if not 0.0 <= s <= S_MAX + 1e-12:
-        raise DomainError(f"target {s} outside [0, 2*sqrt(2)]")
+    _check_target(s)
     if budget < _MIN_BUDGET:
         raise BudgetTooSmall(f"budget {budget} below minimum {_MIN_BUDGET}")
     evaluator = _CountingEvaluator(make_batch_evaluator(mode))
@@ -427,8 +423,7 @@ def boundary_curve(
     if not grid:
         raise DomainError("empty grid")
     for g in grid:
-        if not 0.0 <= g <= S_MAX + 1e-12:
-            raise DomainError(f"grid value {g} outside [0, 2*sqrt(2)]")
+        _check_target(g)
     tasks = [(g, mode, budget, seed) for g in grid]
     if workers and workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -188,13 +188,14 @@ def test_criterion_10a_multibob_three_observers():
     observer a value above 2.  For the scheduler's fixed layout the bound is
     sharp and elementary: pinning S_1 = S_2 = 2.05 forces the transverse
     retention product down to 0.639, so the third value is at most
-    2*sqrt(2)*0.639 = 1.807 < 2.  Relaxing the layout does not help: a
-    constrained search over all per-observer direction/strength pairs (with
-    the upstream values pinned to 2.05) tops out near 1.966, and even the
-    best *balanced* schedule only reaches about 2.0136 per observer, still
-    below the 2.05 that the margin demands of the first two.  The test is
-    kept in its stated form deliberately; it documents the gap instead of
-    hiding it.
+    2*sqrt(2)*0.639 = 1.807 < 2.  Relaxing the layout is expected not to
+    help, but no code in this repository reproduces the figures quoted for
+    it: a constrained search over all per-observer direction/strength pairs
+    (with the upstream values pinned to 2.05) is quoted as topping out near
+    1.966, and the best *balanced* schedule as reaching about 2.0136 per
+    observer, still below the 2.05 that the margin demands of the first two.
+    The test is kept in its stated form deliberately; it documents the gap
+    instead of hiding it.
     """
     with criterion(10, "three sequential observers all above 2 at margin 0.05"):
         schedule = br.plan_multibob(-np.eye(3), 3, margin=0.05)

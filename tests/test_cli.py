@@ -10,7 +10,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from bellrecycle import cli, optimizer
+from bellrecycle import audit, cli, optimizer
 from bellrecycle.cli import build_parser, main
 
 ROOT2 = math.sqrt(2.0)
@@ -140,6 +140,11 @@ class TestAuditCommand:
             assert entry["worst_margin"] >= -1e-9
             assert entry["worst_margin"] < 1e-6  # saturating configs included
 
+    def test_names_match_schema(self, schema):
+        enum = schema["$defs"]["auditEntry"]["properties"]["name"]["enum"]
+        names = [r.name for r in audit.run_all_audits(samples=1, seed=0)]
+        assert sorted(names) == sorted(enum) == sorted(audit._SEED_OFFSETS)
+
     def test_zero_samples_exit_2(self):
         assert main(["audit", "--samples", "0"]) == 2
 
@@ -212,6 +217,12 @@ class TestScenarioCommand:
         validate(document, schema)
         assert document["s_first"] == pytest.approx(2 * ROOT2, abs=1e-9)
         assert document["s_star_second"] == pytest.approx(1 / ROOT2, abs=1e-9)
+
+    def test_alice_within_tolerance_of_constraint(self):
+        # strength + |bias| = 1 + 9e-13, inside make_observable's tolerance
+        alice = [{"bias": 0.3, "strength": 0.7 + 9e-13, "direction": [0, 0, 1]},
+                 self.CONFIG["alice"][1]]
+        assert main(["scenario", "--config", json.dumps(dict(self.CONFIG, alice=alice))]) == 0
 
     def test_config_file(self, tmp_path):
         cfg = tmp_path / "config.json"

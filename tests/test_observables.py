@@ -9,6 +9,7 @@ from bellrecycle import (
     AngleOutOfRange,
     ConstraintViolation,
     InvalidBloch,
+    Observable,
     ZeroDirection,
     decoherence,
     expectation,
@@ -51,6 +52,14 @@ class TestMakeObservable:
     def test_zero_direction_rejected(self):
         with pytest.raises(ZeroDirection):
             make_observable(0.0, 0.5, (0, 0, 0))
+
+    @pytest.mark.parametrize("bias", [-0.3, 0.3])
+    def test_strength_within_tolerance_of_constraint_lowered(self, bias):
+        # S + |B| = 1 + 9e-13 is accepted; kept as given, the reversibility's
+        # radicand would be -1.26e-12, beyond the clamp of its square root
+        obs = make_observable(bias, 0.7 + 9e-13, (0, 0, 1))
+        assert obs.strength == 1.0 - abs(bias)
+        assert reversibility(obs) == pytest.approx(math.sqrt(0.3), abs=1e-12)
 
     def test_range_checks(self):
         with pytest.raises(ConstraintViolation):
@@ -97,6 +106,21 @@ class TestDecoherence:
     def test_values(self, bias, strength, expected):
         obs = make_observable(bias, strength, (0, 0, 1))
         assert decoherence(obs) == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("bias", [-0.9, -0.6, -0.3, -1e-6, 0.0, 1e-6, 0.3, 0.6, 0.9])
+    def test_constraint_boundary(self, bias):
+        # on S = 1 - |B| one radicand of R is 0, and 1e-13 beyond it rounds
+        # below 0; either way D = sqrt(1 - |B|)
+        on = make_observable(bias, 1.0 - abs(bias), (0, 0, 1))
+        beyond = Observable(bias, 1.0 - abs(bias) + 1e-13, np.array([0.0, 0.0, 1.0]))
+        for obs in (on, beyond):
+            assert decoherence(obs) == pytest.approx(math.sqrt(1.0 - abs(bias)), abs=1e-12)
+            prof = reversibility_profile(obs)
+            assert prof.reversibility**2 + prof.decoherence**2 == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("bias", [-1.0, 1.0])
+    def test_certain_outcome(self, bias):
+        assert decoherence(trivial(bias)) == 0.0
 
 
 class TestFromReversibilityAngle:
