@@ -33,7 +33,6 @@ from .errors import (
     InvalidBloch,
     LengthMismatch,
     NegativeRadicand,
-    NoRealRoot,
     NotNonlocal,
     PreconditionViolation,
     ProbabilityOutOfRange,

@@ -41,10 +41,6 @@ class NegativeRadicand(BellRecycleError, ArithmeticError):
     """A radicand is negative beyond the clamping tolerance (internal bug)."""
 
 
-class NoRealRoot(BellRecycleError, ArithmeticError):
-    """A polynomial expected to have a real root in range has none."""
-
-
 class DomainError(BellRecycleError, ValueError):
     """A function argument lies outside the function's domain."""
 

@@ -3,7 +3,9 @@
 Evaluates the pair (S(A1,B1), S*(A2,B2)) for one round of recycling, checks
 the two analytic monogamy theorems (orthogonal directions: bound 8*sqrt(2)/3;
 equal strengths: bound 4), exposes the bound functions from their proofs, and
-tabulates the semi-analytic optimal-tradeoff curves.
+tabulates the semi-analytic optimal-tradeoff curves.  The low-violation
+curve is stated once, as a parametrisation in the reversibility r;
+region1_closed inverts it in closed form.
 """
 
 from __future__ import annotations
@@ -11,11 +13,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
 from scipy.optimize import brentq
 
 from .bell import S_MAX, MeasurementPair, chsh_value, horodecki_sstar
-from .errors import DomainError, NoRealRoot, PreconditionViolation
+from .errors import DomainError, PreconditionViolation
 from .instruments import SQUARE_ROOT, MeasurementKind, setting_channel
 from .states import TwoQubitState
 
@@ -103,7 +104,12 @@ def check_equal_strength_monogamy(cfg: ScenarioConfig) -> TheoremCheck:
 
 
 def conjecture_margin(res: ScenarioResult) -> float:
-    """Margin 4 - (|S1| + S2*) of the unbiased-observables monogamy conjecture."""
+    """Margin 4 - (|S1| + S2*) of the unbiased-observables monogamy conjecture.
+
+    The relations hold only for unbiased observables: on the singlet, Alice =
+    (trivial(1), trivial(1)) and Bob = (trivial(1), trivial(-1)) reach S1 = 2
+    undisturbed, so S2* = 2*sqrt(2) and the margin is 2 - 2*sqrt(2) < 0.
+    """
     return EQUAL_STRENGTH_MONOGAMY_BOUND - (abs(res.s_first) + res.s_star_second)
 
 
@@ -123,40 +129,6 @@ def g_equal_strength(x: float, c: float) -> float:
     return math.sqrt(2.0 - c) * (1.0 - x * x) + math.sqrt(f4) / math.sqrt(8.0)
 
 
-def real_cubic_roots(c3: float, c2: float, c1: float, c0: float) -> list[float]:
-    """Real roots of c3 z^3 + c2 z^2 + c1 z + c0, ascending.
-
-    Closed-form (Cardano/trigonometric) solution; near-degenerate
-    discriminants fall back to companion-matrix eigenvalues.  Roots with
-    imaginary part below 1e-9 count as real.
-    """
-    if abs(c3) < 1e-300:
-        raise NoRealRoot("leading coefficient vanishes")
-    b, c, d = c2 / c3, c1 / c3, c0 / c3
-    p = c - b * b / 3.0
-    q = d - b * c / 3.0 + 2.0 * b**3 / 27.0
-    disc = (q / 2.0) ** 2 + (p / 3.0) ** 3
-    shift = -b / 3.0
-    if abs(disc) < 1e-12:
-        comp = np.array([[0.0, 0.0, -d], [1.0, 0.0, -c], [0.0, 1.0, -b]])
-        roots = np.linalg.eigvals(comp)
-        real = sorted(float(r.real) for r in roots if abs(r.imag) < 1e-9)
-        if not real:
-            raise NoRealRoot("companion matrix produced no real roots")
-        return real
-    if disc > 0.0:
-        sq = math.sqrt(disc)
-        u = math.copysign(abs(-q / 2.0 + sq) ** (1.0 / 3.0), -q / 2.0 + sq)
-        v = math.copysign(abs(-q / 2.0 - sq) ** (1.0 / 3.0), -q / 2.0 - sq)
-        return [u + v + shift]
-    # three distinct real roots
-    rho = math.sqrt(-(p**3) / 27.0)
-    phi = math.acos(min(max(-q / (2.0 * rho), -1.0), 1.0))
-    mag = 2.0 * math.sqrt(-p / 3.0)
-    roots = [mag * math.cos((phi + 2.0 * math.pi * k) / 3.0) + shift for k in range(3)]
-    return sorted(roots)
-
-
 def region1_parametric(r: float) -> tuple[float, float]:
     """Boundary point (S1, S2*) of the low-violation region, parameter r in [0,1].
 
@@ -169,38 +141,19 @@ def region1_parametric(r: float) -> tuple[float, float]:
 
 
 def region1_closed(s: float) -> float:
-    """Closed-form optimal S2* for |S1| = s in (0, 2].
+    """Optimal S2* for |S1| = s in [0, 2]: region1_parametric inverted in closed form.
 
-    Solves the stationarity cubic for h = (1 + r)/r, takes the strength of
-    the second side from the associated quadratic, and assembles S2*.  The
-    cubic (s^2-4) z^3 - (3s^2-16) z^2 + (3s^2-16) z - s^2 has exactly one
-    real root above 2 for 0 < s < 2, and that root is h.  Agrees with
-    region1_parametric everywhere.
+    S1 = 2(1-r) sqrt(1+r) falls monotonically on [0, 1], so u = 1 - r is the
+    root in [0, 1] of the cubic u^2 (2 - u) = s^2/4.  Its trigonometric
+    solution u = (4/3) sin^2(e/2) + (2/sqrt(3)) sin(e), with
+    e = (2/3) asin(3 sqrt(6) s/16), adds non-negative terms, so it keeps full
+    accuracy at both ends: s = 0 gives 2*sqrt(2) and s = 2 gives 2.
     """
     if not 0.0 <= s <= 2.0 + 1e-12:
         raise DomainError(f"|S1| = {s} outside [0, 2]")
-    if s < 1e-6:
-        return S_MAX  # analytic limit: undisturbed singlet
-    if s > 2.0 - 1e-9:
-        return 2.0  # h diverges; limiting strengths are projective
-    s2 = s * s
-    roots = real_cubic_roots(s2 - 4.0, -(3.0 * s2 - 16.0), 3.0 * s2 - 16.0, -s2)
-    above = [z for z in roots if z > 2.0]
-    if not above:
-        raise NoRealRoot(f"stationarity cubic has no root above 2 for s={s}")
-    h = max(above)
-    # largest root of 4 h z^2 + s^2 (1 - h) z - s^2 = 0 (the positive one)
-    aa, bb, cc = 4.0 * h, s2 * (1.0 - h), -s2
-    disc = bb * bb - 4.0 * aa * cc
-    zq = (-bb + math.sqrt(disc)) / (2.0 * aa)
-    if not 0.0 < zq <= 1.0 + 1e-9:
-        raise NoRealRoot(f"quadratic root {zq} outside (0, 1]")
-    sy2 = min(zq, 1.0)
-    ratio = s2 / sy2
-    if ratio > 4.0 + 1e-9:
-        raise DomainError(f"s^2 / S_Y^2 = {ratio} exceeds 4")
-    inner = 2.0 + math.sqrt(max(4.0 - ratio, 0.0))
-    return math.sqrt(4.0 + 0.25 * (1.0 - sy2) * inner * inner)
+    e = (2.0 / 3.0) * math.asin(3.0 * math.sqrt(6.0) * s / 16.0)
+    u = (4.0 / 3.0) * math.sin(0.5 * e) ** 2 + (2.0 / math.sqrt(3.0)) * math.sin(e)
+    return region1_parametric(max(1.0 - u, 0.0))[1]
 
 
 def region3_curve(s: float) -> float:

@@ -124,13 +124,13 @@ def decoherence(obs: Observable) -> float:
 
     Evaluated in the rationalised form D^2 = 2 S^2 / (u + sqrt(f+ f-)) with
     u = 1 - B^2 + S^2 and f+- the factored radicands of the reversibility,
-    which stays accurate where 1 - R^2 would cancel (weak observables); f+-
-    rounded below 0 on the constraint boundary s + |b| = 1 are clamped to 0.
+    which stays accurate where 1 - R^2 would cancel (weak observables); f+- go
+    through reversibility's clamped sqrt, so s + |b| > 1 raises NegativeRadicand.
     """
     b, s = obs.bias, obs.strength
-    f_plus = max((1.0 + b - s) * (1.0 + b + s), 0.0)
-    f_minus = max((1.0 - b - s) * (1.0 - b + s), 0.0)
-    denom = (1.0 - b) * (1.0 + b) + s * s + math.sqrt(f_plus) * math.sqrt(f_minus)
+    f_plus = (1.0 + b - s) * (1.0 + b + s)
+    f_minus = (1.0 - b - s) * (1.0 - b + s)
+    denom = (1.0 - b) * (1.0 + b) + s * s + _clamped_sqrt(f_plus) * _clamped_sqrt(f_minus)
     if denom <= 0.0:
         # only reachable at |bias| = 1, strength = 0, where D = 0 exactly
         return 0.0

@@ -69,9 +69,3 @@ def grid_refine_max(fn, lo, hi, coarse: int = 401, refine_rounds: int = 30):
         cx, cy, best = xs[i], ys[j], vals[i, j]
         span *= 0.35
     return best, (cx, cy)
-
-
-def cubic_roots_numpy(c3, c2, c1, c0):
-    """Real roots via the companion matrix, ascending."""
-    roots = np.roots([c3, c2, c1, c0])
-    return sorted(float(r.real) for r in roots if abs(r.imag) < 1e-9)

@@ -26,9 +26,7 @@ from bellrecycle import (
     unbiased,
     weak_pointer,
 )
-from bellrecycle.monogamy import real_cubic_roots
-
-from oracles import cubic_roots_numpy, grid_refine_max
+from oracles import grid_refine_max
 
 ROOT2 = math.sqrt(2.0)
 
@@ -201,9 +199,10 @@ class TestRegionCurves:
         assert sstar == pytest.approx(math.sqrt(4 + 2.25 * 0.5), abs=1e-12)
 
     def test_region1_closed_matches_parametric(self):
-        for r in np.linspace(0.005, 0.995, 100):
+        ends = [0.0, 1e-10, 1e-6, 1 - 1e-8, 1 - 1e-12, 1.0]
+        for r in [*np.linspace(0.005, 0.995, 100), *ends]:
             s, sstar = region1_parametric(r)
-            assert region1_closed(s) == pytest.approx(sstar, abs=1e-8)
+            assert region1_closed(s) == pytest.approx(sstar, abs=1e-13)
 
     def test_region1_closed_boundary(self):
         assert region1_closed(2.0) == pytest.approx(2.0, abs=1e-12)
@@ -265,34 +264,20 @@ class TestConjectureMargin:
     def test_saturating_corner(self):
         assert conjecture_margin(ScenarioResult(2.0, 2.0)) == pytest.approx(0.0, abs=1e-15)
 
-
-class TestCubicRoots:
-    def test_three_real_roots(self):
-        # (z-1)(z-2)(z-3) = z^3 - 6 z^2 + 11 z - 6
-        assert real_cubic_roots(1, -6, 11, -6) == pytest.approx([1.0, 2.0, 3.0], abs=1e-10)
-
-    def test_single_real_root(self):
-        # z^3 + z + 1: one real root near -0.6823
-        roots = real_cubic_roots(1, 0, 1, 1)
-        assert len(roots) == 1
-        assert roots[0] == pytest.approx(-0.6823278038280193, abs=1e-12)
-
-    def test_double_root(self):
-        # (z-1)^2 (z+2) = z^3 - 3 z + 2
-        roots = real_cubic_roots(1, 0, -3, 2)
-        assert roots[0] == pytest.approx(-2.0, abs=1e-6)
-        assert roots[-1] == pytest.approx(1.0, abs=1e-6)
-
-    def test_against_companion_oracle(self):
-        rng = np.random.default_rng(37)
-        for _ in range(500):
-            c = rng.normal(size=4)
-            if abs(c[0]) < 0.1:
-                c[0] = 0.5
-            mine = real_cubic_roots(*c)
-            ref = cubic_roots_numpy(*c)
-            assert len(mine) == len(ref)
-            assert np.allclose(mine, ref, atol=1e-7)
+    def test_biased_observables_escape_the_relations(self):
+        # fixed outcomes reach |S1| = 2 without disturbing the singlet, so
+        # the downstream pair keeps S* = 2 sqrt(2) and |S1| + S2* exceeds 4
+        cfg = ScenarioConfig(
+            singlet(),
+            MeasurementPair(trivial(1.0), trivial(1.0)),
+            MeasurementPair(trivial(1.0), trivial(-1.0)),
+        )
+        res = evaluate_scenario(cfg)
+        assert res.s_first == pytest.approx(2.0, abs=1e-15)
+        assert res.s_star_second == pytest.approx(2 * ROOT2, abs=1e-15)
+        assert conjecture_margin(res) == pytest.approx(2 - 2 * ROOT2, abs=1e-15)
+        with pytest.raises(PreconditionViolation):
+            check_equal_strength_monogamy(cfg)
 
 
 class TestPointwiseProofChain:

@@ -9,6 +9,7 @@ from bellrecycle import (
     AngleOutOfRange,
     ConstraintViolation,
     InvalidBloch,
+    NegativeRadicand,
     Observable,
     ZeroDirection,
     decoherence,
@@ -121,6 +122,13 @@ class TestDecoherence:
     @pytest.mark.parametrize("bias", [-1.0, 1.0])
     def test_certain_outcome(self, bias):
         assert decoherence(trivial(bias)) == 0.0
+
+    @pytest.mark.parametrize("fn", [decoherence, reversibility, reversibility_profile])
+    def test_outside_constraint_raises(self, fn):
+        # S + |B| = 1.1: Observable checks nothing, so the radicand
+        # (1 - B - S)(1 - B + S) = -0.15 must be caught by every function
+        with pytest.raises(NegativeRadicand):
+            fn(Observable(0.3, 0.8, np.array([0.0, 0.0, 1.0])))
 
 
 class TestFromReversibilityAngle:
