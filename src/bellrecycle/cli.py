@@ -278,8 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma list '0.5,1.0' or inclusive range 'start:stop:step'")
     curve.add_argument("--mode", default="unbiased-singlet", choices=list(_MODES))
     curve.add_argument("--budget", type=int, default=200_000,
-                       help="DE evaluations per grid point (default 200000); the SLSQP "
-                            "polish's evaluations are counted on top")
+                       help="evaluations per grid point, DE and SLSQP polish together "
+                            "(default 200000)")
     curve.add_argument("--seed", type=int, default=0)
     curve.add_argument("--threads", type=int, default=1,
                        help=f"parallel grid workers (capped by ${_ENV_THREADS})")

@@ -5,12 +5,17 @@ differential weight 0.7, crossover 0.9, reflecting box constraints) drives
 the search; the equality constraint |S(A1,B1)| = s enters through an
 adaptive penalty that starts at 10 and doubles every 50 generations while
 the incumbent is infeasible.  Four independent seeded restarts advance in
-lockstep, one batched evaluation per generation; each restart's best is then
-finished with a deterministic SLSQP polish of the constrained problem that
-evaluates every point once, each finite-difference stencil in one batched
-call, and the best feasible point wins.  Identical (mode, s, budget, seed)
-inputs give bit-identical results under the same BLAS thread settings (the
-polish calls BLAS through scipy; everything before it does not depend on them).
+lockstep, one batched evaluation per generation, on nine tenths of the
+budget.  Each restart's best is then finished with an SLSQP polish of the
+constrained problem on its share of the rest: every point is evaluated once,
+each gradient (the point and its forward-difference rows) is one evaluator
+call that serves the objective and the constraint, and a restart stops once
+its iterate has been feasible for five iterations without S* gaining more
+than 1e-13, or before a call would overrun its share.  The best feasible
+point wins, and `evaluations` never exceeds the budget.  Identical (mode, s,
+budget, seed) inputs give bit-identical results under the same BLAS thread
+settings (the polish calls BLAS through scipy; everything before it does not
+depend on them).
 
 Each search mode is one `SearchMode` declaration: its tag, its box bounds
 and its decoder, which maps a parameter block to the state and settings it
@@ -45,6 +50,16 @@ _PENALTY_START = 10.0
 _PENALTY_PERIOD = 50
 _FEASIBILITY_TOL = 1e-4
 _MIN_BUDGET = 10_000
+# the polish gets budget // _POLISH_PART of the evaluations, DE the rest
+_POLISH_PART = 10
+# SLSQP's own default finite-difference step, sqrt(machine epsilon)
+_FD_STEP = math.sqrt(np.finfo(float).eps)
+# a polish stops after _FLOOR_ITERATIONS feasible iterates (|S1| within
+# _FLOOR_MISS of the target) without S* gaining more than _FLOOR_GAIN:
+# S*'s rounding floor is ~6e-16, and SLSQP's ftol alone lets it wander there
+_FLOOR_ITERATIONS = 5
+_FLOOR_MISS = 1e-12
+_FLOOR_GAIN = 1e-13
 
 
 @dataclass(frozen=True)
@@ -298,58 +313,102 @@ def _de_lockstep(evaluator, lo, hi, target, budget, rngs):
     return X[np.arange(k), np.argmax(fit, axis=1)]
 
 
-def _slsqp_polish(evaluator, x0, lo, hi, target):
-    """SLSQP refinement of x0 on |S1| = target.
+class _Exhausted(Exception):
+    """A polish's next evaluator call would overrun its share of the budget."""
 
-    Returns [(x, S1, S2*)] for x0 and for the polished point.  Every point
-    is evaluated once: the sign probe, objective and constraint share a
-    memo keyed on the clipped parameter vector.  SLSQP's `workers` map
-    receives each finite-difference stencil of the objective; it evaluates
-    the stencil's new rows in one evaluator call, so the constraint
-    Jacobian at the same points reads the memo.
+
+class _PolishMemo:
+    """(S1, S2*) and forward-difference gradients of the points a polish visits.
+
+    Points are clipped into the box and keyed on their bytes, and every row
+    is evaluated once.  A gradient is one evaluator call: the point itself,
+    unless already known, and its d stencil rows, each stepped inward at
+    `hi`.  A call that would take the rows evaluated past `allowance` raises
+    `_Exhausted` instead.
     """
-    memo = {}
 
-    def fill(points):
+    def __init__(self, evaluator, lo, hi, allowance):
+        self.evaluator, self.lo, self.hi = evaluator, lo, hi
+        self.allowance = allowance
+        self.rows = 0
+        self.values = {}
+        self.grads = {}
+
+    def _fill(self, points) -> list[bytes]:
         """Evaluate the points' memo misses in one evaluator call; return their keys."""
         keys, new = [], {}
         for v in points:
-            v = np.clip(v, lo, hi)
             key = v.tobytes()
             keys.append(key)
-            if key not in memo:
+            if key not in self.values:
                 new[key] = v
         if new:
-            s1, ss = evaluator(np.stack(list(new.values())))
-            memo.update(zip(new, zip(s1.tolist(), ss.tolist())))
+            if self.rows + len(new) > self.allowance:
+                raise _Exhausted
+            self.rows += len(new)
+            s1, ss = self.evaluator(np.stack(list(new.values())))
+            self.values.update(zip(new, zip(s1.tolist(), ss.tolist())))
         return keys
 
-    def values(v):
-        return memo[fill([v])[0]]
+    def value(self, v) -> tuple[float, float]:
+        return self.values[self._fill([np.clip(v, self.lo, self.hi)])[0]]
 
-    def stencil_map(fun, points):
-        points = list(points)
-        fill(points)
-        return list(map(fun, points))
+    def gradient(self, v) -> tuple[np.ndarray, np.ndarray]:
+        """(dS1, dS2*) at v."""
+        v = np.clip(v, self.lo, self.hi)
+        key = v.tobytes()
+        if key not in self.grads:
+            stencil = v + np.diag(np.where(v + _FD_STEP > self.hi, -_FD_STEP, _FD_STEP))
+            f = np.array([self.values[k] for k in self._fill([v, *stencil])])
+            g = (f[1:] - f[0]) / (np.diagonal(stencil) - v)[:, None]
+            self.grads[key] = (g[:, 0], g[:, 1])
+        return self.grads[key]
 
-    sign = 1.0 if values(x0)[0] >= 0.0 or target == 0.0 else -1.0
 
-    def objective(v):
-        return -values(v)[1]
+def _slsqp_polish(evaluator, x0, lo, hi, target, allowance):
+    """SLSQP refinement of x0 on |S1| = target within `allowance` evaluations.
 
-    def constraint(v):
-        return values(v)[0] - sign * target
+    Returns [(x, S1, S2*)] for x0 and for the polished point.  The objective,
+    the constraint and their gradients read one `_PolishMemo`.  The polish
+    stops at S*'s rounding floor (see `_FLOOR_ITERATIONS`), or before a call
+    that would overrun `allowance`, at its last iterate.
+    """
+    memo = _PolishMemo(evaluator, lo, hi, allowance)
+    sign = 1.0 if memo.value(x0)[0] >= 0.0 or target == 0.0 else -1.0
+    last, best, stalled = x0, -math.inf, 0
 
-    res = minimize(
-        objective,
-        x0,
-        method="SLSQP",
-        bounds=list(zip(lo, hi)),
-        constraints=[{"type": "eq", "fun": constraint}],
-        options={"maxiter": 400, "ftol": 1e-14, "workers": stencil_map},
-    )
-    x = np.clip(res.x, lo, hi)
-    return [(x0, *values(x0)), (x, *values(x))]
+    def at_floor(intermediate_result):
+        nonlocal last, best, stalled
+        x = np.clip(intermediate_result.x, lo, hi)
+        s1, ss = memo.value(x)
+        last = x
+        if abs(abs(s1) - target) > _FLOOR_MISS:
+            best, stalled = -math.inf, 0
+        elif ss > best + _FLOOR_GAIN:
+            best, stalled = ss, 0
+        else:
+            stalled += 1
+            if stalled == _FLOOR_ITERATIONS:
+                raise StopIteration
+
+    try:
+        res = minimize(
+            lambda v: -memo.value(v)[1],
+            x0,
+            jac=lambda v: -memo.gradient(v)[1],
+            method="SLSQP",
+            bounds=list(zip(lo, hi)),
+            constraints=[{"type": "eq",
+                          "fun": lambda v: memo.value(v)[0] - sign * target,
+                          "jac": lambda v: memo.gradient(v)[0]}],
+            options={"maxiter": 400, "ftol": 1e-14},
+            callback=at_floor,
+        )
+        x = np.clip(res.x, lo, hi)
+        polished = memo.value(x)
+    except _Exhausted:
+        x, polished = last, memo.value(last)
+    return [(x0, *memo.value(x0)), (x, *polished)]
 
 
 def _check_target(s: float) -> None:
@@ -365,13 +424,12 @@ def boundary_point(
 ) -> BoundaryPoint:
     """Best found S2* subject to |S(A1,B1)| = s.
 
-    The budget is split over four independent restarts, run in lockstep;
-    every restart's best is then refined by an SLSQP polish.  The polish's
-    evaluations are counted on top of the DE budget, so the reported count
-    can exceed it: (2.4, UNBIASED_SINGLET, 10_000, 0) reports 28,967 with one
-    BLAS thread.  Results are deterministic in (mode, s, budget, seed) under
-    the same BLAS thread settings; the polish calls BLAS and may move with the
-    thread count.
+    Nine tenths of the budget go to four independent restarts, run in
+    lockstep; every restart's best is then refined by an SLSQP polish, and
+    the polishes share what DE left, restart by restart, so `evaluations`
+    never exceeds `budget`.  Results are deterministic in (mode, s, budget,
+    seed) under the same BLAS thread settings; the polish calls BLAS and may
+    move with the thread count.
     """
     _check_target(s)
     if budget < _MIN_BUDGET:
@@ -380,8 +438,12 @@ def boundary_point(
     lo, hi = np.array(mode.lo), np.array(mode.hi)
     rngs = [np.random.default_rng(stream)
             for stream in np.random.SeedSequence(seed).spawn(_RESTARTS)]
-    starts = _de_lockstep(evaluator, lo, hi, s, budget // _RESTARTS, rngs)
-    candidates = [c for x0 in starts for c in _slsqp_polish(evaluator, x0, lo, hi, s)]
+    de_budget = budget - budget // _POLISH_PART
+    starts = _de_lockstep(evaluator, lo, hi, s, de_budget // _RESTARTS, rngs)
+    candidates = []
+    for i, x0 in enumerate(starts):
+        share = (budget - evaluator.count) // (_RESTARTS - i)
+        candidates += _slsqp_polish(evaluator, x0, lo, hi, s, share)
 
     best = None
     for x, s1, sstar in candidates:

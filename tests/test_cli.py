@@ -64,6 +64,14 @@ class TestCurveCommand:
         assert row[5] == ""  # region1_closed undefined above 2
         assert float(row[6]) > 0
 
+    def test_evaluations_within_budget(self, tmp_path):
+        out = tmp_path / "curve.json"
+        assert main([
+            "curve", "--grid", "2.4", "--budget", "10000", "--format", "json",
+            "--out", str(out),
+        ]) == 0
+        assert json.loads(out.read_text())["points"][0]["evaluations"] <= 10_000
+
     def test_json_output_validates(self, tmp_path, schema):
         out = tmp_path / "curve.json"
         code = main([

@@ -193,7 +193,7 @@ class TestBoundaryPoint:
 
     def test_polish_evaluates_each_point_once(self, monkeypatch):
         # rows of every call but the 256-row DE generations: one-row polish
-        # points and the finite-difference stencils of its workers map
+        # points and the one-call gradients (a point and its stencil rows)
         seen, stencils = [], []
 
         def recording(mode):
@@ -213,8 +213,9 @@ class TestBoundaryPoint:
         point = boundary_point(2.4, UNBIASED_SINGLET, budget=10_000, seed=0)
         assert seen and len(set(seen)) == len(seen)
         assert stencils
-        # evaluations counts computed rows only: the DE batches plus one per point
-        de_rows = 4 * (10_000 // 4 // 64 * 64)
+        # evaluations counts computed rows only: the DE batches plus one per
+        # point; DE gets 10_000 - 10_000 // 10 rows, split over four restarts
+        de_rows = 4 * ((10_000 - 10_000 // 10) // 4 // 64 * 64)
         assert point.evaluations == de_rows + len(seen)
 
     @pytest.mark.parametrize("s,mode", [(2.4, UNBIASED_SINGLET), (1.0, GENERAL_BIASED)],
@@ -240,6 +241,19 @@ class TestBoundaryPoint:
         assert [v.hex() for v in split.params] == [v.hex() for v in batched.params]
         assert split.evaluations == batched.evaluations
 
+    @pytest.mark.parametrize("mode", ALL_MODES, ids=lambda m: m.tag)
+    def test_evaluations_within_budget(self, mode):
+        point = boundary_point(2.4, mode, budget=10_000, seed=0)
+        assert point.evaluations <= 10_000
+
+    def test_polish_stops_at_the_floor(self):
+        # S*'s rounding floor stops each restart once its iterate is
+        # feasible, inside the budget and at the best-known optimum
+        point = boundary_point(2.4, UNBIASED_SINGLET, budget=40_000, seed=0)
+        assert abs(point.achieved_s - 2.4) <= 1e-9
+        assert point.s_star == pytest.approx(1.4754835237, abs=1e-6)
+        assert point.evaluations <= 40_000
+
     def test_budget_too_small(self):
         with pytest.raises(BudgetTooSmall):
             boundary_point(1.0, UNBIASED_SINGLET, budget=5000)
@@ -258,6 +272,39 @@ class TestBoundaryPoint:
         full = boundary_point(1.5, UNBIASED_SINGLET, budget=30_000, seed=6)
         flat = boundary_point(1.5, UNBIASED_SINGLET_EQUATORIAL, budget=30_000, seed=6)
         assert flat.s_star == pytest.approx(full.s_star, abs=2e-2)
+
+
+class TestPolishGradient:
+    @staticmethod
+    def central(evaluate, x, h=1e-6):
+        steps = np.diag(np.full(x.size, h))
+        (p1, pss), (m1, mss) = evaluate(x + steps), evaluate(x - steps)
+        return (p1 - m1) / (2 * h), (pss - mss) / (2 * h)
+
+    @pytest.mark.parametrize("mode", ALL_MODES, ids=lambda m: m.tag)
+    def test_one_call_matches_central_differences(self, mode):
+        evaluate = make_batch_evaluator(mode)
+        lo, hi = np.array(mode.lo), np.array(mode.hi)
+        rng = np.random.default_rng(23)
+        interior = [lo + rng.uniform(0.05, 0.95, mode.n_params) * (hi - lo) for _ in range(3)]
+        # angles on hi, where the stencil steps inward; strengths and the
+        # Schmidt angle stay inside, away from their square-root edges
+        on_hi = np.where(hi > 1.0, hi, interior[0])
+        calls = []
+
+        def counting(P):
+            calls.append(np.atleast_2d(P))
+            return evaluate(P)
+
+        for x in (*interior, on_hi):
+            calls.clear()
+            memo = optimizer._PolishMemo(counting, lo, hi, math.inf)
+            g1, gss = memo.gradient(x)
+            assert [P.shape[0] for P in calls] == [mode.n_params + 1]
+            assert np.all((calls[0] >= lo) & (calls[0] <= hi))
+            c1, css = self.central(evaluate, x)
+            np.testing.assert_allclose(g1, c1, rtol=0, atol=1e-5)
+            np.testing.assert_allclose(gss, css, rtol=0, atol=1e-5)
 
 
 class TestModeAgreement:
