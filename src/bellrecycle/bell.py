@@ -14,9 +14,14 @@ to (S(A1,B1), S*(A2,B2)).  Its stacks are component-major (directions
 operation over rows of n contiguous values: K T L is built from rank-one
 updates of T, G = M^T M from six column dot products, and S* from the
 closed form in `_sstar`.  The optimizer's evaluator and the three
-monogamy audits call it; the scalar object path (`chsh_value`,
-`horodecki_sstar` and `monogamy.evaluate_scenario`) keeps the SVD, stays
-separate, and is the reference the tests compare it against.
+monogamy audits call it.
+
+The scalar object path (`chsh_value`, `horodecki_sstar` and
+`monogamy.evaluate_scenario`) stays separate and handles one configuration
+at a time: it builds each setting matrix (and `instruments` each channel)
+from Python floats in one `np.array` call, and takes S* from LAPACK's SVD
+(`svd3`).  That SVD is independent of the closed form, so the scalar path
+is the reference the tests compare the batched kernel against.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConstraintViolation, NegativeRadicand
+from .errors import ConstraintViolation, NegativeRadicand, ZeroDirection
 from .observables import Observable
 from .states import TwoQubitState
 
@@ -44,11 +49,12 @@ class MeasurementPair:
 
 def _settings(pair: MeasurementPair) -> np.ndarray:
     """(4, 2) columns (B, S n) of a pair: <XY> = (B_X, S_X x^T) Theta (B_Y; S_Y y)."""
-    cols = np.empty((4, 2))
-    for k, obs in enumerate((pair.first, pair.second)):
-        cols[0, k] = obs.bias
-        cols[1:, k] = obs.strength * obs.direction
-    return cols
+    f, g = pair.first, pair.second
+    (fx, fy, fz), (gx, gy, gz) = f.direction.tolist(), g.direction.tolist()
+    sf, sg = f.strength, g.strength
+    return np.array(
+        (f.bias, g.bias, sf * fx, sg * gx, sf * fy, sg * gy, sf * fz, sg * gz)
+    ).reshape(4, 2)
 
 
 def chsh_value(state: TwoQubitState, alice: MeasurementPair, bob: MeasurementPair) -> float:
@@ -218,11 +224,30 @@ def horodecki_sstar(T) -> float:
     return 2.0 * math.sqrt(s1 * s1 + s2 * s2)
 
 
+def _scaled(v) -> tuple[float, float, float]:
+    """The components of `v` divided by its largest |component|.
+
+    Keeps the products of angle_between clear of underflow and overflow;
+    a zero vector raises ZeroDirection and a non-finite one ConstraintViolation.
+    """
+    x, y, z = np.asarray(v, dtype=float).reshape(3).tolist()
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+        raise ConstraintViolation(f"direction {[x, y, z]} is not finite")
+    m = max(abs(x), abs(y), abs(z))
+    if m == 0.0:
+        raise ZeroDirection("angle_between needs nonzero directions")
+    return x / m, y / m, z / m
+
+
 def angle_between(u, v) -> float:
-    """Angle in [0, pi] between two direction vectors, stable near 0 and pi."""
-    u = np.asarray(u, dtype=float).reshape(3)
-    v = np.asarray(v, dtype=float).reshape(3)
-    return math.atan2(float(np.linalg.norm(np.cross(u, v))), float(u @ v))
+    """Angle in [0, pi] between two direction vectors, stable near 0 and pi.
+
+    atan2(|u x v|, u . v) of the two vectors, each first scaled to a largest
+    |component| of 1.
+    """
+    (ux, uy, uz), (vx, vy, vz) = _scaled(u), _scaled(v)
+    cross = math.hypot(uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx)
+    return math.atan2(cross, ux * vx + uy * vy + uz * vz)
 
 
 @dataclass(frozen=True)

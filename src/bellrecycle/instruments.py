@@ -7,6 +7,11 @@ the axis are retained and transverse components shrink by a model-dependent
 factor eta.  The corresponding 3x3 transfer matrix is
 ``K = eta*I + (1 - eta) * axis axis^T``; a two-setting observer contributes
 the average of the transfers of the two settings.
+
+The scalar path builds each transfer's nine entries from Python floats, one
+channel at a time, with the same operations in the same order as the numpy
+formula above (kept in the tests as the reference); the batched kernel in
+`bell` builds the same products as rank-one updates over whole stacks.
 """
 
 from __future__ import annotations
@@ -61,6 +66,24 @@ class DephasingChannel:
         self.axis.setflags(write=False)
 
 
+def _factor(obs: Observable, kind: MeasurementKind) -> float:
+    """Retention factor eta of one measurement of `obs` under `kind` (see channel_of)."""
+    if kind.tag == "square-root":
+        return reversibility(obs)
+    if kind.tag == "simple-model":
+        return 1.0 - obs.strength
+    if abs(obs.bias) > CONSTRUCTION_TOL:
+        raise BiasedWeakPointer(
+            "weak-pointer measurements are defined for unbiased observables only"
+        )
+    rmax = reversibility(obs)
+    if kind.quality > rmax + CONSTRUCTION_TOL:
+        raise QualityExceedsReversibility(
+            f"quality {kind.quality} exceeds reversibility {rmax}"
+        )
+    return min(kind.quality, rmax)
+
+
 def channel_of(obs: Observable, kind: MeasurementKind = SQUARE_ROOT) -> DephasingChannel:
     """Dephasing channel of a single measurement of `obs` under `kind`.
 
@@ -69,37 +92,33 @@ def channel_of(obs: Observable, kind: MeasurementKind = SQUARE_ROOT) -> Dephasin
     weak pointer measurements.  The weak-pointer model requires an unbiased
     observable and F <= R.
     """
-    if kind.tag == "square-root":
-        factor = reversibility(obs)
-    elif kind.tag == "simple-model":
-        factor = 1.0 - obs.strength
-    else:
-        if abs(obs.bias) > CONSTRUCTION_TOL:
-            raise BiasedWeakPointer(
-                "weak-pointer measurements are defined for unbiased observables only"
-            )
-        rmax = reversibility(obs)
-        if kind.quality > rmax + CONSTRUCTION_TOL:
-            raise QualityExceedsReversibility(
-                f"quality {kind.quality} exceeds reversibility {rmax}"
-            )
-        factor = min(kind.quality, rmax)
-    return DephasingChannel(axis=obs.direction.copy(), factor=factor)
+    return DephasingChannel(axis=obs.direction.copy(), factor=_factor(obs, kind))
+
+
+def _entries(eta: float, axis: np.ndarray) -> list[float]:
+    """Row-major entries of eta*I + (1-eta) axis axis^T, as Python floats.
+
+    Each entry is eta*delta_ij + (1-eta)*(n_i n_j), rounded as the numpy
+    formula rounds it; off the diagonal eta*0 adds nothing.
+    """
+    x, y, z = axis.tolist()
+    c = 1.0 - eta
+    xy, xz, yz = c * (x * y), c * (x * z), c * (y * z)
+    return [eta + c * (x * x), xy, xz, xy, eta + c * (y * y), yz, xz, yz, eta + c * (z * z)]
 
 
 def transfer_matrix(channel: DephasingChannel) -> np.ndarray:
     """3x3 transfer eta*I + (1-eta) axis axis^T; eigenvalues {1, eta, eta}."""
-    eta = channel.factor
-    return eta * np.eye(3) + (1.0 - eta) * np.outer(channel.axis, channel.axis)
+    return np.array(_entries(channel.factor, channel.axis.ravel())).reshape(3, 3)
 
 
 def setting_channel(
     obs1: Observable, obs2: Observable, kind: MeasurementKind = SQUARE_ROOT
 ) -> np.ndarray:
     """Ensemble transfer of an observer choosing obs1 or obs2 with equal odds."""
-    k1 = transfer_matrix(channel_of(obs1, kind))
-    k2 = transfer_matrix(channel_of(obs2, kind))
-    return 0.5 * (k1 + k2)
+    k1 = _entries(_factor(obs1, kind), obs1.direction)
+    k2 = _entries(_factor(obs2, kind), obs2.direction)
+    return np.array([0.5 * (p + q) for p, q in zip(k1, k2)]).reshape(3, 3)
 
 
 def apply_local(

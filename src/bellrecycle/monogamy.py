@@ -80,7 +80,8 @@ def check_orthogonal_monogamy(cfg: ScenarioConfig) -> TheoremCheck:
     for pair in (cfg.alice, cfg.bob):
         if pair.first.strength <= _PRECONDITION_TOL or pair.second.strength <= _PRECONDITION_TOL:
             continue
-        dot = abs(float(pair.first.direction @ pair.second.direction))
+        (x, y, z), (u, v, w) = pair.first.direction.tolist(), pair.second.direction.tolist()
+        dot = abs(x * u + y * v + z * w)
         if dot > _PRECONDITION_TOL:
             raise PreconditionViolation(f"setting directions not orthogonal (dot={dot})")
     res = evaluate_scenario(cfg)

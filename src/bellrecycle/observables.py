@@ -64,6 +64,8 @@ def make_observable(bias: float, strength: float, direction) -> Observable:
     observable comes with a vanishing direction.  Within CONSTRUCTION_TOL of
     the constraints, bias is clamped to [-1, 1] and strength to [0, 1 - |bias|].
     A zero-strength observable gets the canonical direction (0, 0, 1).
+    Otherwise the direction must hold three finite numbers, in any shape
+    that reshapes to (3,); a non-finite component raises ConstraintViolation.
     """
     bias = float(bias)
     strength = float(strength)
@@ -81,11 +83,14 @@ def make_observable(bias: float, strength: float, direction) -> Observable:
     if strength == 0.0:
         vec = np.array(_ZERO_STRENGTH_DIRECTION)
     else:
-        vec = np.asarray(direction, dtype=float).reshape(3).copy()
-        norm = float(np.linalg.norm(vec))
+        x, y, z = np.asarray(direction, dtype=float).reshape(3).tolist()
+        # hypot is inf if any component is, and nan if one is nan and none is inf
+        norm = math.hypot(x, y, z)
+        if not math.isfinite(norm):
+            raise ConstraintViolation(f"direction {[x, y, z]} has no finite norm")
         if norm < CONSTRUCTION_TOL:
             raise ZeroDirection("direction has (near-)zero norm at positive strength")
-        vec /= norm
+        vec = np.array((x / norm, y / norm, z / norm))
     return Observable(bias=bias, strength=strength, direction=vec)
 
 

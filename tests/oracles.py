@@ -3,8 +3,9 @@
 These deliberately avoid the code paths they check: the downstream-CHSH
 oracle maximises the CHSH functional directly on a grid of projective
 settings, the state oracle builds correlation tensors from explicit
-4-component state vectors, and the maximisers locate function maxima by
-dense grids plus local refinement.
+4-component state vectors, the dephasing oracle builds a transfer matrix
+from numpy's identity and outer product, and the maximisers locate function
+maxima by dense grids plus local refinement.
 """
 
 from __future__ import annotations
@@ -37,6 +38,12 @@ def grid_search_sstar(T, step_deg: float = 2.0) -> float:
     minus = u[:, None, :] - u[None, :, :]
     S = np.linalg.norm(plus, axis=2) + np.linalg.norm(minus, axis=2)
     return float(S.max())
+
+
+def dephasing_transfer(eta: float, axis) -> np.ndarray:
+    """eta*I + (1 - eta) n n^T; a two-setting observer averages two of these."""
+    axis = np.asarray(axis, dtype=float)
+    return eta * np.eye(3) + (1.0 - eta) * np.outer(axis, axis)
 
 
 def theta_from_state_vector(psi) -> np.ndarray:

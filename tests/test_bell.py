@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from bellrecycle import (
     ConstraintViolation,
     MeasurementPair,
+    ZeroDirection,
     angle_between,
     chsh_value,
     horodecki_sstar,
@@ -300,3 +301,33 @@ class TestAngleBetween:
         v = np.array([1.0, eps, 0.0])
         v /= np.linalg.norm(v)
         assert angle_between((1, 0, 0), v) == pytest.approx(eps, rel=1e-6)
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_extreme_scales(self, scale):
+        # unscaled, the products underflow to 0 at 1e-200 and overflow at 1e200
+        assert angle_between((scale, scale, 0), (scale, 0, 0)) == pytest.approx(
+            math.pi / 4, abs=1e-15
+        )
+        assert angle_between((scale, scale, 0), (1, 0, 0)) == pytest.approx(
+            math.pi / 4, abs=1e-15
+        )
+
+    def test_zero_vector_rejected(self):
+        with pytest.raises(ZeroDirection):
+            angle_between((0, 0, 0), (1, 0, 0))
+        with pytest.raises(ZeroDirection):
+            angle_between((1, 0, 0), np.zeros(3))
+
+    def test_non_finite_vector_rejected(self):
+        with pytest.raises(ConstraintViolation):
+            angle_between((0, math.nan, 0), (1, 0, 0))
+
+    def test_matches_numpy_cross(self):
+        rng = np.random.default_rng(23)
+        U = rng.normal(size=(20_000, 3))
+        V = rng.normal(size=(20_000, 3))
+        V[:1000] = U[:1000] + 1e-9 * V[:1000]  # near 0
+        V[1000:2000] = -U[1000:2000] + 1e-9 * V[1000:2000]  # near pi
+        expected = np.arctan2(np.linalg.norm(np.cross(U, V), axis=1), np.sum(U * V, axis=1))
+        got = np.array([angle_between(u, v) for u, v in zip(U, V)])
+        assert np.max(np.abs(got - expected)) <= 1e-15

@@ -292,6 +292,12 @@ class TestScenarioCommand:
         assert simple < pointer
         assert pointer == pytest.approx(sqrt_val, abs=1e-9)
 
+    @pytest.mark.parametrize("direction", [[math.nan, 0, 1], [math.inf, 0, 0]], ids=["nan", "inf"])
+    def test_non_finite_direction_exit_2(self, direction, capsys):
+        alice = [{"strength": 0.5, "direction": direction}, self.CONFIG["alice"][1]]
+        config = json.dumps(dict(self.CONFIG, alice=alice))
+        assert "finite" in assert_fails(["scenario", "--config", config], 2, capsys)
+
     def test_weak_pointer_requires_quality(self):
         config = dict(self.CONFIG)
         config["kind"] = "weak-pointer"

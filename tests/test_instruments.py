@@ -26,6 +26,8 @@ from bellrecycle import (
 from bellrecycle.instruments import DephasingChannel
 from bellrecycle.states import validate
 
+from oracles import dephasing_transfer
+
 
 class TestChannelOf:
     def test_projective_square_root(self):
@@ -105,6 +107,50 @@ class TestSettingChannel:
         K = setting_channel(unbiased(s, (0, 1, 0)), unbiased(s, (1, 0, 0)))
         sv = np.linalg.svd(K, compute_uv=False)
         assert np.allclose(np.sort(sv), [1 / 3, 2 / 3, 2 / 3], atol=1e-12)
+
+
+KINDS = [SQUARE_ROOT, SIMPLE_MODEL, weak_pointer(0.0)]
+
+
+def _random_observables(rng, kind, n):
+    """n observables: random strengths, biases where the kind allows, some trivial."""
+    out = []
+    for i in range(n):
+        s = 0.0 if i % 10 == 0 else 1.0 if i % 10 == 1 else rng.uniform()
+        b = 0.0 if kind.tag == "weak-pointer" else rng.uniform(-1, 1) * (1 - s)
+        out.append(make_observable(b, s, rng.normal(size=3)))
+    return out
+
+
+class TestFloatEntries:
+    """The float-built transfers round exactly as numpy's eta*I + (1-eta) n n^T."""
+
+    @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.tag)
+    def test_transfer_matrix_matches_numpy_formula(self, kind):
+        rng = np.random.default_rng(29)
+        for obs in _random_observables(rng, kind, 2000):
+            if kind.tag == "weak-pointer":
+                kind = weak_pointer(rng.uniform() * reversibility(obs))
+            ch = channel_of(obs, kind)
+            expected = dephasing_transfer(ch.factor, obs.direction)
+            assert np.array_equal(transfer_matrix(ch), expected)
+
+    @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.tag)
+    def test_setting_channel_matches_numpy_formula(self, kind):
+        rng = np.random.default_rng(31)
+        obs = _random_observables(rng, kind, 4000)
+        for o1, o2 in zip(obs[::2], obs[1::2]):
+            if kind.tag == "weak-pointer":
+                kind = weak_pointer(rng.uniform() * min(reversibility(o1), reversibility(o2)))
+            expected = 0.5 * sum(
+                dephasing_transfer(channel_of(o, kind).factor, o.direction) for o in (o1, o2)
+            )
+            K = setting_channel(o1, o2, kind)
+            assert K.shape == (3, 3) and np.array_equal(K, expected)
+
+    def test_transfer_matrix_flattens_its_axis(self):
+        ch = DephasingChannel(axis=np.array([[0.0], [0.6], [0.8]]), factor=0.3)
+        assert np.array_equal(transfer_matrix(ch), dephasing_transfer(0.3, [0, 0.6, 0.8]))
 
 
 class TestApplyLocal:

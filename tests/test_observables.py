@@ -54,6 +54,37 @@ class TestMakeObservable:
         with pytest.raises(ZeroDirection):
             make_observable(0.0, 0.5, (0, 0, 0))
 
+    @pytest.mark.parametrize("direction", [
+        (math.nan, 0, 1), (math.inf, 0, 0), (-math.inf, math.inf, 0), (math.nan, math.inf, 0),
+    ])
+    def test_non_finite_direction_rejected(self, direction):
+        with pytest.raises(ConstraintViolation, match="finite"):
+            make_observable(0.0, 0.5, direction)
+
+    @pytest.mark.parametrize("direction", [
+        [0, 3, 4],
+        (0.0, 3.0, 4.0),
+        np.array([0, 3, 4]),
+        np.array([[0.0, 3.0, 4.0]]),
+        np.array([[0.0], [3.0], [4.0]]),
+    ], ids=["int-list", "tuple", "int-array", "row", "column"])
+    def test_direction_inputs_accepted(self, direction):
+        obs = make_observable(0.1, 0.5, direction)
+        assert obs.direction.shape == (3,) and obs.direction.dtype == np.float64
+        assert np.array_equal(obs.direction, [0.0, 0.6, 0.8])
+        assert not obs.direction.flags.writeable
+
+    @pytest.mark.parametrize("direction", [(1, 0), (1, 0, 0, 0), np.eye(3)])
+    def test_direction_of_wrong_length_rejected(self, direction):
+        with pytest.raises(ValueError):
+            make_observable(0.0, 0.5, direction)
+
+    def test_random_directions_are_unit(self):
+        rng = np.random.default_rng(5)
+        for _ in range(1000):
+            obs = make_observable(0.0, 0.5, rng.normal(size=3) * 10.0 ** rng.uniform(-6, 6))
+            assert np.linalg.norm(obs.direction) == pytest.approx(1.0, abs=1e-15)
+
     @pytest.mark.parametrize("bias", [-0.3, 0.3])
     def test_strength_within_tolerance_of_constraint_lowered(self, bias):
         # S + |B| = 1 + 9e-13 is accepted; kept as given, the reversibility's
