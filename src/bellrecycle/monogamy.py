@@ -13,7 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
+# `scipy.optimize` loads on first use (see optimizer.py); keep this import
+# at top level so `scipy` is in `sys.modules` once the package is imported.
+import scipy
 
 from .bell import S_MAX, MeasurementPair, chsh_value, horodecki_sstar
 from .errors import DomainError, PreconditionViolation
@@ -174,4 +176,4 @@ def max_exponent_d() -> float:
     def residual(d: float) -> float:
         return S_MAX ** d + 2.0 ** (-d / 2.0) - 2.0 ** (d + 1.0)
 
-    return brentq(residual, 1.0, 3.0, xtol=1e-15)
+    return scipy.optimize.brentq(residual, 1.0, 3.0, xtol=1e-15)

@@ -63,9 +63,11 @@ def make_observable(bias: float, strength: float, direction) -> Observable:
     strength + |bias| exceeds 1, and ZeroDirection if a nonzero-strength
     observable comes with a vanishing direction.  Within CONSTRUCTION_TOL of
     the constraints, bias is clamped to [-1, 1] and strength to [0, 1 - |bias|].
-    A zero-strength observable gets the canonical direction (0, 0, 1).
-    Otherwise the direction must hold three finite numbers, in any shape
-    that reshapes to (3,); a non-finite component raises ConstraintViolation.
+    At every strength the direction must hold three finite numbers, in any
+    shape that reshapes to (3,): other shapes and non-numeric input raise
+    ValueError, a non-finite component raises ConstraintViolation.  A
+    zero-strength observable then gets the canonical direction (0, 0, 1),
+    whatever the direction given; a zero vector is legal only there.
     """
     bias = float(bias)
     strength = float(strength)
@@ -80,16 +82,16 @@ def make_observable(bias: float, strength: float, direction) -> Observable:
     bias = min(max(bias, -1.0), 1.0)
     strength = min(max(strength, 0.0), 1.0 - abs(bias))
 
+    x, y, z = np.asarray(direction, dtype=float).reshape(3).tolist()
+    # hypot is inf if any component is, and nan if one is nan and none is inf
+    norm = math.hypot(x, y, z)
+    if not math.isfinite(norm):
+        raise ConstraintViolation(f"direction {[x, y, z]} has no finite norm")
     if strength == 0.0:
         vec = np.array(_ZERO_STRENGTH_DIRECTION)
+    elif norm < CONSTRUCTION_TOL:
+        raise ZeroDirection("direction has (near-)zero norm at positive strength")
     else:
-        x, y, z = np.asarray(direction, dtype=float).reshape(3).tolist()
-        # hypot is inf if any component is, and nan if one is nan and none is inf
-        norm = math.hypot(x, y, z)
-        if not math.isfinite(norm):
-            raise ConstraintViolation(f"direction {[x, y, z]} has no finite norm")
-        if norm < CONSTRUCTION_TOL:
-            raise ZeroDirection("direction has (near-)zero norm at positive strength")
         vec = np.array((x / norm, y / norm, z / norm))
     return Observable(bias=bias, strength=strength, direction=vec)
 

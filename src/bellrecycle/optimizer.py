@@ -27,13 +27,19 @@ from column 0 and `boundary_point` searches the box.
 
 from __future__ import annotations
 
+import concurrent.futures
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize
+# Top-level `import scipy` on purpose: scipy and the stdlib load
+# `scipy.optimize` and `concurrent.futures.ProcessPoolExecutor` on first
+# attribute access, so importing the package pulls in neither (~0.5 s,
+# ~45 MB), while `scipy` stays in `sys.modules`.  perfbench/worker.py reads
+# scipy's version from there before any workload runs; with the imports
+# moved into their functions every benchmark run fails with KeyError: 'scipy'.
+import scipy
 
 from .bell import S_MAX, MeasurementPair, schmidt_tensors, sequential_chsh_batch
 from .errors import BudgetTooSmall, DomainError, LengthMismatch
@@ -392,7 +398,7 @@ def _slsqp_polish(evaluator, x0, lo, hi, target, allowance):
                 raise StopIteration
 
     try:
-        res = minimize(
+        res = scipy.optimize.minimize(
             lambda v: -memo.value(v)[1],
             x0,
             jac=lambda v: -memo.gradient(v)[1],
@@ -488,6 +494,6 @@ def boundary_curve(
         _check_target(g)
     tasks = [(g, mode, budget, seed) for g in grid]
     if workers and workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_point_task, tasks))
     return [_point_task(t) for t in tasks]

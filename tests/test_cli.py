@@ -298,6 +298,13 @@ class TestScenarioCommand:
         config = json.dumps(dict(self.CONFIG, alice=alice))
         assert "finite" in assert_fails(["scenario", "--config", config], 2, capsys)
 
+    @pytest.mark.parametrize("direction", [[1, 2], "abc", [math.nan, 0, 0]],
+                             ids=["short", "text", "nan"])
+    def test_bad_direction_at_zero_strength_exit_2(self, direction, capsys):
+        alice = [{"strength": 0, "direction": direction}, self.CONFIG["alice"][1]]
+        config = json.dumps(dict(self.CONFIG, alice=alice))
+        assert_fails(["scenario", "--config", config], 2, capsys)
+
     def test_weak_pointer_requires_quality(self):
         config = dict(self.CONFIG)
         config["kind"] = "weak-pointer"

@@ -239,6 +239,11 @@ class TestMaxExponent:
     def test_value_in_reported_range(self):
         assert 1.75 <= max_exponent_d() <= 1.76
 
+    def test_value_pinned(self):
+        # Brent's method at xtol 1e-15 on [1, 3]; any change of root finder,
+        # bracket or tolerance shows here first
+        assert max_exponent_d() == 1.7582928432132752
+
     def test_residual(self):
         d = max_exponent_d()
         residual = (2 * ROOT2) ** d + 2 ** (-d / 2) - 2 ** (d + 1)

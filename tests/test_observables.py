@@ -54,6 +54,23 @@ class TestMakeObservable:
         with pytest.raises(ZeroDirection):
             make_observable(0.0, 0.5, (0, 0, 0))
 
+    @pytest.mark.parametrize("direction", [(0, 0, 0), np.array([[0.0], [0.0], [0.0]])],
+                             ids=["tuple", "column"])
+    def test_zero_direction_accepted_at_zero_strength(self, direction):
+        obs = make_observable(0.2, 0.0, direction)
+        assert np.array_equal(obs.direction, [0, 0, 1])
+
+    @pytest.mark.parametrize("direction", [(1, 2), (1, 0, 0, 0), "abc"],
+                             ids=["short", "long", "text"])
+    def test_unparseable_direction_rejected_at_zero_strength(self, direction):
+        with pytest.raises(ValueError):
+            make_observable(0.2, 0.0, direction)
+
+    @pytest.mark.parametrize("direction", [(math.nan, 0, 0), (0, -math.inf, 0)], ids=["nan", "inf"])
+    def test_non_finite_direction_rejected_at_zero_strength(self, direction):
+        with pytest.raises(ConstraintViolation, match="finite"):
+            make_observable(0.2, 0.0, direction)
+
     @pytest.mark.parametrize("direction", [
         (math.nan, 0, 1), (math.inf, 0, 0), (-math.inf, math.inf, 0), (math.nan, math.inf, 0),
     ])
