@@ -8,12 +8,10 @@ Subcommands:
   scenario  one-shot evaluation of a JSON-described recycling scenario
 
 All floating-point output is printed with 12 significant digits and every
-command is deterministic given --seed, so reruns under the same BLAS thread
-settings (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS) produce byte-identical
-files; the SLSQP polish of `curve` calls BLAS and may move in its last bits
-with the thread count.  Exit codes: 0 success, 2 invalid configuration,
-3 infeasible schedule, 4 audit violation.  Every failure prints one `error:`
-line to stderr.  An --out directory that does not exist is rejected before
+command is deterministic given --seed, so reruns produce byte-identical
+files.  Exit codes: 0 success, 2 invalid configuration, 3 infeasible
+schedule, 4 audit violation.  Every failure prints one `error:` line to
+stderr.  An --out directory that does not exist is rejected before
 any work runs, and a scenario's `quality` is accepted only with weak-pointer.
 """
 
@@ -278,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma list '0.5,1.0' or inclusive range 'start:stop:step'")
     curve.add_argument("--mode", default="unbiased-singlet", choices=list(_MODES))
     curve.add_argument("--budget", type=int, default=200_000,
-                       help="evaluations per grid point, DE and SLSQP polish together "
+                       help="evaluations per grid point, DE and polish together "
                             "(default 200000)")
     curve.add_argument("--seed", type=int, default=0)
     curve.add_argument("--threads", type=int, default=1,

@@ -13,10 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-# `scipy.optimize` loads on first use (see optimizer.py); keep this import
-# at top level so `scipy` is in `sys.modules` once the package is imported.
-import scipy
-
 from .bell import S_MAX, MeasurementPair, chsh_value, horodecki_sstar
 from .errors import DomainError, PreconditionViolation
 from .instruments import SQUARE_ROOT, MeasurementKind, setting_channel
@@ -167,13 +163,14 @@ def region3_curve(s: float) -> float:
 
 
 def max_exponent_d() -> float:
-    """Largest exponent d with (2v2)^d + (1/v2)^d = 2^(d+1), by Brent's method.
+    """Largest exponent d with (2v2)^d + (1/v2)^d = 2^(d+1), in closed form.
 
     Bounds how far the additive monogamy relation can be strengthened to a
-    d-th-power form; evaluates to about 1.758.  The residual changes sign
-    once on [1, 3].
+    d-th-power form; evaluates to about 1.758.  With x = 2^(d/2) the
+    equation is (x - 1)(x^3 - x^2 - x - 1) = 0, so x is the tribonacci
+    constant (1 + cbrt(19 + 3 sqrt 33) + cbrt(19 - 3 sqrt 33)) / 3 and
+    d = 2 log2(x).
     """
-    def residual(d: float) -> float:
-        return S_MAX ** d + 2.0 ** (-d / 2.0) - 2.0 ** (d + 1.0)
-
-    return scipy.optimize.brentq(residual, 1.0, 3.0, xtol=1e-15)
+    root33 = 3.0 * math.sqrt(33.0)
+    tribonacci = (1.0 + (19.0 + root33) ** (1.0 / 3.0) + (19.0 - root33) ** (1.0 / 3.0)) / 3.0
+    return 2.0 * math.log2(tribonacci)

@@ -83,10 +83,15 @@ def make_observable(bias: float, strength: float, direction) -> Observable:
     strength = min(max(strength, 0.0), 1.0 - abs(bias))
 
     x, y, z = np.asarray(direction, dtype=float).reshape(3).tolist()
-    # hypot is inf if any component is, and nan if one is nan and none is inf
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+        raise ConstraintViolation(f"direction {[x, y, z]} is not finite")
     norm = math.hypot(x, y, z)
-    if not math.isfinite(norm):
-        raise ConstraintViolation(f"direction {[x, y, z]} has no finite norm")
+    if math.isinf(norm):
+        # finite components whose norm overflows: scale to a largest
+        # |component| of 1 first, as bell._scaled does
+        m = max(abs(x), abs(y), abs(z))
+        x, y, z = x / m, y / m, z / m
+        norm = math.hypot(x, y, z)
     if strength == 0.0:
         vec = np.array(_ZERO_STRENGTH_DIRECTION)
     elif norm < CONSTRUCTION_TOL:

@@ -6,16 +6,21 @@ the search; the equality constraint |S(A1,B1)| = s enters through an
 adaptive penalty that starts at 10 and doubles every 50 generations while
 the incumbent is infeasible.  Four independent seeded restarts advance in
 lockstep, one batched evaluation per generation, on nine tenths of the
-budget.  Each restart's best is then finished with an SLSQP polish of the
-constrained problem on its share of the rest: every point is evaluated once,
-each gradient (the point and its forward-difference rows) is one evaluator
-call that serves the objective and the constraint, and a restart stops once
-its iterate has been feasible for five iterations without S* gaining more
-than 1e-13, or before a call would overrun its share.  The best feasible
-point wins, and `evaluations` never exceeds the budget.  Identical (mode, s,
-budget, seed) inputs give bit-identical results under the same BLAS thread
-settings (the polish calls BLAS through scipy; everything before it does not
-depend on them).
+budget.  Their bests are then finished, again in lockstep, by an SQP polish
+in plain numpy, each restart on a quarter of the rest.  The polish works in
+coordinates u with x = lo + (hi - lo) sin^2 u, which remove the box and
+smooth S*'s square-root edge at unit strength.  Each step takes the
+forward-difference gradients of every live restart in one evaluator call,
+solves their KKT systems in one batched solve, runs SLSQP's line search on
+the l1 merit (one evaluator call per round, and one second-order correction
+of a rejected full step) and puts each accepted point back on the
+constraint with one restoration row; a damped BFGS update then refines each
+restart's Hessian.  A restart stops once its iterate has been
+within 1e-12 of the target for five steps without S* gaining more than
+1e-13, or before a call would overrun its share.  The best point within
+1e-12 of the target wins (the best feasible one if there is none), and
+`evaluations` never exceeds the budget.  Identical (mode, s, budget, seed)
+inputs give bit-identical results.
 
 Each search mode is one `SearchMode` declaration: its tag, its box bounds
 and its decoder, which maps a parameter block to the state and settings it
@@ -33,12 +38,10 @@ from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
-# Top-level `import scipy` on purpose: scipy and the stdlib load
-# `scipy.optimize` and `concurrent.futures.ProcessPoolExecutor` on first
-# attribute access, so importing the package pulls in neither (~0.5 s,
-# ~45 MB), while `scipy` stays in `sys.modules`.  perfbench/worker.py reads
-# scipy's version from there before any workload runs; with the imports
-# moved into their functions every benchmark run fails with KeyError: 'scipy'.
+# The package uses nothing from scipy.  This import's only reason is that
+# perfbench/worker.py reads scipy's version from `sys.modules` before any
+# workload runs; without it every benchmark run fails with KeyError: 'scipy'.
+# scipy's top-level package loads no submodule, so it costs little.
 import scipy
 
 from .bell import S_MAX, MeasurementPair, schmidt_tensors, sequential_chsh_batch
@@ -58,14 +61,16 @@ _FEASIBILITY_TOL = 1e-4
 _MIN_BUDGET = 10_000
 # the polish gets budget // _POLISH_PART of the evaluations, DE the rest
 _POLISH_PART = 10
-# SLSQP's own default finite-difference step, sqrt(machine epsilon)
+# the forward-difference step, sqrt(machine epsilon)
 _FD_STEP = math.sqrt(np.finfo(float).eps)
 # a polish stops after _FLOOR_ITERATIONS feasible iterates (|S1| within
 # _FLOOR_MISS of the target) without S* gaining more than _FLOOR_GAIN:
-# S*'s rounding floor is ~6e-16, and SLSQP's ftol alone lets it wander there
+# S*'s rounding floor is ~6e-16, and the iterates would wander there
 _FLOOR_ITERATIONS = 5
 _FLOOR_MISS = 1e-12
 _FLOOR_GAIN = 1e-13
+# SLSQP's line search: ten rounds, and an eleventh trial taken regardless
+_LINE_SEARCH_ROUNDS = 11
 
 
 @dataclass(frozen=True)
@@ -319,102 +324,171 @@ def _de_lockstep(evaluator, lo, hi, target, budget, rngs):
     return X[np.arange(k), np.argmax(fit, axis=1)]
 
 
-class _Exhausted(Exception):
-    """A polish's next evaluator call would overrun its share of the budget."""
+def _gradients(evaluator, X, hi, F=None):
+    """(S1, S2*) values and forward-difference gradients at the rows of X.
 
-
-class _PolishMemo:
-    """(S1, S2*) and forward-difference gradients of the points a polish visits.
-
-    Points are clipped into the box and keyed on their bytes, and every row
-    is evaluated once.  A gradient is one evaluator call: the point itself,
-    unless already known, and its d stencil rows, each stepped inward at
-    `hi`.  A call that would take the rows evaluated past `allowance` raises
-    `_Exhausted` instead.
+    X is a (k, d) block.  One evaluator call takes every row's d stencil
+    points, each stepped by `_FD_STEP` and inward at `hi`, and the rows
+    themselves unless their (k, 2) values F are given.  Returns F and the
+    (k, 2, d) gradients of S1 and S2*.
     """
-
-    def __init__(self, evaluator, lo, hi, allowance):
-        self.evaluator, self.lo, self.hi = evaluator, lo, hi
-        self.allowance = allowance
-        self.rows = 0
-        self.values = {}
-        self.grads = {}
-
-    def _fill(self, points) -> list[bytes]:
-        """Evaluate the points' memo misses in one evaluator call; return their keys."""
-        keys, new = [], {}
-        for v in points:
-            key = v.tobytes()
-            keys.append(key)
-            if key not in self.values:
-                new[key] = v
-        if new:
-            if self.rows + len(new) > self.allowance:
-                raise _Exhausted
-            self.rows += len(new)
-            s1, ss = self.evaluator(np.stack(list(new.values())))
-            self.values.update(zip(new, zip(s1.tolist(), ss.tolist())))
-        return keys
-
-    def value(self, v) -> tuple[float, float]:
-        return self.values[self._fill([np.clip(v, self.lo, self.hi)])[0]]
-
-    def gradient(self, v) -> tuple[np.ndarray, np.ndarray]:
-        """(dS1, dS2*) at v."""
-        v = np.clip(v, self.lo, self.hi)
-        key = v.tobytes()
-        if key not in self.grads:
-            stencil = v + np.diag(np.where(v + _FD_STEP > self.hi, -_FD_STEP, _FD_STEP))
-            f = np.array([self.values[k] for k in self._fill([v, *stencil])])
-            g = (f[1:] - f[0]) / (np.diagonal(stencil) - v)[:, None]
-            self.grads[key] = (g[:, 0], g[:, 1])
-        return self.grads[key]
+    k, d = X.shape
+    step = np.where(X + _FD_STEP > hi, -_FD_STEP, _FD_STEP)
+    rows = (X[:, None, :] + np.eye(d) * step[:, None, :]).reshape(k * d, d)
+    if F is None:
+        rows = np.concatenate([X, rows])
+    values = np.stack(evaluator(rows), axis=-1)
+    if F is None:
+        F, values = values[:k], values[k:]
+    G = (values.reshape(k, d, 2) - F[:, None, :]) / ((X + step) - X)[:, :, None]
+    return F, G.transpose(0, 2, 1)
 
 
-def _slsqp_polish(evaluator, x0, lo, hi, target, allowance):
-    """SLSQP refinement of x0 on |S1| = target within `allowance` evaluations.
+def _dot(u, v):
+    """Row-wise inner products of two (k, d) blocks."""
+    return (u * v).sum(axis=1)
 
-    Returns [(x, S1, S2*)] for x0 and for the polished point.  The objective,
-    the constraint and their gradients read one `_PolishMemo`.  The polish
-    stops at S*'s rounding floor (see `_FLOOR_ITERATIONS`), or before a call
-    that would overrun `allowance`, at its last iterate.
+
+def _polish(evaluator, X0, lo, hi, target, allowance):
+    """SQP refinement of every row of X0 on |S1| = target, in lockstep.
+
+    The restarts move in coordinates u with x = lo + (hi - lo) sin^2 u: the
+    box is gone, and S2*'s square-root edge at unit strength is smooth.  The
+    BFGS model starts as the identity in x.  Each step is one evaluator call
+    for the gradients of every live restart, one KKT solve for all of them,
+    a line search of one call per round and one restoration row per restart.
+    A restart stops at S*'s rounding floor (see `_FLOOR_ITERATIONS`), when
+    its line search cannot move, or before a call would take it past
+    `allowance` evaluations.  Rows do not interact, so a restart's result
+    does not depend on the others.
+
+    Returns [(x, S1, S2*)] for every start and, for every restart, its best
+    iterate within `_FLOOR_MISS` of the target, or its last iterate if none.
     """
-    memo = _PolishMemo(evaluator, lo, hi, allowance)
-    sign = 1.0 if memo.value(x0)[0] >= 0.0 or target == 0.0 else -1.0
-    last, best, stalled = x0, -math.inf, 0
+    k, d = X0.shape
+    width = hi - lo
 
-    def at_floor(intermediate_result):
-        nonlocal last, best, stalled
-        x = np.clip(intermediate_result.x, lo, hi)
-        s1, ss = memo.value(x)
-        last = x
-        if abs(abs(s1) - target) > _FLOOR_MISS:
-            best, stalled = -math.inf, 0
-        elif ss > best + _FLOOR_GAIN:
-            best, stalled = ss, 0
-        else:
-            stalled += 1
-            if stalled == _FLOOR_ITERATIONS:
-                raise StopIteration
+    def box(U):
+        return lo + width * np.sin(U) ** 2
 
-    try:
-        res = scipy.optimize.minimize(
-            lambda v: -memo.value(v)[1],
-            x0,
-            jac=lambda v: -memo.gradient(v)[1],
-            method="SLSQP",
-            bounds=list(zip(lo, hi)),
-            constraints=[{"type": "eq",
-                          "fun": lambda v: memo.value(v)[0] - sign * target,
-                          "jac": lambda v: memo.gradient(v)[0]}],
-            options={"maxiter": 400, "ftol": 1e-14},
-            callback=at_floor,
-        )
-        x = np.clip(res.x, lo, hi)
-        polished = memo.value(x)
-    except _Exhausted:
-        x, polished = last, memo.value(last)
-    return [(x0, *memo.value(x0)), (x, *polished)]
+    def dxdu(U):
+        return width * np.sin(2.0 * U)
+
+    F, G = _gradients(evaluator, X0, hi)
+    spent = np.full(k, d + 1)
+    candidates = [(x, *f) for x, f in zip(X0, F.tolist())]
+    goal = np.where((F[:, 0] >= 0.0) | (target == 0.0), target, -target)
+    X, U = X0.copy(), np.arcsin(np.sqrt((X0 - lo) / width))
+    G *= dxdu(U)[:, None, :]
+    B = np.eye(d) * (dxdu(U) ** 2)[:, None, :]
+    nu = np.zeros(k)
+    best = np.full(k, -math.inf)
+    stalled = np.zeros(k, dtype=int)
+    kept_x, kept_f = X0.copy(), F.copy()
+    kept = np.zeros(k, dtype=bool)
+    live = np.ones(k, dtype=bool)
+
+    while live.any():
+        i = np.flatnonzero(live)
+        u, x, f, g, n = U[i], X[i], F[i], G[i], i.size
+        c = f[:, 0] - goal[i]
+        a, grad = g[:, 0], -g[:, 1]
+        # the equality-constrained QP step of every restart in one solve
+        K = np.zeros((n, d + 1, d + 1))
+        K[:, :d, :d] = B[i]
+        K[:, :d, d] = K[:, d, :d] = a
+        rhs = np.concatenate([-grad, -c[:, None]], axis=1)
+        sol = np.linalg.solve(K, rhs[:, :, None])[:, :, 0]
+        p, mu = sol[:, :d], sol[:, d]
+        nu[i] = np.maximum(np.abs(mu), 0.5 * (nu[i] + np.abs(mu)))
+        merit = -f[:, 1] + nu[i] * np.abs(c)
+        descent = _dot(grad, p) - nu[i] * np.abs(c)
+
+        # SLSQP's line search on the l1 merit, one evaluator call per round:
+        # accept at a tenth of the predicted decrease; after the full step's
+        # first rejection try it once with a second-order correction (a
+        # Newton step on the constraint at the trial's miss), then shrink
+        # the step by the quadratic interpolant's factor (at least 0.1); take
+        # the last round's trial regardless
+        aa = _dot(a, a)
+        alpha = np.ones(n)
+        new_u, new_x, new_f = u.copy(), x.copy(), f.copy()
+        moved = np.zeros(n, dtype=bool)
+        corrected = np.zeros(n, dtype=bool)
+        pending = np.flatnonzero(descent < 0.0)
+        tu = u[pending] + p[pending]
+        for last in range(_LINE_SEARCH_ROUNDS, 0, -1):
+            trial = box(tu)
+            keep = (trial != x[pending]).any(axis=1) & (spent[i[pending]] < allowance)
+            pending, tu, trial = pending[keep], tu[keep], trial[keep]
+            if not pending.size:
+                break
+            s1, ss = evaluator(trial)
+            spent[i[pending]] += 1
+            miss = s1 - goal[i[pending]]
+            drop = -ss + nu[i[pending]] * np.abs(miss) - merit[pending]
+            predicted = alpha[pending] * descent[pending]
+            ok = (drop <= 0.1 * predicted) | (last == 1)
+            j = pending[ok]
+            new_u[j], new_x[j], moved[j] = tu[ok], trial[ok], True
+            new_f[j, 0], new_f[j, 1] = s1[ok], ss[ok]
+            pending, drop, predicted, miss = pending[~ok], drop[~ok], predicted[~ok], miss[~ok]
+            soc = ~corrected[pending]
+            corrected[pending] = True
+            back = pending[~soc]
+            alpha[back] *= np.maximum(predicted[~soc] / (2.0 * (predicted[~soc] - drop[~soc])), 0.1)
+            tu = u[pending] + alpha[pending, None] * p[pending]
+            tu[soc] -= a[pending[soc]] * (miss[soc] / aa[pending[soc]])[:, None]
+        live[i[~moved]] = False
+
+        # one restoration row per restart: a Newton step on the constraint
+        # along its gradient, kept if it lowers the miss
+        c = new_f[:, 0] - goal[i]
+        fix = np.flatnonzero(moved & (np.abs(c) > _FLOOR_MISS) & (spent[i] < allowance))
+        tu = new_u[fix] - a[fix] * (c[fix] / aa[fix])[:, None]
+        trial = box(tu)
+        keep = (trial != new_x[fix]).any(axis=1)
+        fix, tu, trial = fix[keep], tu[keep], trial[keep]
+        if fix.size:
+            s1, ss = evaluator(trial)
+            spent[i[fix]] += 1
+            ok = np.abs(s1 - goal[i[fix]]) < np.abs(c[fix])
+            j = fix[ok]
+            new_u[j], new_x[j], new_f[j, 0], new_f[j, 1] = tu[ok], trial[ok], s1[ok], ss[ok]
+        U[i], X[i], F[i] = new_u, new_x, new_f
+
+        # S*'s rounding floor, see _FLOOR_ITERATIONS; the best iterate on the
+        # constraint is kept
+        feasible = np.abs(np.abs(new_f[:, 0]) - target) <= _FLOOR_MISS
+        gain = feasible & (new_f[:, 1] > best[i] + _FLOOR_GAIN)
+        stalled[i] = np.where(feasible & ~gain, stalled[i] + 1, 0)
+        best[i] = np.where(gain, new_f[:, 1], np.where(feasible, best[i], -math.inf))
+        live[i[stalled[i] == _FLOOR_ITERATIONS]] = False
+        better = feasible & (~kept[i] | (new_f[:, 1] > kept_f[i, 1]))
+        j = i[better]
+        kept_x[j], kept_f[j], kept[j] = new_x[better], new_f[better], True
+
+        # gradients at the new iterates, then a damped BFGS update of the
+        # Lagrangian's Hessian
+        live &= spent + d <= allowance
+        m = np.flatnonzero(live)
+        if not m.size:
+            break
+        old = np.searchsorted(i, m)
+        _, G[m] = _gradients(evaluator, X[m], hi, F[m])
+        spent[m] += d
+        G[m] *= dxdu(U[m])[:, None, :]
+        s = U[m] - u[old]
+        y = g[old, 1] - G[m, 1] + mu[old, None] * (G[m, 0] - g[old, 0])
+        Bs = (B[m] * s[:, None, :]).sum(axis=2)
+        sBs, sy = _dot(s, Bs), _dot(s, y)
+        # Powell's damping: theta is 1 unless sy < 0.2 sBs
+        theta = 0.8 * sBs / np.maximum(sBs - sy, 0.8 * sBs)
+        r = theta[:, None] * y + (1.0 - theta)[:, None] * Bs
+        B[m] += (r[:, :, None] * r[:, None, :] / _dot(s, r)[:, None, None]
+                 - Bs[:, :, None] * Bs[:, None, :] / sBs[:, None, None])
+    X, F = np.where(kept[:, None], kept_x, X), np.where(kept[:, None], kept_f, F)
+    return candidates + [(x, *f) for x, f in zip(X, F.tolist())]
 
 
 def _check_target(s: float) -> None:
@@ -431,11 +505,11 @@ def boundary_point(
     """Best found S2* subject to |S(A1,B1)| = s.
 
     Nine tenths of the budget go to four independent restarts, run in
-    lockstep; every restart's best is then refined by an SLSQP polish, and
-    the polishes share what DE left, restart by restart, so `evaluations`
-    never exceeds `budget`.  Results are deterministic in (mode, s, budget,
-    seed) under the same BLAS thread settings; the polish calls BLAS and may
-    move with the thread count.
+    lockstep; every restart's best is then refined by the lockstep SQP
+    polish on a quarter of what DE left, so `evaluations` never exceeds
+    `budget`.  Among the starts and the polished points, the best one within
+    1e-12 of s wins; without one, the best within 1e-4, else the nearest.
+    Results are deterministic in (mode, s, budget, seed).
     """
     _check_target(s)
     if budget < _MIN_BUDGET:
@@ -446,17 +520,16 @@ def boundary_point(
             for stream in np.random.SeedSequence(seed).spawn(_RESTARTS)]
     de_budget = budget - budget // _POLISH_PART
     starts = _de_lockstep(evaluator, lo, hi, s, de_budget // _RESTARTS, rngs)
-    candidates = []
-    for i, x0 in enumerate(starts):
-        share = (budget - evaluator.count) // (_RESTARTS - i)
-        candidates += _slsqp_polish(evaluator, x0, lo, hi, s, share)
+    candidates = _polish(evaluator, starts, lo, hi, s, (budget - evaluator.count) // _RESTARTS)
 
     best = None
     for x, s1, sstar in candidates:
         achieved = abs(s1)
         miss = abs(achieved - s)
         feasible = miss <= _FEASIBILITY_TOL
-        key = (feasible, sstar if feasible else -miss)
+        # a point on the constraint beats any merely feasible one, whose
+        # miss may buy it S* above the optimum
+        key = (miss <= _FLOOR_MISS, feasible, sstar if feasible else -miss)
         if best is None or key > best[0]:
             best = (key, x, achieved, sstar)
     _, x, achieved, sstar = best

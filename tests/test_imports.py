@@ -1,10 +1,10 @@
-"""Import cost: the package loads scipy.optimize and the process pool on first use.
+"""Import cost: the package never loads scipy.optimize, and loads the process pool on first use.
 
-`import bellrecycle` should cost numpy and scipy's top-level package only;
-`scipy.optimize` (~0.5 s, ~45 MB) loads at the first polish or root
-bracket, `multiprocessing` at the first `boundary_curve(..., workers > 1)`.
-Each check runs in a fresh interpreter, since this test process has long
-since loaded both.
+`import bellrecycle` should cost numpy and scipy's top-level package only.
+The optimizer's polish and `max_exponent_d` are plain numpy and math, so
+`scipy.optimize` (~0.5 s, ~40 MB) never loads; `multiprocessing` loads at
+the first `boundary_curve(..., workers > 1)`.  Each check runs in a fresh
+interpreter, since this test process has long since loaded both.
 """
 
 import json
@@ -61,12 +61,16 @@ def test_commands_without_an_optimizer_do_not_load_it(argv):
     assert "multiprocessing" not in loaded
 
 
-@pytest.mark.parametrize("code, module", [
+@pytest.mark.parametrize("code, module, loads", [
     ("from bellrecycle import UNBIASED_SINGLET, boundary_point\n"
-     "boundary_point(1.0, UNBIASED_SINGLET, budget=10_000, seed=0)", "scipy.optimize"),
-    ("from bellrecycle import max_exponent_d\nmax_exponent_d()", "scipy.optimize"),
+     "boundary_point(1.0, UNBIASED_SINGLET, budget=10_000, seed=0)", "scipy.optimize", False),
+    ("from bellrecycle import max_exponent_d\nmax_exponent_d()", "scipy.optimize", False),
+    ("from bellrecycle.cli import main\n"
+     "assert main(['curve', '--grid', '2.4', '--budget', '10000']) == 0", "scipy.optimize", False),
     ("from bellrecycle import boundary_curve\n"
-     "boundary_curve([1.0, 2.0], budget=10_000, workers=2)", "multiprocessing"),
-], ids=["boundary_point", "max_exponent_d", "boundary_curve-workers"])
-def test_first_use_loads_what_it_needs(code, module):
-    assert module in modules_after(code)
+     "boundary_curve([1.0, 2.0], budget=10_000, workers=2)", "multiprocessing", True),
+], ids=["boundary_point", "max_exponent_d", "curve", "boundary_curve-workers"])
+def test_first_use_loads_what_it_needs(code, module, loads):
+    loaded = modules_after(code)
+    assert (module in loaded) == loads
+    assert "scipy" in loaded

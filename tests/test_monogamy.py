@@ -240,9 +240,18 @@ class TestMaxExponent:
         assert 1.75 <= max_exponent_d() <= 1.76
 
     def test_value_pinned(self):
-        # Brent's method at xtol 1e-15 on [1, 3]; any change of root finder,
-        # bracket or tolerance shows here first
-        assert max_exponent_d() == 1.7582928432132752
+        # the closed form 2 log2(tribonacci constant); any change to how it
+        # is evaluated shows here first
+        assert max_exponent_d() == 1.758292843213276
+
+    def test_matches_high_precision_root(self):
+        # with x = 2^(d/2) the equation is (x - 1)(x^3 - x^2 - x - 1) = 0
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            x = mpmath.findroot(lambda t: t ** 3 - t ** 2 - t - 1, 1.8)
+            d = 2 * mpmath.log(x, 2)
+            assert abs((2 * mpmath.sqrt(2)) ** d + 2 ** (-d / 2) - 2 ** (d + 1)) < mpmath.mpf(10) ** -45
+            assert abs(d - max_exponent_d()) < 5e-16
 
     def test_residual(self):
         d = max_exponent_d()

@@ -12,6 +12,7 @@ from bellrecycle import (
     NegativeRadicand,
     Observable,
     ZeroDirection,
+    angle_between,
     decoherence,
     expectation,
     fidelity_bound,
@@ -90,6 +91,14 @@ class TestMakeObservable:
         assert obs.direction.shape == (3,) and obs.direction.dtype == np.float64
         assert np.array_equal(obs.direction, [0.0, 0.6, 0.8])
         assert not obs.direction.flags.writeable
+
+    def test_direction_with_overflowing_norm_accepted(self):
+        # the components are finite, though their Euclidean norm is not;
+        # bell.angle_between accepts the same vector
+        obs = make_observable(0.0, 0.5, (1.5e308, 1.5e308, 0))
+        np.testing.assert_allclose(obs.direction, [math.sqrt(0.5), math.sqrt(0.5), 0.0],
+                                   rtol=0, atol=1e-15)
+        assert angle_between(obs.direction, (1.5e308, 1.5e308, 0)) == 0.0
 
     @pytest.mark.parametrize("direction", [(1, 0), (1, 0, 0, 0), np.eye(3)])
     def test_direction_of_wrong_length_rejected(self, direction):
