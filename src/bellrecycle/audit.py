@@ -7,17 +7,20 @@ configuration of each relation is evaluated after the random samples, so a
 healthy audit reports zero violations and a near-zero worst margin.  The
 monogamy audits evaluate (|S1|, S2*) with `bell.sequential_chsh_batch`.
 
-The random samples are drawn and evaluated in chunks of `_CHUNK` rows, each
-from its own stream spawned from `SeedSequence(seed + offset)`, with a fixed
-offset per audit name; only a running worst margin, its configuration and
-the violation count outlive a chunk, so memory does not grow with the
-sample count.  Audits run independently and stay reproducible.
-
-The samplers write the kernel's component-major layout directly:
-directions are (3, n), rotations and correlation matrices (3, 3, n), with
+The random samples are drawn in chunks of `_CHUNK` (2^16) rows, each from
+its own stream spawned from `SeedSequence(seed + offset)`, with a fixed
+offset per audit name, and each chunk is evaluated in blocks of `_BLOCK`
+(2^12) rows.  A chunk makes all of its generator calls first, as (n, d)
+arrays; the transforms `_random_units`, `_orthogonal_partners`,
+`_random_rotations` and `_random_pure_state_tensors` then turn one block's
+slice of those draws into the kernel's component-major layout: directions
+(3, n), rotations and correlation matrices (3, 3, n), with
 T = Ra diag(s2, -s2, 1) Rb^T summed from outer products of the rotations'
-columns.  They make the same generator calls in the same order as an
-(n, 3) layout would, so the draws do not depend on the layout.
+columns.  Every row depends only on its own draws, and `_fold` keeps the
+first worst row, so the block size changes no report.  Only a chunk's
+draws, one block's temporaries, a running worst margin, its configuration
+and the violation count are held, so memory does not grow with the sample
+count.  Audits run independently and stay reproducible.
 """
 
 from __future__ import annotations
@@ -42,6 +45,8 @@ _SEED_OFFSETS = {
 
 # rows per chunk of random draws; each chunk has its own SeedSequence stream
 _CHUNK = 1 << 16
+# rows per block of a chunk that the kernel evaluates at once
+_BLOCK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -56,28 +61,28 @@ class AuditReport:
         return asdict(self)
 
 
-def _components(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
-    """n standard normal draws of dimension d as a component-major (d, n) array.
-
-    The draws are those of `rng.normal(size=(n, d))`, in the same order.
-    """
-    return np.ascontiguousarray(rng.normal(size=(n, d)).T)
-
-
 def _lengths(v: np.ndarray) -> np.ndarray:
     """Length of each column of a component-major (d, n) array."""
     return np.sqrt(sum(c * c for c in v))
 
 
-def _random_units(rng: np.random.Generator, n: int) -> np.ndarray:
-    """n uniform random unit vectors, shape (3, n)."""
-    v = _components(rng, n, 3)
+def _columns(g: np.ndarray) -> np.ndarray:
+    """Row-major (n, d) draws as a component-major (d, n) array."""
+    return np.ascontiguousarray(g.T)
+
+
+def _random_units(g: np.ndarray) -> np.ndarray:
+    """Uniform random unit vectors, shape (3, n), from (n, 3) standard normal draws."""
+    v = _columns(g)
     return v / _lengths(v)
 
 
-def _orthogonal_partners(rng: np.random.Generator, u: np.ndarray) -> np.ndarray:
-    """Random unit vectors orthogonal to each column of u, shape (3, n)."""
-    w = _components(rng, u.shape[1], 3)
+def _orthogonal_partners(g: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Random unit vectors orthogonal to each column of u, shape (3, n).
+
+    g holds (n, 3) standard normal draws; each is projected off its u.
+    """
+    w = _columns(g)
     w -= (w[0] * u[0] + w[1] * u[1] + w[2] * u[2]) * u
     norms = _lengths(w)
     # a collinear draw is measure-zero; fall back to a deterministic partner
@@ -90,12 +95,12 @@ def _orthogonal_partners(rng: np.random.Generator, u: np.ndarray) -> np.ndarray:
     return w / norms
 
 
-def _random_rotations(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Uniform random rotation matrices via normalised quaternions, shape (3, 3, n)."""
-    q = _components(rng, n, 4)
+def _random_rotations(g: np.ndarray) -> np.ndarray:
+    """Uniform random rotations, (3, 3, n), from (n, 4) normal draws taken as quaternions."""
+    q = _columns(g)
     q /= _lengths(q)
     w, x, y, z = q
-    R = np.empty((3, 3, n))
+    R = np.empty((3, 3, q.shape[1]))
     R[0, 0] = 1 - 2 * (y * y + z * z)
     R[0, 1] = 2 * (x * y - z * w)
     R[0, 2] = 2 * (x * z + y * w)
@@ -108,19 +113,19 @@ def _random_rotations(rng: np.random.Generator, n: int) -> np.ndarray:
     return R
 
 
-def _random_pure_state_tensors(rng: np.random.Generator, n: int) -> np.ndarray:
+def _random_pure_state_tensors(alpha: np.ndarray, qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
     """Correlation matrices of Haar-like random pure two-qubit states, (3, 3, n).
 
+    alpha holds n Schmidt angles drawn uniformly from [0, pi/4], and qa and
+    qb (n, 4) normal draws for the two rotations Ra and Rb.
     T = Ra diag(s2, -s2, 1) Rb^T = s2 (ra0 rb0^T - ra1 rb1^T) + ra2 rb2^T,
-    with ra_k and rb_k the columns of the two rotations.
+    with s2 = sin 2alpha and ra_k, rb_k the columns of the two rotations.
     """
-    # sin 2alpha of a Schmidt angle alpha in [0, pi/4]
-    s2 = np.sin(2 * rng.uniform(0.0, np.pi / 4, size=n))
-    Ra = _random_rotations(rng, n)
-    Rb = _random_rotations(rng, n)
+    Ra = _random_rotations(qa)
+    Rb = _random_rotations(qb)
     T = Ra[:, None, 0] * Rb[:, 0]
     T -= Ra[:, None, 1] * Rb[:, 1]
-    T *= s2
+    T *= np.sin(2 * alpha)
     T += Ra[:, None, 2] * Rb[:, 2]
     return T
 
@@ -150,20 +155,26 @@ def _chunk_rngs(name: str, samples: int, seed: int):
             for i, stream in enumerate(streams))
 
 
-def _fold(name: str, tol: float, chunks) -> AuditReport:
-    """One report from (margins, config of their argmin) per chunk.
+def _blocks(n: int):
+    """Slices of `_BLOCK` consecutive rows, the last one shorter, covering n rows."""
+    return (slice(i, i + _BLOCK) for i in range(0, n, _BLOCK))
+
+
+def _fold(name: str, tol: float, blocks) -> AuditReport:
+    """One report from (margins, config of their argmin) per block.
 
     Keeps the sample and violation counts and the first worst margin, with
-    its configuration, over all chunks.
+    its configuration, over all blocks: a later block must be strictly
+    worse to replace it, as `np.argmin` keeps the first of equal rows.
     """
     samples = violations = 0
     worst, config = math.inf, None
-    for margins, chunk_config in chunks:
+    for margins, block_config in blocks:
         samples += margins.size
         violations += int(np.count_nonzero(margins < -tol))
         low = margins.min(initial=math.inf)
         if low < worst:
-            worst, config = float(low), chunk_config
+            worst, config = float(low), block_config
     return AuditReport(name=name, samples=samples, worst_margin=worst,
                        violations=violations, worst_config=config)
 
@@ -175,24 +186,28 @@ def _monogamy_margins(bound, T, dirs, s):
     return margins, _config_dict(int(np.argmin(margins)), T, dirs, s)
 
 
-def _monogamy_chunk(rng, n: int, bound: float, orthogonal: bool, equal_strengths: bool):
-    T = _random_pure_state_tensors(rng, n)
-    # directions of x, x', y, y', drawn in the order x, y, x', y'
-    dirs = np.empty((4, 3, n))
-    dirs[0] = _random_units(rng, n)
-    dirs[2] = _random_units(rng, n)
-    if orthogonal:
-        dirs[1] = _orthogonal_partners(rng, dirs[0])
-        dirs[3] = _orthogonal_partners(rng, dirs[2])
-    else:
-        dirs[1] = _random_units(rng, n)
-        dirs[3] = _random_units(rng, n)
-    # strengths of x, x', y, y'
-    if equal_strengths:
-        s = np.repeat(rng.uniform(0, 1, (2, 1, n)), 2, axis=1).reshape(4, n)
-    else:
-        s = rng.uniform(0, 1, (4, n))
-    return _monogamy_margins(bound, T, dirs, s)
+def _monogamy_blocks(rng, n: int, bound: float, orthogonal: bool, equal_strengths: bool):
+    """(margins, worst config) of each block of one chunk of n random configurations.
+
+    The chunk's draws are all made first: Schmidt angles, two quaternions,
+    the directions x, y, x', y', then the strengths.
+    """
+    alpha = rng.uniform(0.0, np.pi / 4, size=n)
+    qa, qb = rng.normal(size=(n, 4)), rng.normal(size=(n, 4))
+    gx, gy, gxp, gyp = (rng.normal(size=(n, 3)) for _ in range(4))
+    # strengths of x, x', y, y', or one per side repeated for both settings
+    strengths = rng.uniform(0, 1, (2 if equal_strengths else 4, n))
+    for rows in _blocks(n):
+        T = _random_pure_state_tensors(alpha[rows], qa[rows], qb[rows])
+        x, y = _random_units(gx[rows]), _random_units(gy[rows])
+        if orthogonal:
+            xp, yp = _orthogonal_partners(gxp[rows], x), _orthogonal_partners(gyp[rows], y)
+        else:
+            xp, yp = _random_units(gxp[rows]), _random_units(gyp[rows])
+        s = strengths[:, rows]
+        if equal_strengths:
+            s = np.repeat(s, 2, axis=0)
+        yield _monogamy_margins(bound, T, np.stack([x, xp, y, yp]), s)
 
 
 def _saturating(name: str, bound: float):
@@ -212,9 +227,10 @@ def _saturating(name: str, bound: float):
 
 def _monogamy_audit(name: str, bound: float, samples: int, seed: int,
                     orthogonal: bool, equal_strengths: bool) -> AuditReport:
-    chunks = (_monogamy_chunk(rng, n, bound, orthogonal, equal_strengths)
-              for rng, n in _chunk_rngs(name, samples, seed))
-    return _fold(name, 1e-9, itertools.chain(chunks, [_saturating(name, bound)]))
+    blocks = itertools.chain.from_iterable(
+        _monogamy_blocks(rng, n, bound, orthogonal, equal_strengths)
+        for rng, n in _chunk_rngs(name, samples, seed))
+    return _fold(name, 1e-9, itertools.chain(blocks, [_saturating(name, bound)]))
 
 
 def audit_orthogonal_monogamy(samples: int = 100_000, seed: int = 1) -> AuditReport:
@@ -260,10 +276,12 @@ def _tradeoff_margins(s: np.ndarray, b: np.ndarray):
     return margins, {"bias": float(b[worst]), "strength": float(s[worst])}
 
 
-def _tradeoff_chunk(rng, n: int):
+def _tradeoff_blocks(rng, n: int):
+    """(margins, worst config) of each block of one chunk of n random observables."""
     s = rng.uniform(0, 1, n)
-    b = rng.uniform(-1, 1, n) * (1 - s)
-    return _tradeoff_margins(s, b)
+    u = rng.uniform(-1, 1, n)
+    for rows in _blocks(n):
+        yield _tradeoff_margins(s[rows], u[rows] * (1 - s[rows]))
 
 
 def audit_tradeoff_chain(samples: int = 100_000, seed: int = 1) -> AuditReport:
@@ -273,10 +291,11 @@ def audit_tradeoff_chain(samples: int = 100_000, seed: int = 1) -> AuditReport:
     R^2 + S^2 >= 3/4.
     """
     name = "tradeoff-chain"
-    chunks = (_tradeoff_chunk(rng, n) for rng, n in _chunk_rngs(name, samples, seed))
+    blocks = itertools.chain.from_iterable(
+        _tradeoff_blocks(rng, n) for rng, n in _chunk_rngs(name, samples, seed))
     # boundary families: projective, trivial and unbiased observables
     boundary = _tradeoff_margins(np.array([1.0, 0.0, 0.5]), np.array([0.0, 0.7, 0.0]))
-    return _fold(name, 1e-12, itertools.chain(chunks, [boundary]))
+    return _fold(name, 1e-12, itertools.chain(blocks, [boundary]))
 
 
 def run_all_audits(samples: int = 100_000, seed: int = 1) -> list[AuditReport]:

@@ -170,32 +170,6 @@ def _s1(AT, A, B, s, biases, a, b):
     return terms[0, 0] + terms[0, 1] + terms[1, 0] - terms[1, 1]
 
 
-def _first_pair(T, s, D, biases, a, b):
-    """S1 and K T L of `sequential_chsh_batch`, with D the (4, 3, n) directions.
-
-    Kept apart from `_sstar` so that its temporaries are freed before the
-    Horodecki step runs.
-    """
-    A, B = D[:2], D[2:]
-    AT = _sum3(lambda i: A[:, i, None] * T[i])
-    s1 = _s1(AT, A, B, s, biases, a, b)
-    if biases is None:
-        r = np.sqrt(np.clip(1 - s * s, 0, 1))
-    else:
-        r = 0.5 * np.sqrt(np.clip((1 + biases) ** 2 - s * s, 0, None)) + 0.5 * np.sqrt(
-            np.clip((1 - biases) ** 2 - s * s, 0, None)
-        )
-    c = 0.5 * (1 - r)
-    # K T = c0 T + c1 x (x^T T) + c2 x' (x'^T T), then (K T) v_l and K T L
-    # by the same rank-one update on the right; AT is dropped first, as the
-    # right update is the audits' memory peak
-    M = _add_outer(0.5 * (r[0] + r[1]) * T, c[:2], A, AT)
-    del AT
-    KTB = _sum3(lambda j: M[:, j] * B[:, None, j])
-    M *= 0.5 * (r[2] + r[3])
-    return s1, _add_outer(M, c[2:], KTB, B)
-
-
 def sequential_chsh_batch(T, s, dirs, biases=None, a=None, b=None):
     """Signed S(A1,B1) and S*(A2,B2) for a stack of square-root scenarios.
 
@@ -211,9 +185,26 @@ def sequential_chsh_batch(T, s, dirs, biases=None, a=None, b=None):
     settings.  M is built from rank-one updates, never from K or L:
     K T = c0 T + c1 x (x^T T) + c2 x' (x'^T T) reuses the x^T T rows of
     S1, and the same update on the right with (K T) y and (K T) y' gives M.
+    Rows are independent, so a stack may be evaluated in any split of its
+    rows with the same result; the audits pass blocks of 2^12 rows.
     """
-    s1, M = _first_pair(T, s, np.asarray(dirs, dtype=float), biases, a, b)
-    return s1, _sstar(M)
+    D = np.asarray(dirs, dtype=float)
+    A, B = D[:2], D[2:]
+    AT = _sum3(lambda i: A[:, i, None] * T[i])
+    s1 = _s1(AT, A, B, s, biases, a, b)
+    if biases is None:
+        r = np.sqrt(np.clip(1 - s * s, 0, 1))
+    else:
+        r = 0.5 * np.sqrt(np.clip((1 + biases) ** 2 - s * s, 0, None)) + 0.5 * np.sqrt(
+            np.clip((1 - biases) ** 2 - s * s, 0, None)
+        )
+    c = 0.5 * (1 - r)
+    # K T = c0 T + c1 x (x^T T) + c2 x' (x'^T T), then (K T) v_l and K T L
+    # by the same rank-one update on the right
+    M = _add_outer(0.5 * (r[0] + r[1]) * T, c[:2], A, AT)
+    KTB = _sum3(lambda j: M[:, j] * B[:, None, j])
+    M *= 0.5 * (r[2] + r[3])
+    return s1, _sstar(_add_outer(M, c[2:], KTB, B))
 
 
 def horodecki_sstar(T) -> float:

@@ -21,9 +21,9 @@ import argparse
 import csv
 import io
 import json
-import math
 import os
 import sys
+from decimal import Decimal, InvalidOperation
 
 import numpy as np
 
@@ -91,17 +91,30 @@ def _emit_csv(header: list[str], rows: list[list], path: str | None) -> None:
 
 
 def _parse_grid(spec: str) -> list[float]:
-    """Grid syntax: comma list '0.5,1.0' or range 'start:stop:step' (inclusive)."""
+    """Grid syntax: comma list '0.5,1.0' or range 'start:stop:step' (inclusive).
+
+    A range is built and counted in exact decimal arithmetic, so each point
+    is the float of its decimal value and prints as it was meant: 0:2.8:0.4
+    ends on 2.4 and 2.8, not 2.4000000000000004.
+    """
     spec = spec.strip()
     if ":" in spec:
         parts = spec.split(":")
         if len(parts) != 3:
             raise ValueError(f"range grid must be start:stop:step, got {spec!r}")
-        start, stop, step = (float(p) for p in parts)
+        try:
+            start, stop, step = (Decimal(p) for p in parts)
+        except InvalidOperation:
+            raise ValueError(f"range grid must be three numbers, got {spec!r}") from None
+        if not all(v.is_finite() for v in (start, stop, step)):
+            raise ValueError(f"range grid must be finite, got {spec!r}")
         if step <= 0:
             raise ValueError("grid step must be positive")
-        count = int(math.floor((stop - start) / step + 1e-12)) + 1
-        return [start + i * step for i in range(max(count, 0))]
+        try:
+            count = int((stop - start) // step) + 1 if stop >= start else 0
+        except InvalidOperation:
+            raise ValueError(f"range grid {spec!r} has too many points") from None
+        return [float(start + i * step) for i in range(count)]
     return [float(p) for p in spec.split(",") if p.strip()]
 
 

@@ -271,16 +271,28 @@ class _CountingEvaluator:
         return self.fn(P)
 
 
-def _trial(X, lo, hi, rng):
-    """One rand/1/bin trial population with reflecting bounds."""
-    pop, d = X.shape
-    r = rng.integers(0, pop, size=(3, pop))
-    mutant = X[r[0]] + _WEIGHT * (X[r[1]] - X[r[2]])
+def _trials(X, lo, hi, rngs):
+    """One rand/1/bin trial population per restart, with reflecting bounds.
+
+    X is the (k, pop, d) stack of populations.  Generator i makes restart
+    i's draws in a lone restart's order (donor indices, crossover uniforms,
+    forced crossover positions); the arithmetic then runs once over the stack.
+    """
+    k, pop, d = X.shape
+    r = np.empty((k, 3, pop), dtype=np.int64)
+    u = np.empty((k, pop, d))
+    forced = np.empty((k, pop), dtype=np.int64)
+    for i, rng in enumerate(rngs):
+        r[i] = rng.integers(0, pop, size=(3, pop))
+        rng.random(out=u[i])
+        forced[i] = rng.integers(0, d, pop)
+    rows = np.arange(k)[:, None]
+    mutant = X[rows, r[:, 0]] + _WEIGHT * (X[rows, r[:, 1]] - X[rows, r[:, 2]])
     mutant = np.where(mutant < lo, 2 * lo - mutant, mutant)
     mutant = np.where(mutant > hi, 2 * hi - mutant, mutant)
     mutant = np.clip(mutant, lo, hi)
-    cross = rng.random((pop, d)) < _CROSSOVER
-    cross[np.arange(pop), rng.integers(0, d, pop)] = True
+    cross = u < _CROSSOVER
+    cross[rows, np.arange(pop), forced] = True
     return np.where(cross, mutant, X)
 
 
@@ -309,7 +321,7 @@ def _de_lockstep(evaluator, lo, hi, target, budget, rngs):
     used = pop
     while used + pop <= budget:
         gen += 1
-        trial = np.stack([_trial(X[i], lo, hi, rng) for i, rng in enumerate(rngs)])
+        trial = _trials(X, lo, hi, rngs)
         t1, tss = evaluate(trial)
         used += pop
         improved = fitness(t1, tss, lam) >= fit

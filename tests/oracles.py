@@ -5,12 +5,19 @@ oracle maximises the CHSH functional directly on a grid of projective
 settings, the state oracle builds correlation tensors from explicit
 4-component state vectors, the dephasing oracle builds a transfer matrix
 from numpy's identity and outer product, and the maximisers locate function
-maxima by dense grids plus local refinement.
+maxima by dense grids plus local refinement.  The whole-chunk audit
+sampler draws and evaluates each chunk of random configurations at once,
+with no blocks, as the audits did before they were split into blocks.
 """
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
+
+from bellrecycle import audit
+from bellrecycle.monogamy import EQUAL_STRENGTH_MONOGAMY_BOUND, ORTHOGONAL_MONOGAMY_BOUND
 
 _PAULI = (
     np.eye(2, dtype=complex),
@@ -76,3 +83,113 @@ def grid_refine_max(fn, lo, hi, coarse: int = 401, refine_rounds: int = 30):
         cx, cy, best = xs[i], ys[j], vals[i, j]
         span *= 0.35
     return best, (cx, cy)
+
+
+def _components(rng, n: int, d: int) -> np.ndarray:
+    return np.ascontiguousarray(rng.normal(size=(n, d)).T)
+
+
+def _lengths(v: np.ndarray) -> np.ndarray:
+    return np.sqrt(sum(c * c for c in v))
+
+
+def _random_units(rng, n: int) -> np.ndarray:
+    v = _components(rng, n, 3)
+    return v / _lengths(v)
+
+
+def _orthogonal_partners(rng, u: np.ndarray) -> np.ndarray:
+    w = _components(rng, u.shape[1], 3)
+    w -= (w[0] * u[0] + w[1] * u[1] + w[2] * u[2]) * u
+    norms = _lengths(w)
+    bad = norms < 1e-12
+    if np.any(bad):
+        ub = u[:, bad]
+        axis = np.where(np.abs(ub[0]) < 0.9, [[1.0], [0.0], [0.0]], [[0.0], [1.0], [0.0]])
+        w[:, bad] = np.cross(ub, axis, axis=0)
+        norms = _lengths(w)
+    return w / norms
+
+
+def _random_rotations(rng, n: int) -> np.ndarray:
+    q = _components(rng, n, 4)
+    q /= _lengths(q)
+    w, x, y, z = q
+    R = np.empty((3, 3, n))
+    R[0, 0] = 1 - 2 * (y * y + z * z)
+    R[0, 1] = 2 * (x * y - z * w)
+    R[0, 2] = 2 * (x * z + y * w)
+    R[1, 0] = 2 * (x * y + z * w)
+    R[1, 1] = 1 - 2 * (x * x + z * z)
+    R[1, 2] = 2 * (y * z - x * w)
+    R[2, 0] = 2 * (x * z - y * w)
+    R[2, 1] = 2 * (y * z + x * w)
+    R[2, 2] = 1 - 2 * (x * x + y * y)
+    return R
+
+
+def _random_pure_state_tensors(rng, n: int) -> np.ndarray:
+    s2 = np.sin(2 * rng.uniform(0.0, np.pi / 4, size=n))
+    Ra = _random_rotations(rng, n)
+    Rb = _random_rotations(rng, n)
+    T = Ra[:, None, 0] * Rb[:, 0]
+    T -= Ra[:, None, 1] * Rb[:, 1]
+    T *= s2
+    T += Ra[:, None, 2] * Rb[:, 2]
+    return T
+
+
+def _monogamy_chunk(rng, n: int, bound: float, orthogonal: bool, equal_strengths: bool):
+    T = _random_pure_state_tensors(rng, n)
+    # directions of x, x', y, y', drawn in the order x, y, x', y'
+    dirs = np.empty((4, 3, n))
+    dirs[0] = _random_units(rng, n)
+    dirs[2] = _random_units(rng, n)
+    if orthogonal:
+        dirs[1] = _orthogonal_partners(rng, dirs[0])
+        dirs[3] = _orthogonal_partners(rng, dirs[2])
+    else:
+        dirs[1] = _random_units(rng, n)
+        dirs[3] = _random_units(rng, n)
+    if equal_strengths:
+        s = np.repeat(rng.uniform(0, 1, (2, 1, n)), 2, axis=1).reshape(4, n)
+    else:
+        s = rng.uniform(0, 1, (4, n))
+    return audit._monogamy_margins(bound, T, dirs, s)
+
+
+def _tradeoff_chunk(rng, n: int):
+    s = rng.uniform(0, 1, n)
+    b = rng.uniform(-1, 1, n) * (1 - s)
+    return audit._tradeoff_margins(s, b)
+
+
+#: (bound, orthogonal directions, equal strengths) of each monogamy audit
+MONOGAMY_AUDITS = {
+    "orthogonal-monogamy": (ORTHOGONAL_MONOGAMY_BOUND, True, False),
+    "equal-strength-monogamy": (EQUAL_STRENGTH_MONOGAMY_BOUND, False, True),
+    "conjecture": (EQUAL_STRENGTH_MONOGAMY_BOUND, False, False),
+}
+
+
+def whole_chunks(name: str, samples: int, seed: int) -> list:
+    """(margins, worst config) of each whole chunk of an audit's random rows."""
+    rngs = audit._chunk_rngs(name, samples, seed)
+    if name == "tradeoff-chain":
+        return [_tradeoff_chunk(rng, n) for rng, n in rngs]
+    return [_monogamy_chunk(rng, n, *MONOGAMY_AUDITS[name]) for rng, n in rngs]
+
+
+def whole_chunk_audits(samples: int, seed: int) -> list:
+    """The four reports of `audit.run_all_audits`, each chunk evaluated whole."""
+    reports = []
+    for name in ("orthogonal-monogamy", "equal-strength-monogamy", "tradeoff-chain", "conjecture"):
+        if name == "tradeoff-chain":
+            tol = 1e-12
+            tail = audit._tradeoff_margins(np.array([1.0, 0.0, 0.5]), np.array([0.0, 0.7, 0.0]))
+        else:
+            tol = 1e-9
+            tail = audit._saturating(name, MONOGAMY_AUDITS[name][0])
+        chunks = whole_chunks(name, samples, seed)
+        reports.append(audit._fold(name, tol, itertools.chain(chunks, [tail])))
+    return reports

@@ -24,6 +24,8 @@ from bellrecycle.audit import (
 from bellrecycle.bell import sequential_chsh_batch
 from bellrecycle.monogamy import EQUAL_STRENGTH_MONOGAMY_BOUND, ORTHOGONAL_MONOGAMY_BOUND
 
+from oracles import MONOGAMY_AUDITS, whole_chunk_audits, whole_chunks
+
 BOUNDS = {
     "orthogonal-monogamy": ORTHOGONAL_MONOGAMY_BOUND,
     "equal-strength-monogamy": EQUAL_STRENGTH_MONOGAMY_BOUND,
@@ -64,8 +66,9 @@ class TestAuditKernel:
         # vectors a != b and biased settings
         n = 200
         rng = np.random.default_rng(5)
-        T = _random_pure_state_tensors(rng, n)
-        dirs = tuple(_random_units(rng, n) for _ in range(4))
+        T = _random_pure_state_tensors(rng.uniform(0.0, np.pi / 4, n),
+                                       rng.normal(size=(n, 4)), rng.normal(size=(n, 4)))
+        dirs = tuple(_random_units(rng.normal(size=(n, 3))) for _ in range(4))
         s = rng.uniform(0, 1, (4, n))
         s[:, ::7] = 0.0
         s[:, 3::7] = 1.0
@@ -75,8 +78,8 @@ class TestAuditKernel:
         biases = None
         if biased:
             T *= rng.uniform(0, 1, n)
-            a = _random_units(rng, n) * rng.uniform(0, 1, n)
-            b = _random_units(rng, n) * rng.uniform(0, 1, n)
+            a = _random_units(rng.normal(size=(n, 3))) * rng.uniform(0, 1, n)
+            b = _random_units(rng.normal(size=(n, 3))) * rng.uniform(0, 1, n)
             biases = rng.uniform(-1, 1, (4, n)) * (1 - s)
         s1, sstar = sequential_chsh_batch(T, s, dirs, biases, a, b)
         for i in range(n):
@@ -95,19 +98,14 @@ class TestAuditKernel:
 
 class TestOrthogonalPartners:
     def test_collinear_draw_falls_back_to_a_unit_partner(self):
-        # a generator whose draws are parallel to u leaves w - (w.u) u at
-        # rounding level, so every row takes the deterministic partner
+        # draws parallel to u leave w - (w.u) u at rounding level, so every
+        # row takes the deterministic partner
         u = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.95, 0.0, 0.3], [-0.99, 0.1, 0.1],
                       [0.0, 1.0, 0.0], [0.0, 0.0, -1.0], [0.6, 0.8, 0.0], [0.1, 0.6, 0.8]]).T
         u /= np.sqrt((u * u).sum(axis=0))
         n = u.shape[1]
 
-        class Parallel:
-            def normal(self, size):
-                assert size == (n, 3)
-                return 2.5 * u.T
-
-        w = audit._orthogonal_partners(Parallel(), u)
+        w = audit._orthogonal_partners(2.5 * u.T, u)
         assert w.shape == (3, n)
         assert np.allclose(np.sqrt((w * w).sum(axis=0)), 1.0, rtol=0, atol=1e-15)
         assert np.abs((u * w).sum(axis=0)).max() <= 1e-12
@@ -148,9 +146,15 @@ class TestChunkedAudits:
         (False, False, EQUAL_STRENGTH_MONOGAMY_BOUND),
     ])
     def test_chunk_config_is_its_worst_random_row(self, orthogonal, equal_strengths, bound):
-        # the saturating row wins every report, so check a random chunk alone
+        # the saturating row wins every report, so check a random chunk
+        # alone; its 5,000 rows span two blocks
         rng = np.random.default_rng(11)
-        margins, config = audit._monogamy_chunk(rng, 500, bound, orthogonal, equal_strengths)
+        blocks = list(audit._monogamy_blocks(rng, 5_000, bound, orthogonal, equal_strengths))
+        assert [m.size for m, _ in blocks] == [audit._BLOCK, 5_000 - audit._BLOCK]
+        report = audit._fold("chunk", 1e-9, blocks)
+        margins = np.concatenate([m for m, _ in blocks])
+        assert report.worst_margin == margins.min()
+        config = report.worst_config
         assert scalar_margin(bound, config) == pytest.approx(margins.min(), abs=1e-12)
         s = config["strengths"]
         if equal_strengths:
@@ -166,4 +170,29 @@ class TestChunkedAudits:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 48e6
+        assert peak < 24e6
+
+    def test_blocks_match_the_whole_chunk_sampler(self):
+        # 2^16 + 4097 rows cross a chunk boundary and, in the second chunk,
+        # a block boundary; evaluating whole chunks gives the same reports
+        samples, seed = 2**16 + 4097, 3
+        assert samples % audit._CHUNK > audit._BLOCK
+        for blocked, whole in zip(run_all_audits(samples, seed),
+                                  whole_chunk_audits(samples, seed), strict=True):
+            assert blocked.name == whole.name
+            assert blocked.samples == whole.samples
+            assert blocked.violations == whole.violations
+            assert blocked.worst_margin == whole.worst_margin
+            assert blocked.worst_config == whole.worst_config
+        # the fixed rows win every report, so compare each chunk's random rows too
+        for name in audit._SEED_OFFSETS:
+            rngs = audit._chunk_rngs(name, samples, seed)
+            if name == "tradeoff-chain":
+                blocked = [list(audit._tradeoff_blocks(rng, n)) for rng, n in rngs]
+            else:
+                blocked = [list(audit._monogamy_blocks(rng, n, *MONOGAMY_AUDITS[name]))
+                           for rng, n in rngs]
+            for blocks, (margins, config) in zip(blocked, whole_chunks(name, samples, seed),
+                                                 strict=True):
+                assert np.array_equal(np.concatenate([m for m, _ in blocks]), margins)
+                assert audit._fold(name, 0.0, blocks).worst_config == config

@@ -90,6 +90,28 @@ class TestCurveCommand:
         assert _parse_grid("0.5,1.0,1.5") == pytest.approx([0.5, 1.0, 1.5])
         assert _parse_grid("2.0:2.8:0.4") == pytest.approx([2.0, 2.4, 2.8])
 
+    def test_range_grid_points_are_their_decimal_values(self):
+        assert cli._parse_grid("0:2.8:0.4") == [0.0, 0.4, 0.8, 1.2, 1.6, 2.0, 2.4, 2.8]
+        assert cli._parse_grid("0:1:0.3") == [0.0, 0.3, 0.6, 0.9]
+        assert cli._parse_grid("1:0:0.1") == []
+
+    @pytest.mark.parametrize("spec", ["a:1:0.1", "0:inf:0.1", "0:1:nan", "0:1e40:1e-40"])
+    def test_bad_range_grid_is_a_value_error(self, spec):
+        with pytest.raises(ValueError):
+            cli._parse_grid(spec)
+
+    def test_printed_range_target_reruns_its_row(self, tmp_path):
+        # 2.2 + 0.1 in floats is 2.3000000000000003, which prints as 2.3 but
+        # optimised another target than a rerun at the printed 2.3
+        argv = ["curve", "--budget", "10000", "--seed", "3", "--format", "csv"]
+        out = tmp_path / "range.csv"
+        assert main(argv + ["--grid", "2.2:2.3:0.1", "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 2
+        for row in rows:
+            assert main(argv + ["--grid", row.split(",")[0], "--out", str(out)]) == 0
+            assert out.read_text().splitlines()[1:] == [row]
+
     def test_rerun_is_byte_identical(self, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"

@@ -327,6 +327,21 @@ class TestPolishGradient:
         np.testing.assert_array_equal(regrads, grads)
 
 
+class TestLockstepDE:
+    @pytest.mark.parametrize("mode,s", [(UNBIASED_SINGLET, 2.4), (GENERAL_BIASED, 1.0)],
+                             ids=["unbiased-singlet", "general-biased"])
+    def test_restarts_do_not_depend_on_each_other(self, mode, s):
+        # a restart run alone gives its row among four, bit for bit
+        evaluate = make_batch_evaluator(mode)
+        lo, hi = np.array(mode.lo), np.array(mode.hi)
+        seeds = np.random.SeedSequence(0).spawn(4)
+        together = optimizer._de_lockstep(evaluate, lo, hi, s, 2_500,
+                                          [np.random.default_rng(q) for q in seeds])
+        for i, q in enumerate(seeds):
+            alone = optimizer._de_lockstep(evaluate, lo, hi, s, 2_500, [np.random.default_rng(q)])
+            assert [v.hex() for v in alone[0]] == [v.hex() for v in together[i]]
+
+
 class TestLockstepPolish:
     @pytest.mark.parametrize("mode,s", [(UNBIASED_SINGLET, 2.4), (GENERAL_BIASED, 1.0)],
                              ids=["unbiased-singlet", "general-biased"])
