@@ -49,8 +49,6 @@ EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 EXIT_VIOLATION = 4
 
-_ENV_THREADS = "BELL_RECYCLE_THREADS"
-
 
 def _fmt(x: float) -> str:
     """Canonical 12-significant-digit rendering of a float."""
@@ -118,13 +116,6 @@ def _parse_grid(spec: str) -> list[float]:
     return [float(p) for p in spec.split(",") if p.strip()]
 
 
-def _resolve_workers(requested: int) -> int:
-    cap = os.environ.get(_ENV_THREADS)
-    if cap is not None:
-        requested = min(requested, max(int(cap), 1))
-    return max(requested, 1)
-
-
 def _json_object(payload, what: str) -> dict:
     if not isinstance(payload, dict):
         raise ValueError(f"{what} must be a JSON object")
@@ -150,10 +141,10 @@ def _parse_state(payload, check: bool = True):
 def cmd_curve(args) -> int:
     grid = _parse_grid(args.grid)
     mode = search_mode(args.mode)
-    workers = _resolve_workers(args.threads)
-    # the library rejects an empty grid, out-of-range targets and a small budget
+    # the library rejects an empty grid, out-of-range targets, a small budget
+    # and fewer than one worker
     points = []
-    for p in boundary_curve(grid, mode, args.budget, args.seed, workers=workers):
+    for p in boundary_curve(grid, mode, args.budget, args.seed, workers=args.threads):
         entry = p.as_dict()
         entry["region1_closed"] = region1_closed(p.target_s) if p.target_s <= 2.0 + 1e-12 else None
         entry["region3_curve"] = region3_curve(p.target_s)
@@ -293,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default 200000)")
     curve.add_argument("--seed", type=int, default=0)
     curve.add_argument("--threads", type=int, default=1,
-                       help=f"parallel grid workers (capped by ${_ENV_THREADS})")
+                       help="parallel grid workers, at most one per grid point")
     curve.add_argument("--format", default="csv", choices=["csv", "json"])
     curve.add_argument("--out", default=None, help="output path (default stdout)")
     curve.set_defaults(func=cmd_curve)

@@ -6,21 +6,23 @@ the search; the equality constraint |S(A1,B1)| = s enters through an
 adaptive penalty that starts at 10 and doubles every 50 generations while
 the incumbent is infeasible.  Four independent seeded restarts advance in
 lockstep, one batched evaluation per generation, on nine tenths of the
-budget.  Their bests are then finished, again in lockstep, by an SQP polish
-in plain numpy, each restart on a quarter of the rest.  The polish works in
-coordinates u with x = lo + (hi - lo) sin^2 u, which remove the box and
-smooth S*'s square-root edge at unit strength.  Each step takes the
-forward-difference gradients of every live restart in one evaluator call,
-solves their KKT systems in one batched solve, runs SLSQP's line search on
-the l1 merit (one evaluator call per round, and one second-order correction
-of a rejected full step) and puts each accepted point back on the
-constraint with one restoration row; a damped BFGS update then refines each
-restart's Hessian.  A restart stops once its iterate has been
-within 1e-12 of the target for five steps without S* gaining more than
-1e-13, or before a call would overrun its share.  The best point within
-1e-12 of the target wins (the best feasible one if there is none), and
-`evaluations` never exceeds the budget.  Identical (mode, s, budget, seed)
-inputs give bit-identical results.
+budget.  Their bests, with the (S1, S*) values DE found for them, are then
+finished, again in lockstep, by an SQP polish in plain numpy, each restart
+on a quarter of the rest.  The polish works in coordinates u with
+x = lo + (hi - lo) sin^2 u, which remove the box and smooth S*'s
+square-root edge at unit strength.  Each step takes the forward-difference
+gradients of every live restart in one evaluator call, solves their KKT
+systems in one batched solve, runs SLSQP's line search on the l1 merit (one
+evaluator call per round, and one second-order correction of a rejected
+full step) and puts each accepted point back on the constraint with one
+restoration row; a damped BFGS update then refines each restart's Hessian.
+A restart stops once its iterate has been within 1e-12 of the target for
+five steps without S* gaining more than 1e-13, or before a call would
+overrun its share.  The best point within 1e-12 of the target wins (the
+best feasible one if there is none).  Each phase counts the rows it hands
+the evaluator, and `evaluations` is four times a restart's DE rows plus the
+polish's rows, so it never exceeds the budget.  Identical (mode, s, budget,
+seed) inputs give bit-identical results.
 
 Each search mode is one `SearchMode` declaration: its tag, its box bounds
 and its decoder, which maps a parameter block to the state and settings it
@@ -121,17 +123,17 @@ def _biased_geometry(P: np.ndarray):
     return s, biases, _sph(_rows(P[:, 2::4]), _rows(P[:, 3::4]))
 
 
-def _region2_geometry(P: np.ndarray, T: np.ndarray):
-    """The ansatz settings, with x' the better of its two admissible choices.
+def _region2_geometry(P: np.ndarray):
+    """The ansatz settings in the x-y plane: x = (0, 1, 0), x' = (1, 0, 0),
+    y = (sin theta, cos theta, 0) and y' = (-sin theta, cos theta, 0).
 
-    x' is (1, 0, 0) unless (sin 2theta, cos 2theta, 0) gives a strictly
-    larger S2* at that row.
+    The strengths of x and x' are free and y, y' share one, so the chart has
+    four parameters.  With x' fixed the ansatz still reaches the best S2*
+    any chart has found from 2.05 to 2.75 (`test_region2_ansatz_optimum`).
     """
-    n = P.shape[0]
     rows = _rows(P)
-    s = np.clip(rows[[0, 1, 2, 2]], 0, 1)
     theta = rows[3]
-    zero, one = np.zeros(n), np.ones(n)
+    zero, one = np.zeros_like(theta), np.ones_like(theta)
     sin, cos = np.sin(theta), np.cos(theta)
     dirs = np.stack([
         np.stack([zero, one, zero]),
@@ -139,13 +141,7 @@ def _region2_geometry(P: np.ndarray, T: np.ndarray):
         np.stack([sin, cos, zero]),
         np.stack([-sin, cos, zero]),
     ])
-    xp_b = np.stack([np.sin(2 * theta), np.cos(2 * theta), zero])
-    # both choices in one kernel call: rows :n take x' = (1, 0, 0), rows n: take xp_b
-    both = np.concatenate([dirs, dirs], axis=2)
-    both[1, :, n:] = xp_b
-    _, ss = sequential_chsh_batch(np.concatenate([T, T], axis=2), np.tile(s, 2), both)
-    dirs[1] = np.where(ss[n:] > ss[:n], xp_b, dirs[1])
-    return s, None, dirs
+    return np.clip(rows[[0, 1, 2, 2]], 0, 1), None, dirs
 
 
 def _singlet(n: int):
@@ -171,8 +167,7 @@ def _decode_equatorial(P: np.ndarray):
 
 
 def _decode_region2(P: np.ndarray):
-    a, b, T = _singlet(P.shape[0])
-    return (a, b, T, *_region2_geometry(P, T))
+    return (*_singlet(P.shape[0]), *_region2_geometry(P))
 
 
 @dataclass(frozen=True)
@@ -260,17 +255,6 @@ def decode_params(mode: SearchMode, params) -> ScenarioConfig:
     )
 
 
-class _CountingEvaluator:
-    def __init__(self, fn):
-        self.fn = fn
-        self.count = 0
-
-    def __call__(self, P):
-        P = np.atleast_2d(P)
-        self.count += P.shape[0]
-        return self.fn(P)
-
-
 def _trials(X, lo, hi, rngs):
     """One rand/1/bin trial population per restart, with reflecting bounds.
 
@@ -298,6 +282,9 @@ def _trials(X, lo, hi, rngs):
 
 def _de_lockstep(evaluator, lo, hi, target, budget, rngs):
     """Best point of each DE restart; one restart per generator.
+
+    Returns the (k, d) best points, their (k, 2) values (S1, S2*) and the
+    rows each restart evaluated, at most `budget`.
 
     The restarts advance in lockstep, so every generation is one evaluator
     call over all of their trial populations.  Each restart keeps its own
@@ -333,27 +320,23 @@ def _de_lockstep(evaluator, lo, hi, target, budget, rngs):
             miss = np.abs(np.abs(s1[np.arange(k), best]) - target)[:, None]
             lam = np.where((miss > _FEASIBILITY_TOL) & (lam < 1e12), 2.0 * lam, lam)
         fit = fitness(s1, ss, lam)
-    return X[np.arange(k), np.argmax(fit, axis=1)]
+    rows, best = np.arange(k), np.argmax(fit, axis=1)
+    return X[rows, best], np.stack([s1[rows, best], ss[rows, best]], axis=1), used
 
 
-def _gradients(evaluator, X, hi, F=None):
-    """(S1, S2*) values and forward-difference gradients at the rows of X.
+def _gradients(evaluator, X, F, hi):
+    """Forward-difference gradients of (S1, S2*) at the rows of X.
 
-    X is a (k, d) block.  One evaluator call takes every row's d stencil
-    points, each stepped by `_FD_STEP` and inward at `hi`, and the rows
-    themselves unless their (k, 2) values F are given.  Returns F and the
-    (k, 2, d) gradients of S1 and S2*.
+    X is a (k, d) block and F its (k, 2) values.  One evaluator call takes
+    every row's d stencil points, each stepped by `_FD_STEP` and inward at
+    `hi`.  Returns the (k, 2, d) gradients of S1 and S2*.
     """
     k, d = X.shape
     step = np.where(X + _FD_STEP > hi, -_FD_STEP, _FD_STEP)
     rows = (X[:, None, :] + np.eye(d) * step[:, None, :]).reshape(k * d, d)
-    if F is None:
-        rows = np.concatenate([X, rows])
     values = np.stack(evaluator(rows), axis=-1)
-    if F is None:
-        F, values = values[:k], values[k:]
     G = (values.reshape(k, d, 2) - F[:, None, :]) / ((X + step) - X)[:, :, None]
-    return F, G.transpose(0, 2, 1)
+    return G.transpose(0, 2, 1)
 
 
 def _dot(u, v):
@@ -361,8 +344,8 @@ def _dot(u, v):
     return (u * v).sum(axis=1)
 
 
-def _polish(evaluator, X0, lo, hi, target, allowance):
-    """SQP refinement of every row of X0 on |S1| = target, in lockstep.
+def _polish(evaluator, X0, F0, lo, hi, target, allowance):
+    """SQP refinement of every row of X0, with values F0, on |S1| = target.
 
     The restarts move in coordinates u with x = lo + (hi - lo) sin^2 u: the
     box is gone, and S2*'s square-root edge at unit strength is smooth.  The
@@ -375,7 +358,8 @@ def _polish(evaluator, X0, lo, hi, target, allowance):
     does not depend on the others.
 
     Returns [(x, S1, S2*)] for every start and, for every restart, its best
-    iterate within `_FLOOR_MISS` of the target, or its last iterate if none.
+    iterate within `_FLOOR_MISS` of the target, or its last iterate if none;
+    then the rows the polish evaluated.
     """
     k, d = X0.shape
     width = hi - lo
@@ -386,9 +370,10 @@ def _polish(evaluator, X0, lo, hi, target, allowance):
     def dxdu(U):
         return width * np.sin(2.0 * U)
 
-    F, G = _gradients(evaluator, X0, hi)
-    spent = np.full(k, d + 1)
-    candidates = [(x, *f) for x, f in zip(X0, F.tolist())]
+    G = _gradients(evaluator, X0, F0, hi)
+    spent = np.full(k, d)
+    candidates = [(x, *f) for x, f in zip(X0, F0.tolist())]
+    F = F0.copy()
     goal = np.where((F[:, 0] >= 0.0) | (target == 0.0), target, -target)
     X, U = X0.copy(), np.arcsin(np.sqrt((X0 - lo) / width))
     G *= dxdu(U)[:, None, :]
@@ -487,7 +472,7 @@ def _polish(evaluator, X0, lo, hi, target, allowance):
         if not m.size:
             break
         old = np.searchsorted(i, m)
-        _, G[m] = _gradients(evaluator, X[m], hi, F[m])
+        G[m] = _gradients(evaluator, X[m], F[m], hi)
         spent[m] += d
         G[m] *= dxdu(U[m])[:, None, :]
         s = U[m] - u[old]
@@ -500,7 +485,7 @@ def _polish(evaluator, X0, lo, hi, target, allowance):
         B[m] += (r[:, :, None] * r[:, None, :] / _dot(s, r)[:, None, None]
                  - Bs[:, :, None] * Bs[:, None, :] / sBs[:, None, None])
     X, F = np.where(kept[:, None], kept_x, X), np.where(kept[:, None], kept_f, F)
-    return candidates + [(x, *f) for x, f in zip(X, F.tolist())]
+    return candidates + [(x, *f) for x, f in zip(X, F.tolist())], int(spent.sum())
 
 
 def _check_target(s: float) -> None:
@@ -518,21 +503,24 @@ def boundary_point(
 
     Nine tenths of the budget go to four independent restarts, run in
     lockstep; every restart's best is then refined by the lockstep SQP
-    polish on a quarter of what DE left, so `evaluations` never exceeds
-    `budget`.  Among the starts and the polished points, the best one within
-    1e-12 of s wins; without one, the best within 1e-4, else the nearest.
+    polish on a quarter of what DE left.  `evaluations` is the rows both
+    phases evaluated, so it never exceeds `budget`.  Among the starts and
+    the polished points, the best one within 1e-12 of s wins; without one,
+    the best within 1e-4, else the nearest.
     Results are deterministic in (mode, s, budget, seed).
     """
     _check_target(s)
     if budget < _MIN_BUDGET:
         raise BudgetTooSmall(f"budget {budget} below minimum {_MIN_BUDGET}")
-    evaluator = _CountingEvaluator(make_batch_evaluator(mode))
+    evaluator = make_batch_evaluator(mode)
     lo, hi = np.array(mode.lo), np.array(mode.hi)
     rngs = [np.random.default_rng(stream)
             for stream in np.random.SeedSequence(seed).spawn(_RESTARTS)]
     de_budget = budget - budget // _POLISH_PART
-    starts = _de_lockstep(evaluator, lo, hi, s, de_budget // _RESTARTS, rngs)
-    candidates = _polish(evaluator, starts, lo, hi, s, (budget - evaluator.count) // _RESTARTS)
+    starts, values, used = _de_lockstep(evaluator, lo, hi, s, de_budget // _RESTARTS, rngs)
+    de_rows = _RESTARTS * used
+    candidates, polish_rows = _polish(evaluator, starts, values, lo, hi, s,
+                                      (budget - de_rows) // _RESTARTS)
 
     best = None
     for x, s1, sstar in candidates:
@@ -550,7 +538,7 @@ def boundary_point(
         achieved_s=achieved,
         s_star=sstar,
         params=tuple(float(v) for v in x),
-        evaluations=evaluator.count,
+        evaluations=de_rows + polish_rows,
         seed=seed,
     )
 
@@ -568,17 +556,20 @@ def boundary_curve(
 ) -> list[BoundaryPoint]:
     """One optimised BoundaryPoint per grid value, in grid order.
 
-    Points are independent; with workers > 1 they run in separate processes.
-    Each point uses the same base seed, so a sub-grid rerun reproduces the
-    matching rows byte for byte.
+    Points are independent; with workers > 1 they run in separate processes,
+    at most one per grid point.  Each point uses the same base seed, so a
+    sub-grid rerun reproduces the matching rows byte for byte.
     """
     grid = [float(g) for g in grid]
     if not grid:
         raise DomainError("empty grid")
     for g in grid:
         _check_target(g)
+    if workers < 1:
+        raise DomainError(f"workers must be at least 1, got {workers}")
     tasks = [(g, mode, budget, seed) for g in grid]
-    if workers and workers > 1:
+    workers = min(workers, len(tasks))
+    if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_point_task, tasks))
     return [_point_task(t) for t in tasks]

@@ -129,19 +129,19 @@ class TestCurveCommand:
             ["curve", "--grid", "1.0", "--budget", "100"],
             ["curve", "--grid", "3.5", "--budget", "10000"],
             ["curve", "--grid", "0:1:0", "--budget", "10000"],
+            ["curve", "--grid", "1.0", "--budget", "10000", "--threads", "0"],
         ],
     )
     def test_invalid_configs_exit_2(self, argv):
         assert main(argv) == 2
 
-    def test_thread_env_cap_preserves_output(self, tmp_path, monkeypatch):
+    def test_thread_count_preserves_output(self, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
-        main(["curve", "--grid", "0.6,1.1", "--budget", "10000", "--seed", "2",
-              "--format", "csv", "--out", str(a)])
-        monkeypatch.setenv("BELL_RECYCLE_THREADS", "1")
-        main(["curve", "--grid", "0.6,1.1", "--budget", "10000", "--seed", "2",
-              "--threads", "4", "--format", "csv", "--out", str(b)])
+        argv = ["curve", "--grid", "0.6,1.1", "--budget", "10000", "--seed", "2",
+                "--format", "csv"]
+        assert main(argv + ["--threads", "1", "--out", str(a)]) == 0
+        assert main(argv + ["--threads", "2", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
     def test_mode_choices_match_library_and_schema(self, schema):
@@ -150,10 +150,6 @@ class TestCurveCommand:
         choices = next(a.choices for a in sub.choices["curve"]._actions if a.dest == "mode")
         enum = schema["$defs"]["boundaryCurve"]["properties"]["mode"]["enum"]
         assert set(choices) == set(optimizer._MODES) == set(enum)
-
-    def test_bad_thread_env_exit_2(self, monkeypatch):
-        monkeypatch.setenv("BELL_RECYCLE_THREADS", "abc")
-        assert main(["curve", "--grid", "1.0", "--budget", "10000"]) == 2
 
 
 class TestAuditCommand:

@@ -114,8 +114,8 @@ ALL_MODES = [GENERAL_BIASED, UNBIASED, UNBIASED_SINGLET, UNBIASED_SINGLET_EQUATO
 class TestBatchEvaluatorRows:
     @pytest.mark.parametrize("mode", ALL_MODES, ids=lambda m: m.tag)
     def test_rows_independent_of_batch(self, mode):
-        # the lockstep DE and the polish memo rely on a row's value not
-        # depending on the batch it is evaluated in, bit for bit
+        # the lockstep DE, and the polish that starts from DE's values, rely
+        # on a row's value not depending on its batch, bit for bit
         evaluate = make_batch_evaluator(mode)
         lo, hi = np.array(mode.lo), np.array(mode.hi)
         P = lo + np.random.default_rng(17).random((64, mode.n_params)) * (hi - lo)
@@ -140,7 +140,9 @@ for mode in (UNBIASED_SINGLET, GENERAL_BIASED):
     for out in evaluate(P):
         digest.update(out.tobytes())
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(0).spawn(4)]
-    digest.update(optimizer._de_lockstep(evaluate, lo, hi, 2.4, 2_500, rngs).tobytes())
+    starts, values, _ = optimizer._de_lockstep(evaluate, lo, hi, 2.4, 2_500, rngs)
+    digest.update(starts.tobytes())
+    digest.update(values.tobytes())
 print(digest.hexdigest())
 point = boundary_point(2.4, UNBIASED_SINGLET, 20_000, 0)
 print(point.s_star.hex(), point.achieved_s.hex(), point.evaluations)
@@ -196,8 +198,9 @@ class TestBoundaryPoint:
         assert res.s_star_second == pytest.approx(point.s_star, abs=1e-12)
 
     def test_polish_evaluates_each_point_once(self, monkeypatch):
-        # rows of every call but the 256-row DE generations: one-row polish
-        # points and the one-call gradients (a point and its stencil rows)
+        # rows of every call but the 256-row DE generations: the polish's
+        # line-search and restoration rows and its one-call stencils; the DE
+        # bests are not evaluated again
         seen, stencils = [], []
 
         def recording(mode):
@@ -217,8 +220,8 @@ class TestBoundaryPoint:
         point = boundary_point(2.4, UNBIASED_SINGLET, budget=10_000, seed=0)
         assert seen and len(set(seen)) == len(seen)
         assert stencils
-        # evaluations counts computed rows only: the DE batches plus one per
-        # point; DE gets 10_000 - 10_000 // 10 rows, split over four restarts
+        # evaluations is the DE batches' rows plus every polish row; DE gets
+        # 10_000 - 10_000 // 10 rows, split over four restarts
         de_rows = 4 * ((10_000 - 10_000 // 10) // 4 // 64 * 64)
         assert point.evaluations == de_rows + len(seen)
 
@@ -246,9 +249,22 @@ class TestBoundaryPoint:
         assert split.evaluations == batched.evaluations
 
     @pytest.mark.parametrize("mode", ALL_MODES, ids=lambda m: m.tag)
-    def test_evaluations_within_budget(self, mode):
+    def test_evaluations_within_budget(self, monkeypatch, mode):
+        # evaluations is exactly the rows the evaluator received
+        received = []
+
+        def counting(mode):
+            evaluate = make_batch_evaluator(mode)
+
+            def wrapper(P):
+                received.append(np.atleast_2d(P).shape[0])
+                return evaluate(P)
+
+            return wrapper
+
+        monkeypatch.setattr(optimizer, "make_batch_evaluator", counting)
         point = boundary_point(2.4, mode, budget=10_000, seed=0)
-        assert point.evaluations <= 10_000
+        assert point.evaluations == sum(received) <= 10_000
 
     def test_polish_stops_at_the_floor(self):
         # S*'s rounding floor stops each restart once its iterate is
@@ -271,6 +287,14 @@ class TestBoundaryPoint:
         assert abs(point.achieved_s - 2.4) <= 1e-4
         # the four-parameter ansatz must dominate the region-3 formula here
         assert point.s_star > region3_curve(2.4) + 0.05
+
+    @pytest.mark.parametrize("s,best", [(2.05, 1.935854986), (2.6, 1.193878728)])
+    def test_region2_ansatz_optimum(self, s, best):
+        # the best S2* the 17-, 13- and 12-parameter charts have found, to
+        # nine decimals; the ansatz fixes x' = (1, 0, 0) and still reaches it
+        point = boundary_point(s, REGION2_ANSATZ, budget=40_000, seed=0)
+        assert abs(point.achieved_s - s) <= 1e-12
+        assert point.s_star == pytest.approx(best, abs=1e-8)
 
     def test_equatorial_mode_matches_full(self):
         full = boundary_point(1.5, UNBIASED_SINGLET, budget=30_000, seed=6)
@@ -300,63 +324,65 @@ class TestPolishGradient:
             calls.append(np.atleast_2d(P))
             return evaluate(P)
 
-        for x in (*interior, on_hi):
+        # the centres' values are given, so a block's gradients are one call
+        # of its stencil rows only, and each row's equal its own call's
+        X = np.stack([*interior, on_hi])
+        F = np.stack(evaluate(X), axis=-1)
+        block = optimizer._gradients(counting, X, F, hi)
+        assert [P.shape[0] for P in calls] == [4 * mode.n_params]
+        assert np.all((calls[0] >= lo) & (calls[0] <= hi))
+        for x, f, g in zip(X, F, block):
             calls.clear()
-            values, grads = optimizer._gradients(counting, x[None], hi)
-            assert [P.shape[0] for P in calls] == [mode.n_params + 1]
-            assert np.all((calls[0] >= lo) & (calls[0] <= hi))
-            np.testing.assert_array_equal(values[0], [v[0] for v in evaluate(x)])
+            grads = optimizer._gradients(counting, x[None], f[None], hi)
+            assert [P.shape[0] for P in calls] == [mode.n_params]
+            np.testing.assert_array_equal(grads[0], g)
             c1, css = self.central(evaluate, x)
             np.testing.assert_allclose(grads[0, 0], c1, rtol=0, atol=1e-5)
             np.testing.assert_allclose(grads[0, 1], css, rtol=0, atol=1e-5)
-
-    def test_known_values_skip_the_centres(self):
-        evaluate = make_batch_evaluator(UNBIASED_SINGLET)
-        lo, hi = np.array(UNBIASED_SINGLET.lo), np.array(UNBIASED_SINGLET.hi)
-        X = lo + np.random.default_rng(5).uniform(0.1, 0.9, (3, 12)) * (hi - lo)
-        calls = []
-
-        def counting(P):
-            calls.append(P.shape[0])
-            return evaluate(P)
-
-        values, grads = optimizer._gradients(counting, X, hi)
-        again, regrads = optimizer._gradients(counting, X, hi, values)
-        assert calls == [3 * 13, 3 * 12]
-        assert again is values
-        np.testing.assert_array_equal(regrads, grads)
 
 
 class TestLockstepDE:
     @pytest.mark.parametrize("mode,s", [(UNBIASED_SINGLET, 2.4), (GENERAL_BIASED, 1.0)],
                              ids=["unbiased-singlet", "general-biased"])
     def test_restarts_do_not_depend_on_each_other(self, mode, s):
-        # a restart run alone gives its row among four, bit for bit
+        # a restart run alone gives its best point and values among four,
+        # bit for bit, and each restart evaluates the same number of rows
         evaluate = make_batch_evaluator(mode)
         lo, hi = np.array(mode.lo), np.array(mode.hi)
         seeds = np.random.SeedSequence(0).spawn(4)
-        together = optimizer._de_lockstep(evaluate, lo, hi, s, 2_500,
-                                          [np.random.default_rng(q) for q in seeds])
+        X, F, used = optimizer._de_lockstep(evaluate, lo, hi, s, 2_500,
+                                            [np.random.default_rng(q) for q in seeds])
+        assert used == 2_500 // 64 * 64
         for i, q in enumerate(seeds):
-            alone = optimizer._de_lockstep(evaluate, lo, hi, s, 2_500, [np.random.default_rng(q)])
-            assert [v.hex() for v in alone[0]] == [v.hex() for v in together[i]]
+            x, f, alone_used = optimizer._de_lockstep(evaluate, lo, hi, s, 2_500,
+                                                      [np.random.default_rng(q)])
+            assert [v.hex() for v in x[0]] == [v.hex() for v in X[i]]
+            assert [v.hex() for v in f[0]] == [v.hex() for v in F[i]]
+            assert alone_used == used
+            np.testing.assert_array_equal(f[0], np.concatenate(evaluate(x[0])))
 
 
 class TestLockstepPolish:
     @pytest.mark.parametrize("mode,s", [(UNBIASED_SINGLET, 2.4), (GENERAL_BIASED, 1.0)],
                              ids=["unbiased-singlet", "general-biased"])
     def test_restarts_do_not_depend_on_each_other(self, mode, s):
-        # polishing a restart alone gives its result among four, bit for bit
+        # polishing a restart alone gives its result among four, bit for bit,
+        # and the four spend the rows they spend alone
         evaluate = make_batch_evaluator(mode)
         lo, hi = np.array(mode.lo), np.array(mode.hi)
         rngs = [np.random.default_rng(r) for r in np.random.SeedSequence(0).spawn(4)]
-        starts = optimizer._de_lockstep(evaluate, lo, hi, s, 2_500, rngs)
-        together = optimizer._polish(evaluate, starts, lo, hi, s, 600)
+        starts, values, _ = optimizer._de_lockstep(evaluate, lo, hi, s, 2_500, rngs)
+        together, rows = optimizer._polish(evaluate, starts, values, lo, hi, s, 600)
+        alone_rows = 0
         for i in range(4):
-            alone = optimizer._polish(evaluate, starts[i:i + 1], lo, hi, s, 600)
+            alone, spent = optimizer._polish(evaluate, starts[i:i + 1], values[i:i + 1],
+                                             lo, hi, s, 600)
+            alone_rows += spent
+            assert spent <= 600
             for (x, s1, ss), (y, t1, tss) in zip(alone, together[i::4]):
                 assert [v.hex() for v in x] == [v.hex() for v in y]
                 assert s1.hex() == t1.hex() and ss.hex() == tss.hex()
+        assert rows == alone_rows
 
     def test_budget_bound_polish_lands_on_the_constraint(self):
         # at this budget every restart runs out before the rounding floor;
@@ -396,3 +422,34 @@ class TestBoundaryCurve:
     def test_empty_grid_rejected(self):
         with pytest.raises(DomainError):
             boundary_curve([], UNBIASED_SINGLET)
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_fewer_than_one_worker_rejected(self, workers):
+        with pytest.raises(DomainError):
+            boundary_curve([1.0], UNBIASED_SINGLET, budget=10_000, workers=workers)
+
+    def test_pool_has_at_most_one_worker_per_point(self, monkeypatch):
+        # the executor is replaced before it can start a process: it only
+        # records its size and returns a placeholder per task
+        sizes = []
+
+        class Recording:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return [None for _ in tasks]
+
+        monkeypatch.setattr(optimizer.concurrent.futures, "ProcessPoolExecutor", Recording)
+        assert boundary_curve([0.5, 1.0], UNBIASED_SINGLET, budget=10_000,
+                              workers=5_000) == [None, None]
+        assert sizes == [2]
+        # one point runs in this process, without a pool
+        boundary_curve([1.0], UNBIASED_SINGLET, budget=10_000, workers=5_000)
+        assert sizes == [2]
