@@ -340,6 +340,26 @@ class TestPolishGradient:
             np.testing.assert_allclose(grads[0, 0], c1, rtol=0, atol=1e-5)
             np.testing.assert_allclose(grads[0, 1], css, rtol=0, atol=1e-5)
 
+    def test_known_values_skip_the_centres(self):
+        evaluate = make_batch_evaluator(UNBIASED_SINGLET)
+        lo, hi = np.array(UNBIASED_SINGLET.lo), np.array(UNBIASED_SINGLET.hi)
+        X = lo + np.random.default_rng(5).uniform(0.1, 0.9, (3, 12)) * (hi - lo)
+        F = np.stack(evaluate(X), axis=-1)
+        calls = []
+
+        def counting(P):
+            calls.append(P.shape[0])
+            return evaluate(P)
+
+        grads = optimizer._gradients(counting, X, F, hi)
+        assert calls == [3 * 12]
+        # the same forward differences as when each centre is evaluated
+        # alongside its own stencil
+        for x, g in zip(X, grads):
+            step = np.where(x + optimizer._FD_STEP > hi, -optimizer._FD_STEP, optimizer._FD_STEP)
+            values = np.stack(evaluate(np.vstack([x, x + np.diag(step)])), axis=-1)
+            np.testing.assert_array_equal(g, ((values[1:] - values[0]) / ((x + step) - x)[:, None]).T)
+
 
 class TestLockstepDE:
     @pytest.mark.parametrize("mode,s", [(UNBIASED_SINGLET, 2.4), (GENERAL_BIASED, 1.0)],
