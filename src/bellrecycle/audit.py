@@ -5,7 +5,8 @@ for every sample, and reports the number of violations together with the
 worst margin and the configuration that attained it.  The known saturating
 configuration of each relation is evaluated after the random samples, so a
 healthy audit reports zero violations and a near-zero worst margin.  The
-monogamy audits evaluate (|S1|, S2*) with `bell.sequential_chsh_batch`.
+monogamy audits evaluate (|S1|, S2*) with `bell.sequential_chsh_batch`, and
+the tradeoff audit builds R and D from `observables.reversibility_roots`.
 
 The random samples are drawn in chunks of `_CHUNK` (2^16) rows, each from
 its own stream spawned from `SeedSequence(seed + offset)`, with a fixed
@@ -35,6 +36,7 @@ import numpy as np
 from .bell import sequential_chsh_batch
 from .errors import DomainError
 from .monogamy import ORTHOGONAL_MONOGAMY_BOUND, EQUAL_STRENGTH_MONOGAMY_BOUND
+from .observables import reversibility_roots
 
 _SEED_OFFSETS = {
     "orthogonal-monogamy": 101,
@@ -253,8 +255,7 @@ def audit_conjecture(samples: int = 100_000, seed: int = 1) -> AuditReport:
 
 def _tradeoff_margins(s: np.ndarray, b: np.ndarray):
     """Smallest margin of the tradeoff chain per observable, and the worst one's config."""
-    u = np.sqrt(np.clip((1 + b) ** 2 - s * s, 0, None))
-    v = np.sqrt(np.clip((1 - b) ** 2 - s * s, 0, None))
+    u, v = reversibility_roots(b, s)
     r = 0.5 * u + 0.5 * v
     r2 = r * r
     # D^2 = 2 S^2 / (1 - B^2 + S^2 + uv), the rationalised form of 1 - R^2

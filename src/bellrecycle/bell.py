@@ -1,11 +1,10 @@
 """CHSH functionals and the Horodecki criterion.
 
 Includes the singular values of 3x3 correlation matrices, single and
-stacked (numpy's LAPACK SVD), the Horodecki value of a stack in closed
-form, the raw CHSH value of four observables on a two-qubit state, the
-Horodecki-optimal CHSH value reachable downstream, and the tight
-strength/angle upper bound on the singlet CHSH together with its 3x3
-W-matrix form.
+stacked (numpy's LAPACK SVD), the raw CHSH value of four observables on a
+two-qubit state, the Horodecki-optimal CHSH value reachable downstream,
+and the tight strength/angle upper bound on the singlet CHSH together
+with its 3x3 W-matrix form.
 
 `sequential_chsh_batch` is the one batched form of the sequential
 scenario: it maps stacks of correlation matrices and square-root settings
@@ -13,8 +12,9 @@ to (S(A1,B1), S*(A2,B2)).  Its stacks are component-major (directions
 (3, n), correlation matrices (3, 3, n)), so every step is an elementwise
 operation over rows of n contiguous values: K T L is built from rank-one
 updates of T, G = M^T M from six column dot products, and S* from the
-closed form in `_sstar`.  The optimizer's evaluator and the three
-monogamy audits call it.
+closed form in `_sstar`.  Each setting's reversibility R comes from
+`observables.reversibility_roots`, the array form of the scalar path's R.
+The optimizer's evaluator and the three monogamy audits call it.
 
 The scalar object path (`chsh_value`, `horodecki_sstar` and
 `monogamy.evaluate_scenario`) stays separate and handles one configuration
@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConstraintViolation, NegativeRadicand, ZeroDirection
-from .observables import Observable
+from .observables import Observable, reversibility_roots
 from .states import TwoQubitState
 
 #: Tsirelson's bound 2 sqrt(2), the largest |S| any two-qubit state reaches.
@@ -72,9 +72,8 @@ def svd3(M) -> tuple[float, float, float]:
 def singular_values_batch(M: np.ndarray) -> np.ndarray:
     """Descending singular values of a stack of 3x3 matrices, shape (n, 3).
 
-    One LAPACK call over the stack; `_sstar` (behind `horodecki_sstar_batch`
-    and `sequential_chsh_batch`) sends its near-degenerate rows here by this
-    module-level name.
+    One LAPACK call over the stack; `_sstar` (behind `sequential_chsh_batch`)
+    sends its near-degenerate rows here by this module-level name.
     """
     return np.linalg.svd(np.asarray(M, dtype=float), compute_uv=False)
 
@@ -120,15 +119,6 @@ def _sstar(M: np.ndarray) -> np.ndarray:
         sv = singular_values_batch(M[:, :, near].transpose(2, 0, 1))
         out[near] = 2.0 * np.sqrt(sv[:, 0] ** 2 + sv[:, 1] ** 2)
     return out
-
-
-def horodecki_sstar_batch(M: np.ndarray) -> np.ndarray:
-    """2 sqrt(s1^2 + s2^2) of each matrix in an (n, 3, 3) stack.
-
-    Runs the component-major kernel of `sequential_chsh_batch` on the
-    transposed view, with the same near-degenerate SVD fallback.
-    """
-    return _sstar(np.asarray(M, dtype=float).transpose(1, 2, 0))
 
 
 def schmidt_tensors(alpha: np.ndarray):
@@ -181,8 +171,9 @@ def sequential_chsh_batch(T, s, dirs, biases=None, a=None, b=None):
     only through the biases.
 
     S* is the Horodecki value of M = K T L, with K = c0 I + c1 x x^T +
-    c2 x' x'^T and L the averaged dephasing channels of each side's
-    settings.  M is built from rank-one updates, never from K or L:
+    c2 x' x'^T, c0 = (R_x + R_x') / 2 and c_k = (1 - R_k) / 2 from the
+    settings' reversibilities, and L the same for y and y'.  M is built
+    from rank-one updates, never from K or L:
     K T = c0 T + c1 x (x^T T) + c2 x' (x'^T T) reuses the x^T T rows of
     S1, and the same update on the right with (K T) y and (K T) y' gives M.
     Rows are independent, so a stack may be evaluated in any split of its
@@ -192,12 +183,8 @@ def sequential_chsh_batch(T, s, dirs, biases=None, a=None, b=None):
     A, B = D[:2], D[2:]
     AT = _sum3(lambda i: A[:, i, None] * T[i])
     s1 = _s1(AT, A, B, s, biases, a, b)
-    if biases is None:
-        r = np.sqrt(np.clip(1 - s * s, 0, 1))
-    else:
-        r = 0.5 * np.sqrt(np.clip((1 + biases) ** 2 - s * s, 0, None)) + 0.5 * np.sqrt(
-            np.clip((1 - biases) ** 2 - s * s, 0, None)
-        )
+    u, v = reversibility_roots(0.0 if biases is None else biases, s)
+    r = 0.5 * u + 0.5 * v
     c = 0.5 * (1 - r)
     # K T = c0 T + c1 x (x^T T) + c2 x' (x'^T T), then (K T) v_l and K T L
     # by the same rank-one update on the right

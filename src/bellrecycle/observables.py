@@ -122,27 +122,37 @@ def reversibility(obs: Observable) -> float:
     R = sqrt((1+B)^2 - S^2)/2 + sqrt((1-B)^2 - S^2)/2; equals 0 only for the
     projective case (S=1, B=0) and 1 only for trivial observables (S=0).
     """
-    b, s = obs.bias, obs.strength
-    # factored radicands (1 +- b)^2 - s^2 = (1 +- b - s)(1 +- b + s) avoid the
-    # cancellation that squaring causes near the constraint boundary s+|b|=1
-    r = 0.5 * _clamped_sqrt((1.0 + b - s) * (1.0 + b + s)) + 0.5 * _clamped_sqrt(
-        (1.0 - b - s) * (1.0 - b + s)
-    )
-    return min(r, 1.0)
+    u, v = _roots(obs.bias, obs.strength)
+    return min(0.5 * u + 0.5 * v, 1.0)
+
+
+def _roots(b: float, s: float) -> tuple[float, float]:
+    """sqrt((1 +- b)^2 - s^2) as sqrt((1 +- b - s)(1 +- b + s)), accurate near s + |b| = 1."""
+    return (_clamped_sqrt((1.0 + b - s) * (1.0 + b + s)),
+            _clamped_sqrt((1.0 - b - s) * (1.0 - b + s)))
+
+
+def reversibility_roots(b, s):
+    """`reversibility`'s roots sqrt((1 +- b)^2 - s^2) of arrays b, s, clamped at 0.
+
+    Same factors in the same order, so 0.5 u + 0.5 v is the scalar R bit for bit.
+    """
+    u = np.sqrt(np.maximum((1.0 + b - s) * (1.0 + b + s), 0.0))
+    v = np.sqrt(np.maximum((1.0 - b - s) * (1.0 - b + s), 0.0))
+    return u, v
 
 
 def decoherence(obs: Observable) -> float:
     """Minimal decoherence D = sqrt(1 - R^2).
 
-    Evaluated in the rationalised form D^2 = 2 S^2 / (u + sqrt(f+ f-)) with
-    u = 1 - B^2 + S^2 and f+- the factored radicands of the reversibility,
-    which stays accurate where 1 - R^2 would cancel (weak observables); f+- go
-    through reversibility's clamped sqrt, so s + |b| > 1 raises NegativeRadicand.
+    Evaluated in the rationalised form D^2 = 2 S^2 / (1 - B^2 + S^2 + u v)
+    with u, v the two roots of the reversibility, which stays accurate where
+    1 - R^2 would cancel (weak observables); u, v go through reversibility's
+    clamped sqrt, so s + |b| > 1 raises NegativeRadicand.
     """
     b, s = obs.bias, obs.strength
-    f_plus = (1.0 + b - s) * (1.0 + b + s)
-    f_minus = (1.0 - b - s) * (1.0 - b + s)
-    denom = (1.0 - b) * (1.0 + b) + s * s + _clamped_sqrt(f_plus) * _clamped_sqrt(f_minus)
+    u, v = _roots(b, s)
+    denom = (1.0 - b) * (1.0 + b) + s * s + u * v
     if denom <= 0.0:
         # only reachable at |bias| = 1, strength = 0, where D = 0 exactly
         return 0.0
@@ -173,7 +183,8 @@ def from_reversibility_angle(r: float, alpha: float) -> tuple[float, float]:
     limit = math.asin(r)
     if abs(alpha) > limit + CONSTRUCTION_TOL:
         raise AngleOutOfRange(f"|alpha| = {abs(alpha)} exceeds arcsin(r) = {limit}")
-    strength = math.sqrt(max(1.0 - r * r, 0.0)) * math.cos(alpha)
+    # (1 - r)(1 + r) rather than 1 - r^2, which cancels as r -> 1
+    strength = math.sqrt(max((1.0 - r) * (1.0 + r), 0.0)) * math.cos(alpha)
     bias = r * math.sin(alpha)
     return strength, bias
 

@@ -118,7 +118,7 @@ def _unbiased_geometry(P: np.ndarray):
 def _biased_geometry(P: np.ndarray):
     r = np.clip(_rows(P[:, 0::4]), 0.0, 1.0)
     alpha = _rows(P[:, 1::4]) * np.arcsin(r)
-    s = np.sqrt(np.clip(1 - r * r, 0, 1)) * np.cos(alpha)
+    s = np.sqrt(np.clip((1 - r) * (1 + r), 0, 1)) * np.cos(alpha)
     biases = r * np.sin(alpha)
     return s, biases, _sph(_rows(P[:, 2::4]), _rows(P[:, 3::4]))
 

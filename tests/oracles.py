@@ -8,12 +8,16 @@ from numpy's identity and outer product, and the maximisers locate function
 maxima by dense grids plus local refinement.  The whole-chunk audit
 sampler draws and evaluates each chunk of random configurations at once,
 with no blocks, as the audits did before they were split into blocks.
+The reversibility R and the chart strength sqrt(1 - r^2) are evaluated in
+40-digit `mpmath` at the exact values of their float inputs, so a test can
+hold the float functions to a few units in the last place.
 """
 
 from __future__ import annotations
 
 import itertools
 
+import mpmath
 import numpy as np
 
 from bellrecycle import audit
@@ -62,6 +66,24 @@ def theta_from_state_vector(psi) -> np.ndarray:
         for nu in range(4):
             theta[mu, nu] = np.trace(rho @ np.kron(_PAULI[mu], _PAULI[nu])).real
     return theta
+
+
+def mp_reversibility(b: float, s: float) -> float:
+    """R = sqrt((1 + b)^2 - s^2)/2 + sqrt((1 - b)^2 - s^2)/2 of floats b, s, at 40 digits.
+
+    A radicand below zero (s rounded past 1 - |b|) counts as zero.
+    """
+    with mpmath.workdps(40):
+        b, s = mpmath.mpf(b), mpmath.mpf(s)
+        roots = (mpmath.sqrt(max((1 + c) ** 2 - s**2, 0)) for c in (b, -b))
+        return float(sum(roots) / 2)
+
+
+def mp_chart_strength(r: float, alpha: float) -> float:
+    """sqrt(1 - r^2) cos(alpha) of floats r, alpha, at 40 digits."""
+    with mpmath.workdps(40):
+        r = mpmath.mpf(r)
+        return float(mpmath.sqrt(1 - r**2) * mpmath.cos(alpha))
 
 
 def grid_refine_max(fn, lo, hi, coarse: int = 401, refine_rounds: int = 30):

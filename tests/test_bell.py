@@ -23,7 +23,7 @@ from bellrecycle import (
     w_matrix,
 )
 from bellrecycle.audit import run_all_audits
-from bellrecycle.bell import horodecki_sstar_batch, singular_values_batch
+from bellrecycle.bell import _sstar, singular_values_batch
 
 from oracles import grid_search_sstar
 
@@ -202,22 +202,27 @@ def matrix_stacks(draw):
                      _orthogonal(rng, n))
 
 
+def sstar_batch(M):
+    """The closed-form S* of an (n, 3, 3) stack, through the kernel's component-major view."""
+    return _sstar(M.transpose(1, 2, 0))
+
+
 class TestHorodeckiBatch:
     """The closed-form S* kernel against numpy's SVD."""
 
     @given(matrix_stacks())
     @settings(max_examples=300, deadline=None)
     def test_matches_svd(self, M):
-        assert np.allclose(horodecki_sstar_batch(M), _sstar_svd(M), rtol=0, atol=1e-12)
+        assert np.allclose(sstar_batch(M), _sstar_svd(M), rtol=0, atol=1e-12)
 
     def test_zero_matrix(self):
-        assert np.array_equal(horodecki_sstar_batch(np.zeros((4, 3, 3))), np.zeros(4))
+        assert np.array_equal(sstar_batch(np.zeros((4, 3, 3))), np.zeros(4))
 
     def test_empty_stack(self):
-        assert horodecki_sstar_batch(np.zeros((0, 3, 3))).shape == (0,)
+        assert sstar_batch(np.zeros((0, 3, 3))).shape == (0,)
 
     def test_singlet(self):
-        assert horodecki_sstar_batch(-np.eye(3)[None])[0] == pytest.approx(2 * ROOT2, abs=1e-15)
+        assert sstar_batch(-np.eye(3)[None])[0] == pytest.approx(2 * ROOT2, abs=1e-15)
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 101, 110])
     def test_saturating_audit_rows_hold(self, seed):

@@ -24,6 +24,21 @@ from bellrecycle import (
     trivial,
     unbiased,
 )
+from bellrecycle.observables import reversibility_roots
+
+from oracles import mp_chart_strength, mp_reversibility
+
+#: 1 - 10^-k, k = 1..15, where 1 - x * x cancels in double precision
+NEAR_ONE = [1.0 - 10.0**-k for k in range(1, 16)]
+
+
+def near_projective():
+    """(b, s) at each s in NEAR_ONE, with b = 0 and b = +-2^-e, at most (1 - s) / 2.
+
+    A power of two keeps 1 + b exact, so the only roundings are R's own.
+    """
+    s = np.repeat(NEAR_ONE, 3)
+    return np.tile([0.0, 1.0, -1.0], 15) * 2.0 ** -(np.ceil(-np.log2(1 - s)) + 1), s
 
 
 def valid_bias_strength():
@@ -156,6 +171,35 @@ class TestReversibility:
         assert prof.reversibility**2 + prof.decoherence**2 == pytest.approx(1.0, abs=1e-15)
 
 
+class TestReversibilityRoots:
+    """The array roots of R against the scalar `reversibility`, bit for bit."""
+
+    @staticmethod
+    def assert_matches_scalar(b, s):
+        u, v = reversibility_roots(b, s)
+        scalar = [reversibility(make_observable(bi, si, (0, 0, 1))) for bi, si in zip(b, s)]
+        assert np.array_equal(0.5 * u + 0.5 * v, scalar)
+
+    def test_random_observables(self):
+        rng = np.random.default_rng(22)
+        s = rng.uniform(0, 1, 5000)
+        self.assert_matches_scalar(rng.uniform(-1, 1, 5000) * (1 - s), s)
+
+    def test_constraint_boundary(self):
+        rng = np.random.default_rng(23)
+        b = np.concatenate([np.linspace(-1, 1, 401), rng.uniform(-1, 1, 2000)])
+        self.assert_matches_scalar(b, 1 - np.abs(b))
+
+    def test_near_projective(self):
+        self.assert_matches_scalar(*near_projective())
+
+    def test_matches_mpmath_near_projective(self):
+        b, s = near_projective()
+        u, v = reversibility_roots(b, s)
+        expected = [mp_reversibility(bi, si) for bi, si in zip(b, s)]
+        assert np.allclose(0.5 * u + 0.5 * v, expected, rtol=1e-15, atol=0)
+
+
 class TestDecoherence:
     @pytest.mark.parametrize(
         "bias,strength,expected",
@@ -211,6 +255,14 @@ class TestFromReversibilityAngle:
         s, b = from_reversibility_angle(r, alpha)
         obs = make_observable(b, s, (0, 0, 1))
         assert reversibility(obs) == pytest.approx(r, abs=1e-10)
+
+    @pytest.mark.parametrize("r", NEAR_ONE)
+    @pytest.mark.parametrize("frac", [0.0, 0.5, -1.0])
+    def test_strength_near_trivial(self, r, frac):
+        # sqrt(1 - r^2) as sqrt((1 - r)(1 + r)); 1 - r * r cancels as r -> 1
+        alpha = frac * math.asin(r)
+        s, _ = from_reversibility_angle(r, alpha)
+        assert s == pytest.approx(mp_chart_strength(r, alpha), rel=1e-15)
 
     @pytest.mark.parametrize("r", [1e-3, 0.1, 0.5, 0.75, 0.999, 1.0])
     @pytest.mark.parametrize("sign", [-1.0, 1.0])

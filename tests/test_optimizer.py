@@ -29,6 +29,8 @@ from bellrecycle import (
 from bellrecycle import optimizer
 from bellrecycle.optimizer import make_batch_evaluator
 
+from oracles import mp_chart_strength
+
 ROOT2 = math.sqrt(2.0)
 
 
@@ -94,17 +96,33 @@ class TestDecodeParams:
         assert cfg.alice.first.bias == pytest.approx(b_expected, abs=1e-12)
         assert b_expected == pytest.approx(0.25, abs=1e-12)
 
+    def test_biased_chart_strength_near_trivial(self):
+        # both charts take sqrt(1 - r^2) as sqrt((1 - r)(1 + r)), so they agree
+        # bit for bit, and stay accurate, where 1 - r * r would cancel
+        r = 1.0 - 10.0 ** -np.arange(1, 16)
+        P = np.zeros((15, 16))
+        P[:, 0] = r
+        s, _, _ = optimizer._biased_geometry(P)
+        assert s[0].tolist() == [from_reversibility_angle(x, 0.0)[0] for x in r]
+        assert np.allclose(s[0], [mp_chart_strength(x, 0.0) for x in r], rtol=1e-15, atol=0)
+
     def test_batch_evaluator_matches_decode(self):
         rng = np.random.default_rng(3)
         for mode in (UNBIASED_SINGLET, UNBIASED, GENERAL_BIASED, UNBIASED_SINGLET_EQUATORIAL,
                      REGION2_ANSATZ):
             evaluate = make_batch_evaluator(mode)
             P = rng.uniform(0.05, 0.95, size=(20, mode.n_params))
+            if mode is GENERAL_BIASED:
+                # alpha fractions of +-1 put each setting on the chart's edge
+                # s + |b| = 1, where DE's clip and reflection put rows
+                edge = rng.uniform(0.05, 0.95, size=(20, mode.n_params))
+                edge[:, 1::4] = rng.choice([-1.0, 1.0], size=(20, 4))
+                P = np.vstack([P, edge])
             s1, sstar = evaluate(P)
-            for i in range(20):
+            for i in range(len(P)):
                 res = evaluate_scenario(decode_params(mode, P[i]))
-                assert res.s_first == pytest.approx(s1[i], abs=1e-10)
-                assert res.s_star_second == pytest.approx(sstar[i], abs=1e-10)
+                assert res.s_first == pytest.approx(s1[i], abs=1e-12)
+                assert res.s_star_second == pytest.approx(sstar[i], abs=1e-12)
 
 
 ALL_MODES = [GENERAL_BIASED, UNBIASED, UNBIASED_SINGLET, UNBIASED_SINGLET_EQUATORIAL,
