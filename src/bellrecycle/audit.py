@@ -8,18 +8,18 @@ healthy audit reports zero violations and a near-zero worst margin.  The
 monogamy audits evaluate (|S1|, S2*) with `bell.sequential_chsh_batch`, and
 the tradeoff audit builds R and D from `observables.reversibility_roots`.
 
-The random samples are drawn in chunks of `_CHUNK` (2^16) rows, each from
-its own stream spawned from `SeedSequence(seed + offset)`, with a fixed
-offset per audit name, and each chunk is evaluated in blocks of `_BLOCK`
-(2^12) rows.  A chunk makes all of its generator calls first, as (n, d)
-arrays; the transforms `_random_units`, `_orthogonal_partners`,
-`_random_rotations` and `_random_pure_state_tensors` then turn one block's
-slice of those draws into the kernel's component-major layout: directions
+The random samples are drawn and evaluated in chunks of `_CHUNK` (2^12)
+rows.  Chunk i draws from its own generator, seeded with
+`SeedSequence(seed + offset, spawn_key=(i,))` (the i-th child that
+`SeedSequence(seed + offset).spawn` would make), with a fixed offset per
+audit name; each generator is made only when its chunk runs.  A chunk's
+draws are component-major, (d, n) standard normals, which
+`_random_units`, `_orthogonal_partners`, `_random_rotations` and
+`_random_pure_state_tensors` turn into the kernel's layout: directions
 (3, n), rotations and correlation matrices (3, 3, n), with
 T = Ra diag(s2, -s2, 1) Rb^T summed from outer products of the rotations'
-columns.  Every row depends only on its own draws, and `_fold` keeps the
-first worst row, so the block size changes no report.  Only a chunk's
-draws, one block's temporaries, a running worst margin, its configuration
+columns.  `_fold` keeps the first worst row over the chunks.  Only one
+chunk's draws and temporaries, a running worst margin, its configuration
 and the violation count are held, so memory does not grow with the sample
 count.  Audits run independently and stay reproducible.
 """
@@ -45,10 +45,8 @@ _SEED_OFFSETS = {
     "conjecture": 404,
 }
 
-# rows per chunk of random draws; each chunk has its own SeedSequence stream
-_CHUNK = 1 << 16
-# rows per block of a chunk that the kernel evaluates at once
-_BLOCK = 1 << 12
+# rows per chunk of random draws, evaluated at once; each chunk has its own stream
+_CHUNK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -68,24 +66,17 @@ def _lengths(v: np.ndarray) -> np.ndarray:
     return np.sqrt(sum(c * c for c in v))
 
 
-def _columns(g: np.ndarray) -> np.ndarray:
-    """Row-major (n, d) draws as a component-major (d, n) array."""
-    return np.ascontiguousarray(g.T)
-
-
 def _random_units(g: np.ndarray) -> np.ndarray:
-    """Uniform random unit vectors, shape (3, n), from (n, 3) standard normal draws."""
-    v = _columns(g)
-    return v / _lengths(v)
+    """Uniform random unit vectors, shape (3, n), from (3, n) standard normal draws."""
+    return g / _lengths(g)
 
 
 def _orthogonal_partners(g: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Random unit vectors orthogonal to each column of u, shape (3, n).
 
-    g holds (n, 3) standard normal draws; each is projected off its u.
+    g holds (3, n) standard normal draws; each is projected off its u.
     """
-    w = _columns(g)
-    w -= (w[0] * u[0] + w[1] * u[1] + w[2] * u[2]) * u
+    w = g - (g[0] * u[0] + g[1] * u[1] + g[2] * u[2]) * u
     norms = _lengths(w)
     # a collinear draw is measure-zero; fall back to a deterministic partner
     bad = norms < 1e-12
@@ -98,9 +89,8 @@ def _orthogonal_partners(g: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def _random_rotations(g: np.ndarray) -> np.ndarray:
-    """Uniform random rotations, (3, 3, n), from (n, 4) normal draws taken as quaternions."""
-    q = _columns(g)
-    q /= _lengths(q)
+    """Uniform random rotations, (3, 3, n), from (4, n) normal draws taken as quaternions."""
+    q = g / _lengths(g)
     w, x, y, z = q
     R = np.empty((3, 3, q.shape[1]))
     R[0, 0] = 1 - 2 * (y * y + z * z)
@@ -119,7 +109,7 @@ def _random_pure_state_tensors(alpha: np.ndarray, qa: np.ndarray, qb: np.ndarray
     """Correlation matrices of Haar-like random pure two-qubit states, (3, 3, n).
 
     alpha holds n Schmidt angles drawn uniformly from [0, pi/4], and qa and
-    qb (n, 4) normal draws for the two rotations Ra and Rb.
+    qb (4, n) normal draws for the two rotations Ra and Rb.
     T = Ra diag(s2, -s2, 1) Rb^T = s2 (ra0 rb0^T - ra1 rb1^T) + ra2 rb2^T,
     with s2 = sin 2alpha and ra_k, rb_k the columns of the two rotations.
     """
@@ -151,32 +141,27 @@ def _chunk_rngs(name: str, samples: int, seed: int):
     """
     if samples < 1:
         raise DomainError(f"samples must be at least 1, got {samples}")
-    n_chunks = -(-samples // _CHUNK)
-    streams = np.random.SeedSequence(seed + _SEED_OFFSETS[name]).spawn(n_chunks)
-    return ((np.random.default_rng(stream), min(_CHUNK, samples - i * _CHUNK))
-            for i, stream in enumerate(streams))
+    entropy = seed + _SEED_OFFSETS[name]
+    return ((np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=(i,))),
+             min(_CHUNK, samples - i * _CHUNK))
+            for i in range(-(-samples // _CHUNK)))
 
 
-def _blocks(n: int):
-    """Slices of `_BLOCK` consecutive rows, the last one shorter, covering n rows."""
-    return (slice(i, i + _BLOCK) for i in range(0, n, _BLOCK))
-
-
-def _fold(name: str, tol: float, blocks) -> AuditReport:
-    """One report from (margins, config of their argmin) per block.
+def _fold(name: str, tol: float, chunks) -> AuditReport:
+    """One report from (margins, config of their argmin) per chunk.
 
     Keeps the sample and violation counts and the first worst margin, with
-    its configuration, over all blocks: a later block must be strictly
+    its configuration, over all chunks: a later chunk must be strictly
     worse to replace it, as `np.argmin` keeps the first of equal rows.
     """
     samples = violations = 0
     worst, config = math.inf, None
-    for margins, block_config in blocks:
+    for margins, chunk_config in chunks:
         samples += margins.size
         violations += int(np.count_nonzero(margins < -tol))
         low = margins.min(initial=math.inf)
         if low < worst:
-            worst, config = float(low), block_config
+            worst, config = float(low), chunk_config
     return AuditReport(name=name, samples=samples, worst_margin=worst,
                        violations=violations, worst_config=config)
 
@@ -188,28 +173,25 @@ def _monogamy_margins(bound, T, dirs, s):
     return margins, _config_dict(int(np.argmin(margins)), T, dirs, s)
 
 
-def _monogamy_blocks(rng, n: int, bound: float, orthogonal: bool, equal_strengths: bool):
-    """(margins, worst config) of each block of one chunk of n random configurations.
+def _monogamy_chunk(rng, n: int, bound: float, orthogonal: bool, equal_strengths: bool):
+    """(margins, worst config) of one chunk of n random configurations.
 
-    The chunk's draws are all made first: Schmidt angles, two quaternions,
-    the directions x, y, x', y', then the strengths.
+    Draws Schmidt angles, two quaternions, the directions x, y, x', y', then
+    the strengths.
     """
     alpha = rng.uniform(0.0, np.pi / 4, size=n)
-    qa, qb = rng.normal(size=(n, 4)), rng.normal(size=(n, 4))
-    gx, gy, gxp, gyp = (rng.normal(size=(n, 3)) for _ in range(4))
+    T = _random_pure_state_tensors(alpha, rng.normal(size=(4, n)), rng.normal(size=(4, n)))
+    x, y = _random_units(rng.normal(size=(3, n))), _random_units(rng.normal(size=(3, n)))
+    gxp, gyp = rng.normal(size=(3, n)), rng.normal(size=(3, n))
+    if orthogonal:
+        xp, yp = _orthogonal_partners(gxp, x), _orthogonal_partners(gyp, y)
+    else:
+        xp, yp = _random_units(gxp), _random_units(gyp)
     # strengths of x, x', y, y', or one per side repeated for both settings
-    strengths = rng.uniform(0, 1, (2 if equal_strengths else 4, n))
-    for rows in _blocks(n):
-        T = _random_pure_state_tensors(alpha[rows], qa[rows], qb[rows])
-        x, y = _random_units(gx[rows]), _random_units(gy[rows])
-        if orthogonal:
-            xp, yp = _orthogonal_partners(gxp[rows], x), _orthogonal_partners(gyp[rows], y)
-        else:
-            xp, yp = _random_units(gxp[rows]), _random_units(gyp[rows])
-        s = strengths[:, rows]
-        if equal_strengths:
-            s = np.repeat(s, 2, axis=0)
-        yield _monogamy_margins(bound, T, np.stack([x, xp, y, yp]), s)
+    s = rng.uniform(0, 1, (2 if equal_strengths else 4, n))
+    if equal_strengths:
+        s = np.repeat(s, 2, axis=0)
+    return _monogamy_margins(bound, T, np.stack([x, xp, y, yp]), s)
 
 
 def _saturating(name: str, bound: float):
@@ -229,10 +211,9 @@ def _saturating(name: str, bound: float):
 
 def _monogamy_audit(name: str, bound: float, samples: int, seed: int,
                     orthogonal: bool, equal_strengths: bool) -> AuditReport:
-    blocks = itertools.chain.from_iterable(
-        _monogamy_blocks(rng, n, bound, orthogonal, equal_strengths)
-        for rng, n in _chunk_rngs(name, samples, seed))
-    return _fold(name, 1e-9, itertools.chain(blocks, [_saturating(name, bound)]))
+    chunks = (_monogamy_chunk(rng, n, bound, orthogonal, equal_strengths)
+              for rng, n in _chunk_rngs(name, samples, seed))
+    return _fold(name, 1e-9, itertools.chain(chunks, [_saturating(name, bound)]))
 
 
 def audit_orthogonal_monogamy(samples: int = 100_000, seed: int = 1) -> AuditReport:
@@ -277,12 +258,10 @@ def _tradeoff_margins(s: np.ndarray, b: np.ndarray):
     return margins, {"bias": float(b[worst]), "strength": float(s[worst])}
 
 
-def _tradeoff_blocks(rng, n: int):
-    """(margins, worst config) of each block of one chunk of n random observables."""
+def _tradeoff_chunk(rng, n: int):
+    """(margins, worst config) of one chunk of n random observables."""
     s = rng.uniform(0, 1, n)
-    u = rng.uniform(-1, 1, n)
-    for rows in _blocks(n):
-        yield _tradeoff_margins(s[rows], u[rows] * (1 - s[rows]))
+    return _tradeoff_margins(s, rng.uniform(-1, 1, n) * (1 - s))
 
 
 def audit_tradeoff_chain(samples: int = 100_000, seed: int = 1) -> AuditReport:
@@ -292,11 +271,10 @@ def audit_tradeoff_chain(samples: int = 100_000, seed: int = 1) -> AuditReport:
     R^2 + S^2 >= 3/4.
     """
     name = "tradeoff-chain"
-    blocks = itertools.chain.from_iterable(
-        _tradeoff_blocks(rng, n) for rng, n in _chunk_rngs(name, samples, seed))
+    chunks = (_tradeoff_chunk(rng, n) for rng, n in _chunk_rngs(name, samples, seed))
     # boundary families: projective, trivial and unbiased observables
     boundary = _tradeoff_margins(np.array([1.0, 0.0, 0.5]), np.array([0.0, 0.7, 0.0]))
-    return _fold(name, 1e-12, itertools.chain(blocks, [boundary]))
+    return _fold(name, 1e-12, itertools.chain(chunks, [boundary]))
 
 
 def run_all_audits(samples: int = 100_000, seed: int = 1) -> list[AuditReport]:

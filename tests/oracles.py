@@ -6,8 +6,9 @@ settings, the state oracle builds correlation tensors from explicit
 4-component state vectors, the dephasing oracle builds a transfer matrix
 from numpy's identity and outer product, and the maximisers locate function
 maxima by dense grids plus local refinement.  The whole-chunk audit
-sampler draws and evaluates each chunk of random configurations at once,
-with no blocks, as the audits did before they were split into blocks.
+sampler draws each chunk's random configurations with its own helpers,
+which make each draw and its transform in one step, and evaluates the
+chunk at once.
 The reversibility R and the chart strength sqrt(1 - r^2) are evaluated in
 40-digit `mpmath` at the exact values of their float inputs, so a test can
 hold the float functions to a few units in the last place.
@@ -108,7 +109,7 @@ def grid_refine_max(fn, lo, hi, coarse: int = 401, refine_rounds: int = 30):
 
 
 def _components(rng, n: int, d: int) -> np.ndarray:
-    return np.ascontiguousarray(rng.normal(size=(n, d)).T)
+    return rng.normal(size=(d, n))
 
 
 def _lengths(v: np.ndarray) -> np.ndarray:

@@ -50,11 +50,18 @@ def scalar_margin(bound, config):
 class TestTradeoffChainAudit:
     @pytest.mark.parametrize("seed", [9, 110, 220])
     def test_weak_observables_do_not_violate(self, seed):
-        # these seeds draw strengths down to ~1e-8, where D = sqrt(1 - R^2)
-        # cancels and D - S used to read about -2e-9
+        # these seeds draw strengths down to 2.4e-7, 1.3e-6 and 2.1e-6, where
+        # D = sqrt(1 - R^2) would cancel
         report = audit_tradeoff_chain(1_000_000, seed)
         assert report.violations == 0
         assert report.worst_margin >= -1e-12
+
+    def test_weak_strengths_do_not_violate_at_any_bias(self):
+        # at S = 1e-8, D = sqrt(1 - R^2) cancels and D - S used to read about -2e-9
+        s = np.repeat(10.0 ** -np.arange(1, 16), 9)
+        b = np.tile(np.linspace(-1.0, 1.0, 9), 15) * (1 - s)
+        margins, _ = audit._tradeoff_margins(s, b)
+        assert margins.min() >= -1e-12
 
 
 class TestAuditKernel:
@@ -67,8 +74,8 @@ class TestAuditKernel:
         n = 200
         rng = np.random.default_rng(5)
         T = _random_pure_state_tensors(rng.uniform(0.0, np.pi / 4, n),
-                                       rng.normal(size=(n, 4)), rng.normal(size=(n, 4)))
-        dirs = tuple(_random_units(rng.normal(size=(n, 3))) for _ in range(4))
+                                       rng.normal(size=(4, n)), rng.normal(size=(4, n)))
+        dirs = tuple(_random_units(rng.normal(size=(3, n))) for _ in range(4))
         s = rng.uniform(0, 1, (4, n))
         s[:, ::7] = 0.0
         s[:, 3::7] = 1.0
@@ -78,8 +85,8 @@ class TestAuditKernel:
         biases = None
         if biased:
             T *= rng.uniform(0, 1, n)
-            a = _random_units(rng.normal(size=(n, 3))) * rng.uniform(0, 1, n)
-            b = _random_units(rng.normal(size=(n, 3))) * rng.uniform(0, 1, n)
+            a = _random_units(rng.normal(size=(3, n))) * rng.uniform(0, 1, n)
+            b = _random_units(rng.normal(size=(3, n))) * rng.uniform(0, 1, n)
             biases = rng.uniform(-1, 1, (4, n)) * (1 - s)
         s1, sstar = sequential_chsh_batch(T, s, dirs, biases, a, b)
         for i in range(n):
@@ -105,17 +112,18 @@ class TestOrthogonalPartners:
         u /= np.sqrt((u * u).sum(axis=0))
         n = u.shape[1]
 
-        w = audit._orthogonal_partners(2.5 * u.T, u)
+        w = audit._orthogonal_partners(2.5 * u, u)
         assert w.shape == (3, n)
         assert np.allclose(np.sqrt((w * w).sum(axis=0)), 1.0, rtol=0, atol=1e-15)
         assert np.abs((u * w).sum(axis=0)).max() <= 1e-12
 
 
 class TestChunkedAudits:
-    @pytest.mark.parametrize("samples", [1, 2**16, 2**16 + 1])
+    @pytest.mark.parametrize("samples", [1, 2**12, 2**12 + 1, 2**16, 2**16 + 1])
     def test_sample_counts(self, samples):
         # each monogamy audit adds its saturating configuration, the tradeoff
-        # chain its three boundary observables
+        # chain its three boundary observables; 2^12 rows make one chunk and
+        # 2^16 + 1 seventeen
         counts = {r.name: r.samples for r in run_all_audits(samples, 4)}
         assert counts == {
             "orthogonal-monogamy": samples + 1,
@@ -146,13 +154,12 @@ class TestChunkedAudits:
         (False, False, EQUAL_STRENGTH_MONOGAMY_BOUND),
     ])
     def test_chunk_config_is_its_worst_random_row(self, orthogonal, equal_strengths, bound):
-        # the saturating row wins every report, so check a random chunk
-        # alone; its 5,000 rows span two blocks
+        # the saturating row wins every report, so check a random chunk alone
         rng = np.random.default_rng(11)
-        blocks = list(audit._monogamy_blocks(rng, 5_000, bound, orthogonal, equal_strengths))
-        assert [m.size for m, _ in blocks] == [audit._BLOCK, 5_000 - audit._BLOCK]
-        report = audit._fold("chunk", 1e-9, blocks)
-        margins = np.concatenate([m for m, _ in blocks])
+        chunk = audit._monogamy_chunk(rng, audit._CHUNK, bound, orthogonal, equal_strengths)
+        margins = chunk[0]
+        assert margins.shape == (audit._CHUNK,)
+        report = audit._fold("chunk", 1e-9, [chunk])
         assert report.worst_margin == margins.min()
         config = report.worst_config
         assert scalar_margin(bound, config) == pytest.approx(margins.min(), abs=1e-12)
@@ -164,35 +171,56 @@ class TestChunkedAudits:
             assert abs(np.dot(config["y"], config["y_prime"])) <= 1e-12
 
     def test_memory_does_not_grow_with_samples(self):
+        peaks = []
+        for samples in (2**14, 2**18):
+            tracemalloc.start()
+            try:
+                run_all_audits(samples, 1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) <= 8e6
+        assert abs(peaks[1] - peaks[0]) <= 1e6
+
+    @pytest.mark.parametrize("name", list(audit._SEED_OFFSETS))
+    def test_chunk_streams_are_the_spawned_children(self, name):
+        # chunk i draws from the i-th child of the audit's SeedSequence
+        samples, seed = 3 * audit._CHUNK + 5, 8
+        chunks = list(audit._chunk_rngs(name, samples, seed))
+        for i in (0, 1, len(chunks) - 1):
+            rng, n = chunks[i]
+            assert n == min(audit._CHUNK, samples - i * audit._CHUNK)
+            # a fresh root each time, as spawn advances its child counter
+            root = np.random.SeedSequence(seed + audit._SEED_OFFSETS[name])
+            child = np.random.default_rng(root.spawn(i + 1)[i])
+            assert np.array_equal(rng.random(8), child.random(8))
+        # the generators are made as the chunks run, not all up front
         tracemalloc.start()
         try:
-            run_all_audits(2**18, 1)
+            next(audit._chunk_rngs(name, 2**29, seed))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 24e6
+        assert peak < 1e6
 
-    def test_blocks_match_the_whole_chunk_sampler(self):
-        # 2^16 + 4097 rows cross a chunk boundary and, in the second chunk,
-        # a block boundary; evaluating whole chunks gives the same reports
-        samples, seed = 2**16 + 4097, 3
-        assert samples % audit._CHUNK > audit._BLOCK
-        for blocked, whole in zip(run_all_audits(samples, seed),
+    def test_audits_match_the_whole_chunk_oracle(self):
+        # 2 * 2^12 + 5 rows make two whole chunks and a short one
+        samples, seed = 2 * audit._CHUNK + 5, 3
+        for report, oracle in zip(run_all_audits(samples, seed),
                                   whole_chunk_audits(samples, seed), strict=True):
-            assert blocked.name == whole.name
-            assert blocked.samples == whole.samples
-            assert blocked.violations == whole.violations
-            assert blocked.worst_margin == whole.worst_margin
-            assert blocked.worst_config == whole.worst_config
+            assert report.name == oracle.name
+            assert report.samples == oracle.samples
+            assert report.violations == oracle.violations
+            assert report.worst_margin == oracle.worst_margin
+            assert report.worst_config == oracle.worst_config
         # the fixed rows win every report, so compare each chunk's random rows too
         for name in audit._SEED_OFFSETS:
             rngs = audit._chunk_rngs(name, samples, seed)
             if name == "tradeoff-chain":
-                blocked = [list(audit._tradeoff_blocks(rng, n)) for rng, n in rngs]
+                chunks = [audit._tradeoff_chunk(rng, n) for rng, n in rngs]
             else:
-                blocked = [list(audit._monogamy_blocks(rng, n, *MONOGAMY_AUDITS[name]))
-                           for rng, n in rngs]
-            for blocks, (margins, config) in zip(blocked, whole_chunks(name, samples, seed),
-                                                 strict=True):
-                assert np.array_equal(np.concatenate([m for m, _ in blocks]), margins)
-                assert audit._fold(name, 0.0, blocks).worst_config == config
+                chunks = [audit._monogamy_chunk(rng, n, *MONOGAMY_AUDITS[name]) for rng, n in rngs]
+            for (margins, config), (oracle_margins, oracle_config) in zip(
+                    chunks, whole_chunks(name, samples, seed), strict=True):
+                assert np.array_equal(margins, oracle_margins)
+                assert config == oracle_config
