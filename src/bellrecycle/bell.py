@@ -183,8 +183,8 @@ def sequential_chsh_batch(T, s, dirs, biases=None, a=None, b=None):
     A, B = D[:2], D[2:]
     AT = _sum3(lambda i: A[:, i, None] * T[i])
     s1 = _s1(AT, A, B, s, biases, a, b)
-    u, v = reversibility_roots(0.0 if biases is None else biases, s)
-    r = 0.5 * u + 0.5 * v
+    u, v = reversibility_roots(biases, s)
+    r = u if biases is None else 0.5 * u + 0.5 * v
     c = 0.5 * (1 - r)
     # K T = c0 T + c1 x (x^T T) + c2 x' (x'^T T), then (K T) v_l and K T L
     # by the same rank-one update on the right

@@ -75,7 +75,8 @@ def _write_output(text: str, path: str | None) -> None:
 
 
 def _emit_json(document: dict, path: str | None) -> None:
-    text = json.dumps(_json_round(document), indent=2, sort_keys=True) + "\n"
+    # NaN and Infinity are not JSON: json.dumps raises ValueError, exit 2
+    text = json.dumps(_json_round(document), indent=2, sort_keys=True, allow_nan=False) + "\n"
     _write_output(text, path)
 
 

@@ -157,7 +157,7 @@ def region1_closed(s: float) -> float:
 
 def region3_curve(s: float) -> float:
     """Optimal S2* for the high-violation region: sqrt(2) - s/4 + sqrt(2 - s/sqrt(2))."""
-    if s > S_MAX + 1e-12 or s < 0.0:
+    if not 0.0 <= s <= S_MAX + 1e-12:
         raise DomainError(f"|S1| = {s} outside [0, 2*sqrt(2)]")
     return math.sqrt(2.0) - s / 4.0 + math.sqrt(max(2.0 - s / math.sqrt(2.0), 0.0))
 

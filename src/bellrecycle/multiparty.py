@@ -7,7 +7,7 @@ share a fixed layout; each Bob's strength is the closed form target / S(1),
 since CHSH is linear in the strength.  The multi-pair construction lifts
 any feasible schedule to M Alices x N Bobs on M independent qubit pairs
 using trivial (identity) observables, which leave the other pairs
-undisturbed.
+undisturbed, so its CHSH matrix tiles the schedule's planned values.
 """
 
 from __future__ import annotations
@@ -107,8 +107,8 @@ def plan_multibob(T, n_bobs: int, margin: float = 0.05) -> MultiBobSchedule:
     T = np.asarray(T, dtype=float).reshape(3, 3)
     if n_bobs < 1:
         raise ConstraintViolation(f"n_bobs must be >= 1, got {n_bobs}")
-    if margin <= 0.0:
-        raise ConstraintViolation(f"margin must be positive, got {margin}")
+    if not (math.isfinite(margin) and margin > 0.0):
+        raise ConstraintViolation(f"margin must be finite and positive, got {margin}")
     U, sv, Vt = np.linalg.svd(T)
     if sv[0] > 1.0 + 1e-9:
         raise ConstraintViolation(f"largest singular value of T is {sv[0]} > 1")
@@ -191,16 +191,18 @@ def multipair_scenario(m_alices: int, n_bobs: int, base_schedule: MultiBobSchedu
     On pair q, Alice m measures the base Alice pair when m == q and the
     trivial identity observable otherwise; Bobs run the base schedule on all
     pairs.  S_mn is the best CHSH over pairs, which equals the base value
-    S(A, B_n) for every m because identity measurements do not disturb; the
-    tests build the explicit M-pair lift and check it gives this exactly.
+    S(A, B_n) for every m because identity measurements do not disturb, so
+    the matrix tiles the schedule's planned values; the tests build the
+    explicit M-pair lift and check it gives them exactly.
     """
     if n_bobs > len(base_schedule.bob_strengths):
         raise ConstraintViolation(
             f"base schedule covers {len(base_schedule.bob_strengths)} Bobs, need {n_bobs}"
         )
-    if any(v <= 2.0 for v in base_schedule.chsh_values[:n_bobs]):
+    values = base_schedule.chsh_values[:n_bobs]
+    if any(v <= 2.0 for v in values):
         raise Infeasible(
             "base schedule is not feasible for the requested number of Bobs",
-            failing_n=int(np.argmax(np.array(base_schedule.chsh_values[:n_bobs]) <= 2.0)) + 1,
+            failing_n=int(np.argmax(np.array(values) <= 2.0)) + 1,
         )
-    return np.tile(rerun_schedule(base_schedule)[:n_bobs], (m_alices, 1))
+    return np.tile(values, (m_alices, 1))

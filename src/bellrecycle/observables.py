@@ -136,7 +136,12 @@ def reversibility_roots(b, s):
     """`reversibility`'s roots sqrt((1 +- b)^2 - s^2) of arrays b, s, clamped at 0.
 
     Same factors in the same order, so 0.5 u + 0.5 v is the scalar R bit for bit.
+    For b None (unbiased settings) the two roots are one, sqrt((1 - s)(1 + s)),
+    taken once and returned twice; it is then R itself.
     """
+    if b is None:
+        u = np.sqrt(np.maximum((1.0 - s) * (1.0 + s), 0.0))
+        return u, u
     u = np.sqrt(np.maximum((1.0 + b - s) * (1.0 + b + s), 0.0))
     v = np.sqrt(np.maximum((1.0 - b - s) * (1.0 - b + s), 0.0))
     return u, v
@@ -198,7 +203,7 @@ def expectation(obs: Observable, bloch) -> float:
     """Mean value B + S * (direction . bloch) on a single-qubit state."""
     vec = np.asarray(bloch, dtype=float).reshape(3)
     norm = float(np.linalg.norm(vec))
-    if norm > 1.0 + INTERFACE_TOL:
-        raise InvalidBloch(f"|bloch| = {norm} exceeds 1")
+    if not norm <= 1.0 + INTERFACE_TOL:
+        raise InvalidBloch(f"|bloch| = {norm} is not at most 1")
     value = obs.bias + obs.strength * float(obs.direction @ vec)
     return min(max(value, -1.0), 1.0)

@@ -37,6 +37,7 @@ from __future__ import annotations
 import concurrent.futures
 import math
 from dataclasses import asdict, dataclass
+from itertools import repeat
 from typing import Callable
 
 import numpy as np
@@ -90,11 +91,6 @@ class BoundaryPoint:
         return asdict(self)
 
 
-def _rows(X: np.ndarray) -> np.ndarray:
-    """The columns of an (n, k) parameter block as contiguous (k, n) rows."""
-    return np.ascontiguousarray(X.T)
-
-
 def _sph(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """(k, 3, n) unit vectors from (k, n) polar angles and azimuths."""
     st = np.sin(theta)
@@ -106,24 +102,19 @@ def _planar(angle: np.ndarray) -> np.ndarray:
     return np.stack([np.cos(angle), np.sin(angle), np.zeros_like(angle)], axis=1)
 
 
-def _strengths(P: np.ndarray) -> np.ndarray:
-    """(4, n) unbiased strengths from the block's first four columns."""
-    return np.clip(_rows(P[:, :4]), 0.0, 1.0)
+def _unbiased_geometry(Q: np.ndarray):
+    return np.clip(Q[:4], 0.0, 1.0), None, _sph(Q[4::2], Q[5::2])
 
 
-def _unbiased_geometry(P: np.ndarray):
-    return _strengths(P), None, _sph(_rows(P[:, 4::2]), _rows(P[:, 5::2]))
-
-
-def _biased_geometry(P: np.ndarray):
-    r = np.clip(_rows(P[:, 0::4]), 0.0, 1.0)
-    alpha = _rows(P[:, 1::4]) * np.arcsin(r)
+def _biased_geometry(Q: np.ndarray):
+    r = np.clip(Q[0::4], 0.0, 1.0)
+    alpha = Q[1::4] * np.arcsin(r)
     s = np.sqrt(np.clip((1 - r) * (1 + r), 0, 1)) * np.cos(alpha)
     biases = r * np.sin(alpha)
-    return s, biases, _sph(_rows(P[:, 2::4]), _rows(P[:, 3::4]))
+    return s, biases, _sph(Q[2::4], Q[3::4])
 
 
-def _region2_geometry(P: np.ndarray):
+def _region2_geometry(Q: np.ndarray):
     """The ansatz settings in the x-y plane: x = (0, 1, 0), x' = (1, 0, 0),
     y = (sin theta, cos theta, 0) and y' = (-sin theta, cos theta, 0).
 
@@ -131,8 +122,7 @@ def _region2_geometry(P: np.ndarray):
     four parameters.  With x' fixed the ansatz still reaches the best S2*
     any chart has found from 2.05 to 2.75 (`test_region2_ansatz_optimum`).
     """
-    rows = _rows(P)
-    theta = rows[3]
+    theta = Q[3]
     zero, one = np.zeros_like(theta), np.ones_like(theta)
     sin, cos = np.sin(theta), np.cos(theta)
     dirs = np.stack([
@@ -141,7 +131,7 @@ def _region2_geometry(P: np.ndarray):
         np.stack([sin, cos, zero]),
         np.stack([-sin, cos, zero]),
     ])
-    return np.clip(rows[[0, 1, 2, 2]], 0, 1), None, dirs
+    return np.clip(Q[[0, 1, 2, 2]], 0, 1), None, dirs
 
 
 def _singlet(n: int):
@@ -150,35 +140,36 @@ def _singlet(n: int):
     return a, b, np.broadcast_to(-np.eye(3)[:, :, None], (3, 3, n))
 
 
-def _decode_general_biased(P: np.ndarray):
-    return (*schmidt_tensors(P[:, -1]), *_biased_geometry(P[:, :-1]))
+def _decode_general_biased(Q: np.ndarray):
+    return (*schmidt_tensors(Q[-1]), *_biased_geometry(Q[:-1]))
 
 
-def _decode_unbiased(P: np.ndarray):
-    return (*schmidt_tensors(P[:, -1]), *_unbiased_geometry(P[:, :-1]))
+def _decode_unbiased(Q: np.ndarray):
+    return (*schmidt_tensors(Q[-1]), *_unbiased_geometry(Q[:-1]))
 
 
-def _decode_unbiased_singlet(P: np.ndarray):
-    return (*_singlet(P.shape[0]), *_unbiased_geometry(P))
+def _decode_unbiased_singlet(Q: np.ndarray):
+    return (*_singlet(Q.shape[1]), *_unbiased_geometry(Q))
 
 
-def _decode_equatorial(P: np.ndarray):
-    return (*_singlet(P.shape[0]), _strengths(P), None, _planar(_rows(P[:, 4:8])))
+def _decode_equatorial(Q: np.ndarray):
+    return (*_singlet(Q.shape[1]), np.clip(Q[:4], 0.0, 1.0), None, _planar(Q[4:8]))
 
 
-def _decode_region2(P: np.ndarray):
-    return (*_singlet(P.shape[0]), *_region2_geometry(P))
+def _decode_region2(Q: np.ndarray):
+    return (*_singlet(Q.shape[1]), *_region2_geometry(Q))
 
 
 @dataclass(frozen=True)
 class SearchMode:
     """One parameter chart of the search space: its box bounds and decoder.
 
-    `decoder` maps an (n, d) parameter block to (a, b, T, s, biases, dirs),
-    component-major as `bell.sequential_chsh_batch` takes them: a and b are
-    (3, n), T is (3, 3, n), s and biases are (4, n) over the settings x, x',
-    y, y' (biases is None in the unbiased charts) and dirs their directions,
-    (4, 3, n).  Decoders are module-level functions, so a mode pickles.
+    `decoder` maps a (d, n) parameter block, one contiguous row per parameter,
+    to (a, b, T, s, biases, dirs), component-major as `sequential_chsh_batch`
+    takes them: a and b are (3, n), T is (3, 3, n), s and biases are (4, n)
+    over the settings x, x', y, y' (biases is None in the unbiased charts) and
+    dirs their directions, (4, 3, n).  Decoders are module-level functions, so
+    a mode pickles.
     """
 
     tag: str
@@ -191,11 +182,11 @@ class SearchMode:
         return len(self.lo)
 
     def decode(self, P: np.ndarray):
-        """The decoder's output for an (n, d) block with d = n_params."""
+        """The decoder's output for an (n, d) block, d = n_params, read as (d, n) rows."""
         if P.shape[1] != self.n_params:
             raise LengthMismatch(f"{self.tag} expects {self.n_params} parameters, "
                                  f"got {P.shape[1]}")
-        return self.decoder(P)
+        return self.decoder(np.ascontiguousarray(P.T))
 
 
 _PI, _TWOPI = math.pi, 2.0 * math.pi
@@ -543,10 +534,6 @@ def boundary_point(
     )
 
 
-def _point_task(args):
-    return boundary_point(*args)
-
-
 def boundary_curve(
     grid,
     mode: SearchMode = UNBIASED_SINGLET,
@@ -567,9 +554,8 @@ def boundary_curve(
         _check_target(g)
     if workers < 1:
         raise DomainError(f"workers must be at least 1, got {workers}")
-    tasks = [(g, mode, budget, seed) for g in grid]
-    workers = min(workers, len(tasks))
-    if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_point_task, tasks))
-    return [_point_task(t) for t in tasks]
+    args = (grid, repeat(mode), repeat(budget), repeat(seed))
+    if workers > 1 and len(grid) > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=min(workers, len(grid))) as pool:
+            return list(pool.map(boundary_point, *args))
+    return list(map(boundary_point, *args))

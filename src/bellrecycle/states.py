@@ -24,6 +24,8 @@ _SIGMA = (
     np.array([[0, -1j], [1j, 0]], dtype=complex),
     np.array([[1, 0], [0, -1]], dtype=complex),
 )
+#: The (4, 4, 4, 4) operator basis: entry [mu, nu] is sigma_mu (x) sigma_nu.
+_PAULI_BASIS = np.array([[np.kron(s, t) for t in _SIGMA] for s in _SIGMA])
 
 
 @dataclass(frozen=True)
@@ -52,12 +54,8 @@ class TwoQubitState:
 
 
 def density_matrix(state: TwoQubitState) -> np.ndarray:
-    """Reconstruct the 4x4 density operator from Theta."""
-    rho = np.zeros((4, 4), dtype=complex)
-    for mu in range(4):
-        for nu in range(4):
-            rho += state.theta[mu, nu] * np.kron(_SIGMA[mu], _SIGMA[nu])
-    return rho / 4.0
+    """Reconstruct the 4x4 density operator sum_mu,nu Theta_mu,nu sigma_mu (x) sigma_nu / 4."""
+    return np.tensordot(state.theta, _PAULI_BASIS, 2) / 4.0
 
 
 def validate(state: TwoQubitState) -> None:

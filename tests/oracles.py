@@ -3,7 +3,8 @@
 These deliberately avoid the code paths they check: the downstream-CHSH
 oracle maximises the CHSH functional directly on a grid of projective
 settings, the state oracle builds correlation tensors from explicit
-4-component state vectors, the dephasing oracle builds a transfer matrix
+4-component state vectors, the density-matrix oracle sums the 16 Kronecker
+products sigma_mu (x) sigma_nu one at a time, the dephasing oracle builds a transfer matrix
 from numpy's identity and outer product, and the maximisers locate function
 maxima by dense grids plus local refinement.  The whole-chunk audit
 sampler draws each chunk's random configurations with its own helpers,
@@ -50,6 +51,15 @@ def grid_search_sstar(T, step_deg: float = 2.0) -> float:
     minus = u[:, None, :] - u[None, :, :]
     S = np.linalg.norm(plus, axis=2) + np.linalg.norm(minus, axis=2)
     return float(S.max())
+
+
+def density_matrix_kron_sum(theta) -> np.ndarray:
+    """rho = sum over mu, nu of Theta[mu, nu] sigma_mu (x) sigma_nu, over 4."""
+    rho = np.zeros((4, 4), dtype=complex)
+    for mu in range(4):
+        for nu in range(4):
+            rho += theta[mu, nu] * np.kron(_PAULI[mu], _PAULI[nu])
+    return rho / 4.0
 
 
 def dephasing_transfer(eta: float, axis) -> np.ndarray:

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -174,6 +175,32 @@ class TestAuditCommand:
     def test_zero_samples_exit_2(self):
         assert main(["audit", "--samples", "0"]) == 2
 
+    def test_violation_exit_4(self, tmp_path, monkeypatch, capsys, schema):
+        # the report is still written whole, and each violated audit gets one
+        # stderr line
+        reports = audit.run_all_audits(samples=1, seed=0)
+        bad = dataclasses.replace(reports[0], worst_margin=-0.25, violations=3)
+        monkeypatch.setattr(cli, "run_all_audits", lambda samples, seed: [bad, *reports[1:]])
+        out = tmp_path / "audit.json"
+        capsys.readouterr()
+        assert main(["audit", "--samples", "1", "--out", str(out)]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"violation in {bad.name}: worst margin -0.25 at {{")
+        document = json.loads(out.read_text())
+        validate(document, schema)
+        assert [entry["violations"] for entry in document["audits"]] == [3, 0, 0, 0]
+
+    def test_non_finite_output_exit_2(self, monkeypatch, capsys):
+        # NaN and Infinity are not JSON, so no document is printed
+        reports = audit.run_all_audits(samples=1, seed=0)
+        nan = dataclasses.replace(reports[0], worst_margin=math.nan)
+        monkeypatch.setattr(cli, "run_all_audits", lambda samples, seed: [nan, *reports[1:]])
+        capsys.readouterr()
+        assert main(["audit", "--samples", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+
     def test_deterministic(self, tmp_path):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
@@ -215,6 +242,15 @@ class TestMultibobCommand:
         assert main(["multibob", "--n", "0"]) == 2
         assert main(["multibob", "--n", "1", "--margin", "-1"]) == 2
         assert main(["multibob", "--n", "1", "--state", '{"T": "oops"}']) == 2
+
+    @pytest.mark.parametrize("margin", ["nan", "inf"])
+    def test_non_finite_margin_exit_2(self, margin, capsys):
+        capsys.readouterr()
+        assert main(["multibob", "--n", "1", "--margin", margin]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: margin must be finite and positive, got {float(margin)}"]
 
     @pytest.mark.parametrize("state", ["[1]", "null", '{"T": {"x": 1}}'])
     def test_state_not_an_object_exit_2(self, state):

@@ -234,6 +234,10 @@ class TestRegionCurves:
         with pytest.raises(DomainError):
             region3_curve(2 * ROOT2 + 1e-6)
 
+    def test_region3_rejects_nan(self):
+        with pytest.raises(DomainError):
+            region3_curve(math.nan)
+
 
 class TestMaxExponent:
     def test_value_in_reported_range(self):

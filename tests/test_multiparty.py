@@ -134,6 +134,11 @@ class TestPlanMultibob:
         with pytest.raises(ConstraintViolation):
             plan_multibob(-1.5 * np.eye(3), 1, margin=0.05)
 
+    @pytest.mark.parametrize("margin", [math.nan, math.inf])
+    def test_non_finite_margin_rejected(self, margin):
+        with pytest.raises(ConstraintViolation):
+            plan_multibob(-np.eye(3), 1, margin=margin)
+
     def test_earlier_strength_monotonically_hurts_later(self):
         schedule = plan_multibob(-np.eye(3), 2, margin=0.05)
         base_second = schedule.chsh_values[1]
@@ -219,6 +224,25 @@ class TestMultipairScenario:
                     value = chain_chsh(schedule.state, alice_plan, bob_plan, m, n)
                     lift[m - 1, n - 1] = max(lift[m - 1, n - 1], value)
         assert np.array_equal(multipair_scenario(m_alices, 2, schedule), lift)
+
+    def test_tiles_planned_values_of_random_contractions(self):
+        # the matrix tiles the planned values, and a replay of the schedule
+        # recomputes them bit for bit
+        rng = np.random.default_rng(31)
+        feasible = 0
+        for _ in range(60):
+            q1, q2 = np.linalg.qr(rng.normal(size=(2, 3, 3)))[0]
+            T = q1 @ np.diag(np.sort(rng.uniform(0.6, 1.0, 3))[::-1]) @ q2.T
+            try:
+                schedule = plan_multibob(T, 2, margin=float(rng.uniform(0.01, 0.1)))
+            except Infeasible:
+                continue
+            feasible += 1
+            assert rerun_schedule(schedule) == schedule.chsh_values
+            for n in (1, 2):
+                expected = [list(schedule.chsh_values[:n])] * 3
+                assert multipair_scenario(3, n, schedule).tolist() == expected
+        assert feasible >= 10
 
     def test_identity_observable_channel(self):
         ch = channel_of(trivial(1.0), SQUARE_ROOT)

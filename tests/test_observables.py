@@ -193,6 +193,15 @@ class TestReversibilityRoots:
     def test_near_projective(self):
         self.assert_matches_scalar(*near_projective())
 
+    def test_unbiased_root_is_the_scalar_reversibility(self):
+        # with no biases the two roots are one, and it is R itself
+        rng = np.random.default_rng(24)
+        s = np.concatenate([rng.uniform(0, 1, 5000), NEAR_ONE, [0.0, 1.0]])
+        u, v = reversibility_roots(None, s)
+        assert u is v
+        assert np.array_equal(u, reversibility_roots(np.zeros_like(s), s)[0])
+        assert u.tolist() == [reversibility(unbiased(si, (0, 0, 1))) for si in s]
+
     def test_matches_mpmath_near_projective(self):
         b, s = near_projective()
         u, v = reversibility_roots(b, s)
@@ -300,6 +309,10 @@ class TestExpectation:
     def test_invalid_bloch(self):
         with pytest.raises(InvalidBloch):
             expectation(projective((0, 0, 1)), (1.1, 0, 0))
+
+    def test_nan_bloch_rejected(self):
+        with pytest.raises(InvalidBloch):
+            expectation(projective((0, 0, 1)), (math.nan, 0, 0))
 
 
 class TestTradeoffRelations:

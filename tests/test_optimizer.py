@@ -100,9 +100,9 @@ class TestDecodeParams:
         # both charts take sqrt(1 - r^2) as sqrt((1 - r)(1 + r)), so they agree
         # bit for bit, and stay accurate, where 1 - r * r would cancel
         r = 1.0 - 10.0 ** -np.arange(1, 16)
-        P = np.zeros((15, 16))
-        P[:, 0] = r
-        s, _, _ = optimizer._biased_geometry(P)
+        Q = np.zeros((16, 15))
+        Q[0] = r
+        s, _, _ = optimizer._biased_geometry(Q)
         assert s[0].tolist() == [from_reversibility_angle(x, 0.0)[0] for x in r]
         assert np.allclose(s[0], [mp_chart_strength(x, 0.0) for x in r], rtol=1e-15, atol=0)
 
@@ -481,8 +481,8 @@ class TestBoundaryCurve:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, tasks):
-                return [None for _ in tasks]
+            def map(self, fn, *iterables):
+                return [None for _ in zip(*iterables)]
 
         monkeypatch.setattr(optimizer.concurrent.futures, "ProcessPoolExecutor", Recording)
         assert boundary_curve([0.5, 1.0], UNBIASED_SINGLET, budget=10_000,

@@ -3,14 +3,22 @@
 `perfbench/tracing.py` wraps each (module, function) pair in its `WRAPPED`
 table, and a traced run fails when one is missing.  Reading the table here,
 without importing or running the tracer, makes a rename fail this suite
-rather than the traced benchmark.
+rather than the traced benchmark.  A wrapped function must also stay on its
+workload's path, or its spans read zero: the scalar workload reaches
+`multiparty.chain_chsh` only through its multibob requests.
 """
 
 import ast
 import importlib
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+import numpy as np
+
+import bellrecycle
+from bellrecycle import multiparty
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def wrapped_table():
@@ -28,3 +36,22 @@ def test_every_wrapped_function_exists():
     missing = [f"{module}.{func}" for module, func, _ in table
                if not callable(getattr(importlib.import_module(f"bellrecycle.{module}"), func, None))]
     assert missing == []
+
+
+def test_scalar_multibob_request_calls_chain_chsh(monkeypatch):
+    # the tracer rebinds module attributes as this monkeypatch does
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    calls = []
+    chain_chsh = multiparty.chain_chsh
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return chain_chsh(*args, **kwargs)
+
+    monkeypatch.setattr(multiparty, "chain_chsh", counting)
+    rng = np.random.default_rng(0)
+    request = workloads._scalar_request(rng, workloads.MULTIBOB_EVERY - 1)
+    assert request["type"] == "multibob"
+    workloads.multibob_request(bellrecycle, request)
+    assert len(calls) > 0

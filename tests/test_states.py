@@ -21,7 +21,7 @@ from bellrecycle import (
 )
 from bellrecycle.states import validate
 
-from oracles import theta_from_state_vector
+from oracles import density_matrix_kron_sum, theta_from_state_vector
 
 
 class TestSinglet:
@@ -116,6 +116,18 @@ class TestValidation:
         rho = density_matrix(singlet())
         psi = np.array([0, 1, -1, 0]) / math.sqrt(2)
         assert np.allclose(rho, np.outer(psi, psi), atol=1e-15)
+
+    def test_density_matrix_matches_kron_sum(self):
+        # random mixtures of three random pure states
+        rng = np.random.default_rng(41)
+        for _ in range(200):
+            psi = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
+            psi /= np.linalg.norm(psi, axis=1)[:, None]
+            theta = np.einsum("i,ijk->jk", rng.dirichlet(np.ones(3)),
+                              [theta_from_state_vector(p) for p in psi])
+            state = make_state(theta[1:, 0], theta[0, 1:], theta[1:, 1:], check=False)
+            rho = density_matrix(state)
+            assert np.abs(rho - density_matrix_kron_sum(state.theta)).max() <= 1e-15
 
 
 class TestJsonRoundTrip:
