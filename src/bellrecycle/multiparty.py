@@ -109,6 +109,8 @@ def plan_multibob(T, n_bobs: int, margin: float = 0.05) -> MultiBobSchedule:
         raise ConstraintViolation(f"n_bobs must be >= 1, got {n_bobs}")
     if not (math.isfinite(margin) and margin > 0.0):
         raise ConstraintViolation(f"margin must be finite and positive, got {margin}")
+    if not np.isfinite(T).all():
+        raise ConstraintViolation(f"T = {T.tolist()} has a non-finite entry")
     U, sv, Vt = np.linalg.svd(T)
     if sv[0] > 1.0 + 1e-9:
         raise ConstraintViolation(f"largest singular value of T is {sv[0]} > 1")

@@ -5,24 +5,32 @@ differential weight 0.7, crossover 0.9, reflecting box constraints) drives
 the search; the equality constraint |S(A1,B1)| = s enters through an
 adaptive penalty that starts at 10 and doubles every 50 generations while
 the incumbent is infeasible.  Four independent seeded restarts advance in
-lockstep, one batched evaluation per generation, on nine tenths of the
-budget.  Their bests, with the (S1, S*) values DE found for them, are then
-finished, again in lockstep, by an SQP polish in plain numpy, each restart
-on a quarter of the rest.  The polish works in coordinates u with
-x = lo + (hi - lo) sin^2 u, which remove the box and smooth S*'s
-square-root edge at unit strength.  Each step takes the forward-difference
-gradients of every live restart in one evaluator call, solves their KKT
-systems in one batched solve, runs SLSQP's line search on the l1 merit (one
-evaluator call per round, and one second-order correction of a rejected
-full step) and puts each accepted point back on the constraint with one
-restoration row; a damped BFGS update then refines each restart's Hessian.
+lockstep, one batched evaluation per generation, on at most nine tenths of
+the budget.  Their bests, with the (S1, S*) values DE found for them, are
+finished, again in lockstep, by an SQP polish in plain numpy.  DE grows in
+checkpointed stages of 2,560 and 10,240 rows per restart; after each, a
+polish of 1,000 rows per restart runs, and the search stops once two
+polished restarts are within 1e-12 of the target and within 1e-10 of each
+other in S*.  Otherwise DE runs to its full share, carrying its state over
+so that no row is evaluated twice, and each restart's last polish gets a
+quarter of what is left.  Stages run only where that leaves the last
+polish 3,000 rows per restart, from budget 160,000 on.  The polish works
+in coordinates u with x = lo + (hi - lo) sin^2 u, which remove the box and
+smooth S*'s square-root edge at unit strength.  Each step takes the
+forward-difference gradients of every live restart in one evaluator call,
+solves their KKT systems in one batched solve, runs SLSQP's line search on
+the l1 merit (one evaluator call per round, and one second-order correction
+of a rejected full step) and puts each accepted point back on the
+constraint with one restoration row; a damped BFGS update then refines
+each restart's Hessian.
 A restart stops once its iterate has been within 1e-12 of the target for
 five steps without S* gaining more than 1e-13, or before a call would
-overrun its share.  The best point within 1e-12 of the target wins (the
-best feasible one if there is none).  Each phase counts the rows it hands
-the evaluator, and `evaluations` is four times a restart's DE rows plus the
-polish's rows, so it never exceeds the budget.  Identical (mode, s, budget,
-seed) inputs give bit-identical results.
+overrun its share.  Among the starts and results of the last polish that
+ran, the best point within 1e-12 of the target wins (the best feasible one
+if there is none).  Each phase counts the rows it hands the evaluator, and
+`evaluations` is four times a restart's DE rows plus every polish's rows,
+so the budget is a ceiling that easy targets stay far below.  Identical
+(mode, s, budget, seed) inputs give bit-identical results.
 
 Each search mode is one `SearchMode` declaration: its tag, its box bounds
 and its decoder, which maps a parameter block to the state and settings it
@@ -64,6 +72,17 @@ _FEASIBILITY_TOL = 1e-4
 _MIN_BUDGET = 10_000
 # the polish gets budget // _POLISH_PART of the evaluations, DE the rest
 _POLISH_PART = 10
+# DE grows in stages of _STAGES rows per restart before it runs to its full
+# share; after each such stage every restart's best is polished on
+# _STAGE_POLISH rows, and the search stops once two polished restarts are
+# within _FLOOR_MISS of the target and within _AGREEMENT of each other in S*.
+# A stage runs only if the last polish keeps _LAST_POLISH rows per restart,
+# so the first runs from budget 160,000 and the second from 200,000; a
+# smaller last polish left budget-bound targets up to 5e-5 below.
+_STAGES = (2_560, 10_240)
+_STAGE_POLISH = 1_000
+_LAST_POLISH = 3_000
+_AGREEMENT = 1e-10
 # the forward-difference step, sqrt(machine epsilon)
 _FD_STEP = math.sqrt(np.finfo(float).eps)
 # a polish stops after _FLOOR_ITERATIONS feasible iterates (|S1| within
@@ -271,11 +290,15 @@ def _trials(X, lo, hi, rngs):
     return np.where(cross, mutant, X)
 
 
-def _de_lockstep(evaluator, lo, hi, target, budget, rngs):
-    """Best point of each DE restart; one restart per generator.
+def _de_lockstep(evaluator, lo, hi, target, stops, rngs):
+    """Best point of each DE restart at each stop; one restart per generator.
 
-    Returns the (k, d) best points, their (k, 2) values (S1, S2*) and the
-    rows each restart evaluated, at most `budget`.
+    `stops` are increasing row counts per restart.  At each the search yields
+    the (k, d) best points, their (k, 2) values (S1, S2*) and the rows each
+    restart has evaluated, once the next generation would pass the stop.
+    The populations, penalty weights, generation count and generators carry
+    over from stop to stop, so no row is evaluated twice and a yield does
+    not depend on the stops before it.
 
     The restarts advance in lockstep, so every generation is one evaluator
     call over all of their trial populations.  Each restart keeps its own
@@ -297,22 +320,23 @@ def _de_lockstep(evaluator, lo, hi, target, budget, rngs):
     fit = fitness(s1, ss, lam)
     gen = 0
     used = pop
-    while used + pop <= budget:
-        gen += 1
-        trial = _trials(X, lo, hi, rngs)
-        t1, tss = evaluate(trial)
-        used += pop
-        improved = fitness(t1, tss, lam) >= fit
-        X[improved] = trial[improved]
-        s1[improved] = t1[improved]
-        ss[improved] = tss[improved]
-        if gen % _PENALTY_PERIOD == 0:
-            best = np.argmax(fitness(s1, ss, lam), axis=1)
-            miss = np.abs(np.abs(s1[np.arange(k), best]) - target)[:, None]
-            lam = np.where((miss > _FEASIBILITY_TOL) & (lam < 1e12), 2.0 * lam, lam)
-        fit = fitness(s1, ss, lam)
-    rows, best = np.arange(k), np.argmax(fit, axis=1)
-    return X[rows, best], np.stack([s1[rows, best], ss[rows, best]], axis=1), used
+    for stop in stops:
+        while used + pop <= stop:
+            gen += 1
+            trial = _trials(X, lo, hi, rngs)
+            t1, tss = evaluate(trial)
+            used += pop
+            improved = fitness(t1, tss, lam) >= fit
+            X[improved] = trial[improved]
+            s1[improved] = t1[improved]
+            ss[improved] = tss[improved]
+            if gen % _PENALTY_PERIOD == 0:
+                best = np.argmax(fitness(s1, ss, lam), axis=1)
+                miss = np.abs(np.abs(s1[np.arange(k), best]) - target)[:, None]
+                lam = np.where((miss > _FEASIBILITY_TOL) & (lam < 1e12), 2.0 * lam, lam)
+            fit = fitness(s1, ss, lam)
+        rows, best = np.arange(k), np.argmax(fit, axis=1)
+        yield X[rows, best], np.stack([s1[rows, best], ss[rows, best]], axis=1), used
 
 
 def _gradients(evaluator, X, F, hi):
@@ -479,6 +503,13 @@ def _polish(evaluator, X0, F0, lo, hi, target, allowance):
     return candidates + [(x, *f) for x, f in zip(X, F.tolist())], int(spent.sum())
 
 
+def _agree(polished, target: float) -> bool:
+    """Whether two polished restarts lie within `_FLOOR_MISS` of the target
+    and within `_AGREEMENT` of each other in S*."""
+    sstar = sorted(ss for _, s1, ss in polished if abs(abs(s1) - target) <= _FLOOR_MISS)
+    return any(b - a <= _AGREEMENT for a, b in zip(sstar, sstar[1:]))
+
+
 def _check_target(s: float) -> None:
     if not 0.0 <= s <= S_MAX + 1e-12:
         raise DomainError(f"target {s} outside [0, 2*sqrt(2)]")
@@ -492,12 +523,17 @@ def boundary_point(
 ) -> BoundaryPoint:
     """Best found S2* subject to |S(A1,B1)| = s.
 
-    Nine tenths of the budget go to four independent restarts, run in
-    lockstep; every restart's best is then refined by the lockstep SQP
-    polish on a quarter of what DE left.  `evaluations` is the rows both
-    phases evaluated, so it never exceeds `budget`.  Among the starts and
-    the polished points, the best one within 1e-12 of s wins; without one,
-    the best within 1e-4, else the nearest.
+    `budget` is a ceiling on `evaluations`, the rows every phase evaluated;
+    easy targets stop far below it.  Four independent DE restarts run in
+    lockstep on at most nine tenths of it.  From budget 160,000 on, DE
+    first stops at 2,560 rows per restart (and from 200,000 also at 10,240):
+    the lockstep SQP polish refines every restart's best on 1,000 rows, and
+    the search ends there if two polished restarts are within 1e-12 of s
+    and within 1e-10 of each other in S*.  Otherwise DE resumes where it
+    stopped and runs to its full share, and each restart's polish gets a
+    quarter of what is left.  Among the starts and the polished points of
+    the last polish, the best one within 1e-12 of s wins; without one, the
+    best within 1e-4, else the nearest.
     Results are deterministic in (mode, s, budget, seed).
     """
     _check_target(s)
@@ -507,11 +543,23 @@ def boundary_point(
     lo, hi = np.array(mode.lo), np.array(mode.hi)
     rngs = [np.random.default_rng(stream)
             for stream in np.random.SeedSequence(seed).spawn(_RESTARTS)]
-    de_budget = budget - budget // _POLISH_PART
-    starts, values, used = _de_lockstep(evaluator, lo, hi, s, de_budget // _RESTARTS, rngs)
-    de_rows = _RESTARTS * used
-    candidates, polish_rows = _polish(evaluator, starts, values, lo, hi, s,
-                                      (budget - de_rows) // _RESTARTS)
+    de_budget = (budget - budget // _POLISH_PART) // _RESTARTS
+    # the polish's tenth of the budget pays for the early stages' polishes
+    # and still leaves the last one _LAST_POLISH rows per restart
+    share = budget // _POLISH_PART // _RESTARTS
+    early = [rows for i, rows in enumerate(_STAGES, 1)
+             if share >= i * _STAGE_POLISH + _LAST_POLISH]
+    stages = _de_lockstep(evaluator, lo, hi, s, [*early, de_budget], rngs)
+    polish_rows = 0
+    for stage, (starts, values, used) in enumerate(stages):
+        # the polish of DE's full share gets what is left of the budget
+        last = stage == len(early)
+        allowance = ((budget - _RESTARTS * used - polish_rows) // _RESTARTS if last
+                     else _STAGE_POLISH)
+        candidates, rows = _polish(evaluator, starts, values, lo, hi, s, allowance)
+        polish_rows += rows
+        if last or _agree(candidates[_RESTARTS:], s):
+            break
 
     best = None
     for x, s1, sstar in candidates:
@@ -529,7 +577,7 @@ def boundary_point(
         achieved_s=achieved,
         s_star=sstar,
         params=tuple(float(v) for v in x),
-        evaluations=de_rows + polish_rows,
+        evaluations=_RESTARTS * used + polish_rows,
         seed=seed,
     )
 
@@ -557,5 +605,14 @@ def boundary_curve(
     args = (grid, repeat(mode), repeat(budget), repeat(seed))
     if workers > 1 and len(grid) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=min(workers, len(grid))) as pool:
-            return list(pool.map(boundary_point, *args))
-    return list(map(boundary_point, *args))
+            return list(pool.map(_point, *args))
+    return list(map(_point, *args))
+
+
+def _point(s, mode, budget, seed):
+    """`boundary_point` looked up as a module global when called.
+
+    A pool pickles this function by name, so a wrapper bound to that name
+    (a tracer's closure, say) need not pickle.
+    """
+    return boundary_point(s, mode, budget, seed)

@@ -59,7 +59,7 @@ def density_matrix(state: TwoQubitState) -> np.ndarray:
 
 
 def validate(state: TwoQubitState) -> None:
-    """Check normalisation, Bloch norms, correlation strength and positivity.
+    """Check normalisation, finiteness, Bloch norms, correlation strength and positivity.
 
     Raises ConstraintViolation on the first violated condition.
     """
@@ -68,6 +68,10 @@ def validate(state: TwoQubitState) -> None:
         raise ConstraintViolation(f"theta has shape {theta.shape}, expected (4, 4)")
     if theta[0, 0] != 1.0:
         raise ConstraintViolation(f"theta[0][0] = {theta[0, 0]!r}, expected exactly 1")
+    # NaN passes every range check below and stops LAPACK without a name
+    for name, part in (("a", state.a), ("b", state.b), ("T", state.T)):
+        if not np.isfinite(part).all():
+            raise ConstraintViolation(f"{name} = {part.tolist()} has a non-finite entry")
     for name, vec in (("a", state.a), ("b", state.b)):
         norm = float(np.linalg.norm(vec))
         if norm > 1.0 + VALIDITY_TOL:

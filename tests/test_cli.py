@@ -252,6 +252,11 @@ class TestMultibobCommand:
         assert captured.err.splitlines() == [
             f"error: margin must be finite and positive, got {float(margin)}"]
 
+    def test_non_finite_state_exit_2(self, capsys):
+        state = '{"T": [[-1, 0, 0], [0, NaN, 0], [0, 0, -1]]}'
+        line = assert_fails(["multibob", "--n", "2", "--state", state], 2, capsys)
+        assert line == "error: T = [[-1.0, 0.0, 0.0], [0.0, nan, 0.0], [0.0, 0.0, -1.0]] has a non-finite entry"
+
     @pytest.mark.parametrize("state", ["[1]", "null", '{"T": {"x": 1}}'])
     def test_state_not_an_object_exit_2(self, state):
         assert main(["multibob", "--n", "2", "--state", state]) == 2
@@ -358,6 +363,13 @@ class TestScenarioCommand:
         alice = [{"strength": 0, "direction": direction}, self.CONFIG["alice"][1]]
         config = json.dumps(dict(self.CONFIG, alice=alice))
         assert_fails(["scenario", "--config", config], 2, capsys)
+
+    def test_non_finite_state_exit_2(self, capsys):
+        # Python's json reads NaN; the state's check names the entry
+        state = {"a": [math.nan, 0, 0], "b": [0, 0, 0], "T": [[-1, 0, 0], [0, -1, 0], [0, 0, -1]]}
+        config = json.dumps(dict(self.CONFIG, state=state))
+        line = assert_fails(["scenario", "--config", config], 2, capsys)
+        assert line == "error: a = [nan, 0.0, 0.0] has a non-finite entry"
 
     def test_weak_pointer_requires_quality(self):
         config = dict(self.CONFIG)

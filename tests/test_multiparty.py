@@ -139,6 +139,13 @@ class TestPlanMultibob:
         with pytest.raises(ConstraintViolation):
             plan_multibob(-np.eye(3), 1, margin=margin)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_correlations_rejected(self, value):
+        T = -np.eye(3)
+        T[1, 2] = value
+        with pytest.raises(ConstraintViolation, match="^T = .* non-finite"):
+            plan_multibob(T, 2, margin=0.05)
+
     def test_earlier_strength_monotonically_hurts_later(self):
         schedule = plan_multibob(-np.eye(3), 2, margin=0.05)
         base_second = schedule.chsh_values[1]

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -129,6 +130,23 @@ ALL_MODES = [GENERAL_BIASED, UNBIASED, UNBIASED_SINGLET, UNBIASED_SINGLET_EQUATO
              REGION2_ANSATZ]
 
 
+def counted_point(monkeypatch, s, mode, budget):
+    """boundary_point at seed 0, and the rows its evaluator received."""
+    received = []
+
+    def counting(mode):
+        evaluate = make_batch_evaluator(mode)
+
+        def wrapper(P):
+            received.append(np.atleast_2d(P).shape[0])
+            return evaluate(P)
+
+        return wrapper
+
+    monkeypatch.setattr(optimizer, "make_batch_evaluator", counting)
+    return boundary_point(s, mode, budget, 0), sum(received)
+
+
 class TestBatchEvaluatorRows:
     @pytest.mark.parametrize("mode", ALL_MODES, ids=lambda m: m.tag)
     def test_rows_independent_of_batch(self, mode):
@@ -158,7 +176,7 @@ for mode in (UNBIASED_SINGLET, GENERAL_BIASED):
     for out in evaluate(P):
         digest.update(out.tobytes())
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(0).spawn(4)]
-    starts, values, _ = optimizer._de_lockstep(evaluate, lo, hi, 2.4, 2_500, rngs)
+    starts, values, _ = next(optimizer._de_lockstep(evaluate, lo, hi, 2.4, [2_500], rngs))
     digest.update(starts.tobytes())
     digest.update(values.tobytes())
 print(digest.hexdigest())
@@ -269,20 +287,8 @@ class TestBoundaryPoint:
     @pytest.mark.parametrize("mode", ALL_MODES, ids=lambda m: m.tag)
     def test_evaluations_within_budget(self, monkeypatch, mode):
         # evaluations is exactly the rows the evaluator received
-        received = []
-
-        def counting(mode):
-            evaluate = make_batch_evaluator(mode)
-
-            def wrapper(P):
-                received.append(np.atleast_2d(P).shape[0])
-                return evaluate(P)
-
-            return wrapper
-
-        monkeypatch.setattr(optimizer, "make_batch_evaluator", counting)
-        point = boundary_point(2.4, mode, budget=10_000, seed=0)
-        assert point.evaluations == sum(received) <= 10_000
+        point, received = counted_point(monkeypatch, 2.4, mode, 10_000)
+        assert point.evaluations == received <= 10_000
 
     def test_polish_stops_at_the_floor(self):
         # S*'s rounding floor stops each restart once its iterate is
@@ -388,12 +394,12 @@ class TestLockstepDE:
         evaluate = make_batch_evaluator(mode)
         lo, hi = np.array(mode.lo), np.array(mode.hi)
         seeds = np.random.SeedSequence(0).spawn(4)
-        X, F, used = optimizer._de_lockstep(evaluate, lo, hi, s, 2_500,
-                                            [np.random.default_rng(q) for q in seeds])
+        X, F, used = next(optimizer._de_lockstep(evaluate, lo, hi, s, [2_500],
+                                                 [np.random.default_rng(q) for q in seeds]))
         assert used == 2_500 // 64 * 64
         for i, q in enumerate(seeds):
-            x, f, alone_used = optimizer._de_lockstep(evaluate, lo, hi, s, 2_500,
-                                                      [np.random.default_rng(q)])
+            x, f, alone_used = next(optimizer._de_lockstep(evaluate, lo, hi, s, [2_500],
+                                                           [np.random.default_rng(q)]))
             assert [v.hex() for v in x[0]] == [v.hex() for v in X[i]]
             assert [v.hex() for v in f[0]] == [v.hex() for v in F[i]]
             assert alone_used == used
@@ -409,7 +415,7 @@ class TestLockstepPolish:
         evaluate = make_batch_evaluator(mode)
         lo, hi = np.array(mode.lo), np.array(mode.hi)
         rngs = [np.random.default_rng(r) for r in np.random.SeedSequence(0).spawn(4)]
-        starts, values, _ = optimizer._de_lockstep(evaluate, lo, hi, s, 2_500, rngs)
+        starts, values, _ = next(optimizer._de_lockstep(evaluate, lo, hi, s, [2_500], rngs))
         together, rows = optimizer._polish(evaluate, starts, values, lo, hi, s, 600)
         alone_rows = 0
         for i in range(4):
@@ -429,6 +435,83 @@ class TestLockstepPolish:
         assert abs(point.achieved_s - 2.05) <= 1e-9
         assert point.s_star <= 1.935854987 + 1e-9
         assert point.evaluations <= 40_000
+
+
+# boundary_point(s, mode, budget, 0) at bafb7df, whose DE always ran to its
+# full share: S* as float hex, and at the small budgets also |S1|, the
+# evaluations and the sha256 of the params' float hex, space-joined
+_SMALL_BUDGET_POINTS = {
+    (10_000, "unbiased-singlet", 2.4): ("0x1.79b85b407765cp+0", "0x1.33330aa60abe5p+1", 9993,
+                                        "721a17eba6a3f666"),
+    (10_000, "general-biased", 2.05): ("0x1.ef8e1370e1a93p+0", "0x1.0666667433023p+1", 9979,
+                                       "2dff12c2e2d06dec"),
+    (11_000, "unbiased-singlet", 2.4): ("0x1.79b949c0ff234p+0", "0x1.33333333321e4p+1", 10971,
+                                        "33a89a8666b9169a"),
+    (11_000, "general-biased", 2.05): ("0x1.ef8f427f6d879p+0", "0x1.0666666678569p+1", 10978,
+                                       "efa6c92cc8551584"),
+}
+_FULL_DE_SSTAR = {
+    ("unbiased-singlet", 1.0): "0x1.2dd33773548cbp+1",
+    ("unbiased-singlet", 2.4): "0x1.79b949c8143fcp+0",
+    ("unbiased-singlet", 2.75): "0x1.eca62bd3e7b18p-1",
+    ("general-biased", 1.0): "0x1.6a09e667f3bcdp+1",
+    ("unbiased-singlet", 2.05): "0x1.ef943145e942dp+0",
+    ("general-biased", 2.05): "0x1.ef9431436e7eep+0",
+    ("general-biased", 2.2): "0x1.bddb74d71ec6ap+0",
+    ("region2-ansatz", 2.05): "0x1.ef9431473a220p+0",
+}
+
+
+class TestStagedStop:
+    @pytest.mark.parametrize("budget,tag,s", list(_SMALL_BUDGET_POINTS))
+    def test_small_budgets_run_no_stage(self, budget, tag, s):
+        point = boundary_point(s, search_mode(tag), budget, 0)
+        params = hashlib.sha256(" ".join(v.hex() for v in point.params).encode()).hexdigest()
+        assert (point.s_star.hex(), point.achieved_s.hex(), point.evaluations,
+                params[:16]) == _SMALL_BUDGET_POINTS[budget, tag, s]
+
+    @pytest.mark.parametrize("mode,s", [(UNBIASED_SINGLET, 2.4), (GENERAL_BIASED, 2.2)],
+                             ids=["unbiased-singlet", "general-biased"])
+    def test_checkpoints_evaluate_nothing_twice(self, mode, s):
+        # a run through every stage yields at each stop what a one-shot run
+        # to that stop gives, bit for bit, and its evaluator sees each row once
+        evaluate = make_batch_evaluator(mode)
+        lo, hi = np.array(mode.lo), np.array(mode.hi)
+        received = []
+
+        def counting(P):
+            received.append(P.shape[0])
+            return evaluate(P)
+
+        def run(stops, evaluator):
+            rngs = [np.random.default_rng(q) for q in np.random.SeedSequence(0).spawn(4)]
+            return list(optimizer._de_lockstep(evaluator, lo, hi, s, stops, rngs))
+
+        staged = run([*optimizer._STAGES, 12_000], counting)
+        assert [used for *_, used in staged] == [2_560, 10_240, 11_968]
+        assert sum(received) == 4 * 11_968
+        for stop, (X, F, used) in zip([*optimizer._STAGES, 12_000], staged):
+            [(x, f, alone_used)] = run([stop], evaluate)
+            assert x.tobytes() == X.tobytes() and f.tobytes() == F.tobytes()
+            assert alone_used == used
+
+    @pytest.mark.parametrize("tag,s", [("unbiased-singlet", 1.0), ("unbiased-singlet", 2.4),
+                                       ("unbiased-singlet", 2.75), ("general-biased", 1.0)])
+    def test_easy_targets_stop_at_the_first_stage(self, monkeypatch, tag, s):
+        point, received = counted_point(monkeypatch, s, search_mode(tag), 200_000)
+        assert point.evaluations == received < 20_000
+        assert abs(point.achieved_s - s) <= 1e-12
+        assert abs(point.s_star - float.fromhex(_FULL_DE_SSTAR[tag, s])) <= 5e-12
+
+    @pytest.mark.parametrize("tag,s", [("unbiased-singlet", 2.05), ("general-biased", 2.05),
+                                       ("general-biased", 2.2), ("region2-ansatz", 2.05)])
+    def test_hard_targets_end_no_worse(self, monkeypatch, tag, s):
+        # region2-ansatz 2.05 stops at the second stage, 1.2e-9 below; the
+        # others run DE to its full share and end where it did
+        point, received = counted_point(monkeypatch, s, search_mode(tag), 200_000)
+        assert point.evaluations == received <= 200_000
+        assert abs(point.achieved_s - s) <= 1e-12
+        assert point.s_star >= float.fromhex(_FULL_DE_SSTAR[tag, s]) - 5e-9
 
 
 class TestModeAgreement:
@@ -456,6 +539,24 @@ class TestBoundaryCurve:
         serial = boundary_curve(grid, UNBIASED_SINGLET, budget=11_000, seed=13, workers=1)
         parallel = boundary_curve(grid, UNBIASED_SINGLET, budget=11_000, seed=13, workers=2)
         assert serial == parallel
+
+    def test_pool_reaches_a_rebound_boundary_point(self, monkeypatch):
+        # a tracer rebinds boundary_point to a closure, which cannot be
+        # pickled; the pool maps a module-level function that looks it up
+        calls = []
+        point = optimizer.boundary_point
+
+        def wrapper(*args):
+            calls.append(args)
+            return point(*args)
+
+        monkeypatch.setattr(optimizer, "boundary_point", wrapper)
+        grid = [0.7, 2.0]
+        parallel = boundary_curve(grid, UNBIASED_SINGLET, budget=10_000, seed=13, workers=2)
+        # the workers called the wrapper in their own processes
+        assert calls == []
+        assert parallel == boundary_curve(grid, UNBIASED_SINGLET, budget=10_000, seed=13)
+        assert len(calls) == 2
 
     def test_empty_grid_rejected(self):
         with pytest.raises(DomainError):

@@ -109,6 +109,15 @@ class TestValidation:
         with pytest.raises(ConstraintViolation):
             make_state([0, 0, 0], [0, 0, 0], np.eye(3))
 
+    @pytest.mark.parametrize("part", ["a", "b", "T"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_entry_rejected(self, part, value):
+        # NaN passes every range check; LAPACK would fail without a name
+        parts = {"a": np.zeros(3), "b": np.zeros(3), "T": -np.eye(3)}
+        parts[part].flat[1] = value
+        with pytest.raises(ConstraintViolation, match=rf"^{part} = .* non-finite"):
+            make_state(parts["a"], parts["b"], parts["T"])
+
     def test_triplet_correlations_accepted(self):
         make_state([0, 0, 0], [0, 0, 0], np.diag([1.0, 1.0, -1.0]))
 
