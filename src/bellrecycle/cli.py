@@ -281,8 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma list '0.5,1.0' or inclusive range 'start:stop:step'")
     curve.add_argument("--mode", default="unbiased-singlet", choices=list(_MODES))
     curve.add_argument("--budget", type=int, default=200_000,
-                       help="evaluations per grid point, DE and polish together "
-                            "(default 200000)")
+                       help="ceiling on the evaluations per grid point, DE and polish "
+                            "together; easy targets stop far below it (default 200000)")
     curve.add_argument("--seed", type=int, default=0)
     curve.add_argument("--threads", type=int, default=1,
                        help="parallel grid workers, at most one per grid point")

@@ -197,6 +197,9 @@ def multipair_scenario(m_alices: int, n_bobs: int, base_schedule: MultiBobSchedu
     the matrix tiles the schedule's planned values; the tests build the
     explicit M-pair lift and check it gives them exactly.
     """
+    for name, count in (("m_alices", m_alices), ("n_bobs", n_bobs)):
+        if count < 1:
+            raise ConstraintViolation(f"{name} must be >= 1, got {count}")
     if n_bobs > len(base_schedule.bob_strengths):
         raise ConstraintViolation(
             f"base schedule covers {len(base_schedule.bob_strengths)} Bobs, need {n_bobs}"

@@ -186,7 +186,7 @@ def from_reversibility_angle(r: float, alpha: float) -> tuple[float, float]:
         raise AngleOutOfRange(f"reversibility {r} outside [0, 1]")
     r = min(r, 1.0)
     limit = math.asin(r)
-    if abs(alpha) > limit + CONSTRUCTION_TOL:
+    if not abs(alpha) <= limit + CONSTRUCTION_TOL:
         raise AngleOutOfRange(f"|alpha| = {abs(alpha)} exceeds arcsin(r) = {limit}")
     # (1 - r)(1 + r) rather than 1 - r^2, which cancels as r -> 1
     strength = math.sqrt(max((1.0 - r) * (1.0 + r), 0.0)) * math.cos(alpha)

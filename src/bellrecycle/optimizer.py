@@ -5,32 +5,22 @@ differential weight 0.7, crossover 0.9, reflecting box constraints) drives
 the search; the equality constraint |S(A1,B1)| = s enters through an
 adaptive penalty that starts at 10 and doubles every 50 generations while
 the incumbent is infeasible.  Four independent seeded restarts advance in
-lockstep, one batched evaluation per generation, on at most nine tenths of
-the budget.  Their bests, with the (S1, S*) values DE found for them, are
-finished, again in lockstep, by an SQP polish in plain numpy.  DE grows in
-checkpointed stages of 2,560 and 10,240 rows per restart; after each, a
-polish of 1,000 rows per restart runs, and the search stops once two
-polished restarts are within 1e-12 of the target and within 1e-10 of each
-other in S*.  Otherwise DE runs to its full share, carrying its state over
-so that no row is evaluated twice, and each restart's last polish gets a
-quarter of what is left.  Stages run only where that leaves the last
-polish 3,000 rows per restart, from budget 160,000 on.  The polish works
-in coordinates u with x = lo + (hi - lo) sin^2 u, which remove the box and
-smooth S*'s square-root edge at unit strength.  Each step takes the
-forward-difference gradients of every live restart in one evaluator call,
-solves their KKT systems in one batched solve, runs SLSQP's line search on
-the l1 merit (one evaluator call per round, and one second-order correction
-of a rejected full step) and puts each accepted point back on the
-constraint with one restoration row; a damped BFGS update then refines
-each restart's Hessian.
-A restart stops once its iterate has been within 1e-12 of the target for
-five steps without S* gaining more than 1e-13, or before a call would
-overrun its share.  Among the starts and results of the last polish that
-ran, the best point within 1e-12 of the target wins (the best feasible one
-if there is none).  Each phase counts the rows it hands the evaluator, and
-`evaluations` is four times a restart's DE rows plus every polish's rows,
-so the budget is a ceiling that easy targets stay far below.  Identical
-(mode, s, budget, seed) inputs give bit-identical results.
+lockstep, one batched evaluation per generation, and an SQP polish in plain
+numpy refines their bests, again in lockstep, from the (S1, S*) values DE
+found for them; `boundary_point` states how the budget is split between
+them, when the search stops and which point wins.
+
+The polish works in coordinates u with x = lo + (hi - lo) sin^2 u, which
+remove the box and smooth S*'s square-root edge at unit strength.  Each
+step takes the forward-difference gradients of every live restart in one
+evaluator call, solves their KKT systems in one batched solve, runs SLSQP's
+line search on the l1 merit (one evaluator call per round, and one
+second-order correction of a rejected full step) and puts each accepted
+point back on the constraint with one restoration row; a damped BFGS update
+then refines each restart's Hessian.  A restart stops once its iterate has
+been within 1e-12 of the target for five steps without S* gaining more than
+1e-13, or before a call would overrun its share.  Identical (mode, s,
+budget, seed) inputs give bit-identical results.
 
 Each search mode is one `SearchMode` declaration: its tag, its box bounds
 and its decoder, which maps a parameter block to the state and settings it
@@ -372,9 +362,9 @@ def _polish(evaluator, X0, F0, lo, hi, target, allowance):
     `allowance` evaluations.  Rows do not interact, so a restart's result
     does not depend on the others.
 
-    Returns [(x, S1, S2*)] for every start and, for every restart, its best
-    iterate within `_FLOOR_MISS` of the target, or its last iterate if none;
-    then the rows the polish evaluated.
+    Returns [(x, S1, S2*)], one per restart: its best iterate within
+    `_FLOOR_MISS` of the target, or its last iterate if none; then the rows
+    the polish evaluated.
     """
     k, d = X0.shape
     width = hi - lo
@@ -387,7 +377,6 @@ def _polish(evaluator, X0, F0, lo, hi, target, allowance):
 
     G = _gradients(evaluator, X0, F0, hi)
     spent = np.full(k, d)
-    candidates = [(x, *f) for x, f in zip(X0, F0.tolist())]
     F = F0.copy()
     goal = np.where((F[:, 0] >= 0.0) | (target == 0.0), target, -target)
     X, U = X0.copy(), np.arcsin(np.sqrt((X0 - lo) / width))
@@ -500,7 +489,7 @@ def _polish(evaluator, X0, F0, lo, hi, target, allowance):
         B[m] += (r[:, :, None] * r[:, None, :] / _dot(s, r)[:, None, None]
                  - Bs[:, :, None] * Bs[:, None, :] / sBs[:, None, None])
     X, F = np.where(kept[:, None], kept_x, X), np.where(kept[:, None], kept_f, F)
-    return candidates + [(x, *f) for x, f in zip(X, F.tolist())], int(spent.sum())
+    return [(x, *f) for x, f in zip(X, F.tolist())], int(spent.sum())
 
 
 def _agree(polished, target: float) -> bool:
@@ -515,6 +504,11 @@ def _check_target(s: float) -> None:
         raise DomainError(f"target {s} outside [0, 2*sqrt(2)]")
 
 
+def _check_budget(budget: int) -> None:
+    if budget < _MIN_BUDGET:
+        raise BudgetTooSmall(f"budget {budget} below minimum {_MIN_BUDGET}")
+
+
 def boundary_point(
     s: float,
     mode: SearchMode = UNBIASED_SINGLET,
@@ -523,22 +517,21 @@ def boundary_point(
 ) -> BoundaryPoint:
     """Best found S2* subject to |S(A1,B1)| = s.
 
-    `budget` is a ceiling on `evaluations`, the rows every phase evaluated;
-    easy targets stop far below it.  Four independent DE restarts run in
-    lockstep on at most nine tenths of it.  From budget 160,000 on, DE
-    first stops at 2,560 rows per restart (and from 200,000 also at 10,240):
-    the lockstep SQP polish refines every restart's best on 1,000 rows, and
-    the search ends there if two polished restarts are within 1e-12 of s
-    and within 1e-10 of each other in S*.  Otherwise DE resumes where it
-    stopped and runs to its full share, and each restart's polish gets a
-    quarter of what is left.  Among the starts and the polished points of
-    the last polish, the best one within 1e-12 of s wins; without one, the
-    best within 1e-4, else the nearest.
+    `budget` is a ceiling on `evaluations`: four times a restart's DE rows
+    plus every polish's rows; easy targets stop far below it.  Four
+    independent DE restarts run in lockstep on at most nine tenths of it.
+    From budget 160,000 on, DE first stops at 2,560 rows per restart (and
+    from 200,000 also at 10,240): the lockstep SQP polish refines every
+    restart's best on 1,000 rows, and the search ends there if two polished
+    restarts are within 1e-12 of s and within 1e-10 of each other in S*.
+    Otherwise DE resumes where it stopped and runs to its full share, and
+    each restart's polish gets a quarter of what is left.  The winner is the
+    best of every stage's DE bests and polished points: the best within
+    1e-12 of s; without one, the best within 1e-4, else the nearest.
     Results are deterministic in (mode, s, budget, seed).
     """
     _check_target(s)
-    if budget < _MIN_BUDGET:
-        raise BudgetTooSmall(f"budget {budget} below minimum {_MIN_BUDGET}")
+    _check_budget(budget)
     evaluator = make_batch_evaluator(mode)
     lo, hi = np.array(mode.lo), np.array(mode.hi)
     rngs = [np.random.default_rng(stream)
@@ -550,31 +543,30 @@ def boundary_point(
     early = [rows for i, rows in enumerate(_STAGES, 1)
              if share >= i * _STAGE_POLISH + _LAST_POLISH]
     stages = _de_lockstep(evaluator, lo, hi, s, [*early, de_budget], rngs)
-    polish_rows = 0
+    pool, polish_rows = [], 0
     for stage, (starts, values, used) in enumerate(stages):
         # the polish of DE's full share gets what is left of the budget
         last = stage == len(early)
         allowance = ((budget - _RESTARTS * used - polish_rows) // _RESTARTS if last
                      else _STAGE_POLISH)
-        candidates, rows = _polish(evaluator, starts, values, lo, hi, s, allowance)
+        polished, rows = _polish(evaluator, starts, values, lo, hi, s, allowance)
         polish_rows += rows
-        if last or _agree(candidates[_RESTARTS:], s):
+        pool += [(x, *f) for x, f in zip(starts, values.tolist())] + polished
+        if last or _agree(polished, s):
             break
 
-    best = None
-    for x, s1, sstar in candidates:
-        achieved = abs(s1)
-        miss = abs(achieved - s)
+    def rank(point):
+        _, s1, sstar = point
+        miss = abs(abs(s1) - s)
         feasible = miss <= _FEASIBILITY_TOL
         # a point on the constraint beats any merely feasible one, whose
         # miss may buy it S* above the optimum
-        key = (miss <= _FLOOR_MISS, feasible, sstar if feasible else -miss)
-        if best is None or key > best[0]:
-            best = (key, x, achieved, sstar)
-    _, x, achieved, sstar = best
+        return miss <= _FLOOR_MISS, feasible, sstar if feasible else -miss
+
+    x, s1, sstar = max(pool, key=rank)
     return BoundaryPoint(
         target_s=float(s),
-        achieved_s=achieved,
+        achieved_s=abs(s1),
         s_star=sstar,
         params=tuple(float(v) for v in x),
         evaluations=_RESTARTS * used + polish_rows,
@@ -600,6 +592,7 @@ def boundary_curve(
         raise DomainError("empty grid")
     for g in grid:
         _check_target(g)
+    _check_budget(budget)
     if workers < 1:
         raise DomainError(f"workers must be at least 1, got {workers}")
     args = (grid, repeat(mode), repeat(budget), repeat(seed))

@@ -256,6 +256,15 @@ class TestMultipairScenario:
         assert ch.factor == 1.0
         assert np.allclose(transfer_matrix(ch), np.eye(3), atol=1e-15)
 
+    @pytest.mark.parametrize("m_alices,n_bobs,message", [
+        (2, -1, "n_bobs must be >= 1, got -1"), (-1, 2, "m_alices must be >= 1, got -1"),
+        (0, 2, "m_alices must be >= 1, got 0"), (2, 0, "n_bobs must be >= 1, got 0"),
+    ])
+    def test_counts_below_one_rejected(self, m_alices, n_bobs, message):
+        schedule = plan_multibob(-np.eye(3), 2, margin=0.05)
+        with pytest.raises(ConstraintViolation, match=f"^{message}$"):
+            multipair_scenario(m_alices, n_bobs, schedule)
+
     def test_requires_enough_bobs(self):
         schedule = plan_multibob(-np.eye(3), 1, margin=0.05)
         with pytest.raises(ConstraintViolation):

@@ -257,6 +257,11 @@ class TestFromReversibilityAngle:
         with pytest.raises(AngleOutOfRange):
             from_reversibility_angle(0.5, math.asin(0.5) + 1e-6)
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angle_rejected(self, alpha):
+        with pytest.raises(AngleOutOfRange):
+            from_reversibility_angle(0.5, alpha)
+
     @given(st.floats(0.01, 1.0), st.floats(-0.99, 0.99))
     @settings(max_examples=300)
     def test_round_trip(self, r, frac):

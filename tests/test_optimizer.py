@@ -514,6 +514,39 @@ class TestStagedStop:
         assert point.s_star >= float.fromhex(_FULL_DE_SSTAR[tag, s]) - 5e-9
 
 
+class TestWinnerPool:
+    @staticmethod
+    def rank(point, s):
+        # on the constraint beats merely feasible, which beats infeasible;
+        # then the larger S*, or among infeasible points the smaller miss
+        _, s1, sstar = point
+        miss = abs(abs(s1) - s)
+        feasible = miss <= 1e-4
+        return miss <= 1e-12, feasible, sstar if feasible else -miss
+
+    def test_winner_ranks_first_among_every_stage(self, monkeypatch):
+        # at seed 1 this target stops at the second stage, and its winner is a
+        # point of the first: every stage's starts and polished points compete
+        stages = []
+        polish = optimizer._polish
+
+        def recording(evaluator, X0, F0, *args):
+            polished, rows = polish(evaluator, X0, F0, *args)
+            stages.append([(x, *f) for x, f in zip(X0, F0.tolist())] + polished)
+            return polished, rows
+
+        monkeypatch.setattr(optimizer, "_polish", recording)
+        point = boundary_point(2.05, UNBIASED_SINGLET, 200_000, 1)
+        assert len(stages) == 2
+        best = max((p for stage in stages for p in stage), key=lambda p: self.rank(p, 2.05))
+        assert self.rank((None, point.achieved_s, point.s_star), 2.05) == self.rank(best, 2.05)
+        assert point.params == tuple(best[0].tolist())
+        assert self.rank(best, 2.05) > max(self.rank(p, 2.05) for p in stages[-1])
+        # ranking the last stage's points only gave S* 1.9358549847 here
+        assert point.s_star >= 1.9358549871
+        assert point.evaluations == 47_419
+
+
 class TestModeAgreement:
     def test_unbiased_matches_singlet_restriction(self):
         # adding the state parameter must not move the boundary
@@ -567,10 +600,10 @@ class TestBoundaryCurve:
         with pytest.raises(DomainError):
             boundary_curve([1.0], UNBIASED_SINGLET, budget=10_000, workers=workers)
 
-    def test_pool_has_at_most_one_worker_per_point(self, monkeypatch):
-        # the executor is replaced before it can start a process: it only
-        # records its size and returns a placeholder per task
-        sizes = []
+    @staticmethod
+    def recording_executor(sizes):
+        """An executor that starts no process: it records its size and
+        returns a placeholder per task."""
 
         class Recording:
             def __init__(self, max_workers):
@@ -585,10 +618,23 @@ class TestBoundaryCurve:
             def map(self, fn, *iterables):
                 return [None for _ in zip(*iterables)]
 
-        monkeypatch.setattr(optimizer.concurrent.futures, "ProcessPoolExecutor", Recording)
+        return Recording
+
+    def test_pool_has_at_most_one_worker_per_point(self, monkeypatch):
+        sizes = []
+        monkeypatch.setattr(optimizer.concurrent.futures, "ProcessPoolExecutor",
+                            self.recording_executor(sizes))
         assert boundary_curve([0.5, 1.0], UNBIASED_SINGLET, budget=10_000,
                               workers=5_000) == [None, None]
         assert sizes == [2]
         # one point runs in this process, without a pool
         boundary_curve([1.0], UNBIASED_SINGLET, budget=10_000, workers=5_000)
         assert sizes == [2]
+
+    def test_budget_checked_before_the_pool(self, monkeypatch):
+        sizes = []
+        monkeypatch.setattr(optimizer.concurrent.futures, "ProcessPoolExecutor",
+                            self.recording_executor(sizes))
+        with pytest.raises(BudgetTooSmall):
+            boundary_curve([1.0, 2.0], UNBIASED_SINGLET, budget=5_000, workers=2)
+        assert sizes == []
