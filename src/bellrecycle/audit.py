@@ -13,12 +13,15 @@ rows.  Chunk i draws from its own generator, seeded with
 `SeedSequence(seed + offset, spawn_key=(i,))` (the i-th child that
 `SeedSequence(seed + offset).spawn` would make), with a fixed offset per
 audit name; each generator is made only when its chunk runs.  A chunk's
-draws are component-major, (d, n) standard normals, which
-`_random_units`, `_orthogonal_partners`, `_random_rotations` and
-`_random_pure_state_tensors` turn into the kernel's layout: directions
-(3, n), rotations and correlation matrices (3, 3, n), with
-T = Ra diag(s2, -s2, 1) Rb^T summed from outer products of the rotations'
-columns.  `_fold` keeps the first worst row over the chunks.  Only one
+draws are component-major: (3, n) standard normals, which `_random_units`
+and `_orthogonal_partners` turn into the kernel's directions (3, n), and
+uniform Schmidt angles, whose correlation matrices (3, 3, n) are
+T = diag(sin 2alpha, -sin 2alpha, 1) from `bell.schmidt_tensors`.  Sampling
+in the Schmidt frame loses no generality: a pure state's T is Ra D Rb^T,
+S1 and S2* of (T; x, x', y, y') equal those of (D; Ra^T x, Ra^T x',
+Rb^T y, Rb^T y'), and isotropic directions keep their joint law under
+rotation, so every margin has the same distribution as with random local
+rotations.  `_fold` keeps the first worst row over the chunks.  Only one
 chunk's draws and temporaries, a running worst margin, its configuration
 and the violation count are held, so memory does not grow with the sample
 count.  Audits run independently and stay reproducible.
@@ -33,7 +36,7 @@ from typing import Any
 
 import numpy as np
 
-from .bell import sequential_chsh_batch
+from .bell import schmidt_tensors, sequential_chsh_batch
 from .errors import DomainError
 from .monogamy import ORTHOGONAL_MONOGAMY_BOUND, EQUAL_STRENGTH_MONOGAMY_BOUND
 from .observables import reversibility_roots
@@ -86,40 +89,6 @@ def _orthogonal_partners(g: np.ndarray, u: np.ndarray) -> np.ndarray:
         w[:, bad] = np.cross(ub, axis, axis=0)
         norms = _lengths(w)
     return w / norms
-
-
-def _random_rotations(g: np.ndarray) -> np.ndarray:
-    """Uniform random rotations, (3, 3, n), from (4, n) normal draws taken as quaternions."""
-    q = g / _lengths(g)
-    w, x, y, z = q
-    R = np.empty((3, 3, q.shape[1]))
-    R[0, 0] = 1 - 2 * (y * y + z * z)
-    R[0, 1] = 2 * (x * y - z * w)
-    R[0, 2] = 2 * (x * z + y * w)
-    R[1, 0] = 2 * (x * y + z * w)
-    R[1, 1] = 1 - 2 * (x * x + z * z)
-    R[1, 2] = 2 * (y * z - x * w)
-    R[2, 0] = 2 * (x * z - y * w)
-    R[2, 1] = 2 * (y * z + x * w)
-    R[2, 2] = 1 - 2 * (x * x + y * y)
-    return R
-
-
-def _random_pure_state_tensors(alpha: np.ndarray, qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
-    """Correlation matrices of Haar-like random pure two-qubit states, (3, 3, n).
-
-    alpha holds n Schmidt angles drawn uniformly from [0, pi/4], and qa and
-    qb (4, n) normal draws for the two rotations Ra and Rb.
-    T = Ra diag(s2, -s2, 1) Rb^T = s2 (ra0 rb0^T - ra1 rb1^T) + ra2 rb2^T,
-    with s2 = sin 2alpha and ra_k, rb_k the columns of the two rotations.
-    """
-    Ra = _random_rotations(qa)
-    Rb = _random_rotations(qb)
-    T = Ra[:, None, 0] * Rb[:, 0]
-    T -= Ra[:, None, 1] * Rb[:, 1]
-    T *= np.sin(2 * alpha)
-    T += Ra[:, None, 2] * Rb[:, 2]
-    return T
 
 
 def _config_dict(i, T, dirs, s) -> dict[str, Any]:
@@ -176,11 +145,11 @@ def _monogamy_margins(bound, T, dirs, s):
 def _monogamy_chunk(rng, n: int, bound: float, orthogonal: bool, equal_strengths: bool):
     """(margins, worst config) of one chunk of n random configurations.
 
-    Draws Schmidt angles, two quaternions, the directions x, y, x', y', then
-    the strengths.
+    Draws Schmidt angles, the directions x, y, x', y', then the strengths.
+    Each state is taken in its Schmidt frame, T = diag(sin 2alpha,
+    -sin 2alpha, 1); see the module docstring for why that loses no generality.
     """
-    alpha = rng.uniform(0.0, np.pi / 4, size=n)
-    T = _random_pure_state_tensors(alpha, rng.normal(size=(4, n)), rng.normal(size=(4, n)))
+    _, _, T = schmidt_tensors(rng.uniform(0.0, np.pi / 4, size=n))
     x, y = _random_units(rng.normal(size=(3, n))), _random_units(rng.normal(size=(3, n)))
     gxp, gyp = rng.normal(size=(3, n)), rng.normal(size=(3, n))
     if orthogonal:

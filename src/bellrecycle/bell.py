@@ -126,7 +126,8 @@ def schmidt_tensors(alpha: np.ndarray):
 
     cos(alpha)|00> + sin(alpha)|11>, with alpha clipped to [0, pi/4]: a = b
     along +z with length cos(2 alpha), T = diag(sin 2alpha, -sin 2alpha, 1).
-    Component-major: a and b are (3, n) and T is (3, 3, n).
+    Component-major: a and b are (3, n) and T is (3, 3, n).  a and b are one
+    shared array, so callers must treat them as read-only.
     """
     n = alpha.shape[0]
     alpha = np.clip(alpha, 0.0, np.pi / 4)

@@ -8,8 +8,9 @@ products sigma_mu (x) sigma_nu one at a time, the dephasing oracle builds a tran
 from numpy's identity and outer product, and the maximisers locate function
 maxima by dense grids plus local refinement.  The whole-chunk audit
 sampler draws each chunk's random configurations with its own helpers,
-which make each draw and its transform in one step, and evaluates the
-chunk at once.
+which make each draw and its transform in one step, builds each Schmidt-frame
+T itself, and evaluates the chunk at once; its quaternion rotations make the
+rotated pure states that tests hold the Schmidt-frame sampling against.
 The reversibility R and the chart strength sqrt(1 - r^2) are evaluated in
 40-digit `mpmath` at the exact values of their float inputs, so a test can
 hold the float functions to a few units in the last place.
@@ -173,7 +174,10 @@ def _random_pure_state_tensors(rng, n: int) -> np.ndarray:
 
 
 def _monogamy_chunk(rng, n: int, bound: float, orthogonal: bool, equal_strengths: bool):
-    T = _random_pure_state_tensors(rng, n)
+    # each pure state in its Schmidt frame, T = diag(sin 2alpha, -sin 2alpha, 1)
+    s2 = np.sin(2 * rng.uniform(0.0, np.pi / 4, size=n))
+    T = np.zeros((3, 3, n))
+    T[0, 0], T[1, 1], T[2, 2] = s2, -s2, 1.0
     # directions of x, x', y, y', drawn in the order x, y, x', y'
     dirs = np.empty((4, 3, n))
     dirs[0] = _random_units(rng, n)

@@ -13,7 +13,6 @@ from bellrecycle import (
 )
 from bellrecycle import audit
 from bellrecycle.audit import (
-    _random_pure_state_tensors,
     _random_units,
     audit_conjecture,
     audit_equal_strength_monogamy,
@@ -24,6 +23,7 @@ from bellrecycle.audit import (
 from bellrecycle.bell import sequential_chsh_batch
 from bellrecycle.monogamy import EQUAL_STRENGTH_MONOGAMY_BOUND, ORTHOGONAL_MONOGAMY_BOUND
 
+import oracles
 from oracles import MONOGAMY_AUDITS, whole_chunk_audits, whole_chunks
 
 BOUNDS = {
@@ -73,8 +73,7 @@ class TestAuditKernel:
         # vectors a != b and biased settings
         n = 200
         rng = np.random.default_rng(5)
-        T = _random_pure_state_tensors(rng.uniform(0.0, np.pi / 4, n),
-                                       rng.normal(size=(4, n)), rng.normal(size=(4, n)))
+        T = oracles._random_pure_state_tensors(rng, n)
         dirs = tuple(_random_units(rng.normal(size=(3, n))) for _ in range(4))
         s = rng.uniform(0, 1, (4, n))
         s[:, ::7] = 0.0
@@ -101,6 +100,38 @@ class TestAuditKernel:
             ))
             assert res.s_first == pytest.approx(s1[i], abs=1e-12)
             assert res.s_star_second == pytest.approx(sstar[i], abs=1e-12)
+
+
+class TestSchmidtFrame:
+    @pytest.mark.parametrize("orthogonal", [True, False], ids=["orthogonal", "free"])
+    def test_margins_are_invariant_under_local_rotations(self, orthogonal):
+        # the audits sample each pure state in its Schmidt frame D; moving
+        # its local rotations onto the directions, (Ra D Rb^T; x, x', y, y')
+        # -> (D; Ra^T x, Ra^T x', Rb^T y, Rb^T y'), leaves every margin as it is
+        n = 512
+        rng = np.random.default_rng(23)
+        s2 = np.sin(2 * rng.uniform(0.0, np.pi / 4, n))
+        D = np.zeros((3, 3, n))
+        D[0, 0], D[1, 1], D[2, 2] = s2, -s2, 1.0
+        Ra, Rb = oracles._random_rotations(rng, n), oracles._random_rotations(rng, n)
+        T = np.einsum("ikn,kln,jln->ijn", Ra, D, Rb)
+        x, y = oracles._random_units(rng, n), oracles._random_units(rng, n)
+        if orthogonal:
+            xp, yp = oracles._orthogonal_partners(rng, x), oracles._orthogonal_partners(rng, y)
+        else:
+            xp, yp = oracles._random_units(rng, n), oracles._random_units(rng, n)
+        s = rng.uniform(0, 1, (4, n))
+        s[:, ::7] = 0.0
+        s[:, 3::7] = 1.0
+        s[1, 5::11] = 0.0
+        s[2, 5::11] = 1.0
+        dirs = np.stack([x, xp, y, yp])
+        frame = np.stack([Ra, Ra, Rb, Rb])
+        schmidt_dirs = np.einsum("rikn,rin->rkn", frame, dirs)
+        bound = ORTHOGONAL_MONOGAMY_BOUND if orthogonal else EQUAL_STRENGTH_MONOGAMY_BOUND
+        margins, _ = audit._monogamy_margins(bound, T, dirs, s)
+        schmidt_margins, _ = audit._monogamy_margins(bound, D, schmidt_dirs, s)
+        assert np.abs(margins - schmidt_margins).max() <= 1e-12
 
 
 class TestOrthogonalPartners:
@@ -169,6 +200,16 @@ class TestChunkedAudits:
         if orthogonal:
             assert abs(np.dot(config["x"], config["x_prime"])) <= 1e-12
             assert abs(np.dot(config["y"], config["y_prime"])) <= 1e-12
+
+    @pytest.mark.parametrize("seed", [1, 101])
+    def test_saturating_row_wins_each_monogamy_report(self, seed):
+        # the known saturating row beats every random one, so a report does
+        # not depend on the random stream that the chunks draw
+        for report in run_all_audits(100_000, seed):
+            if report.name in BOUNDS:
+                margins, config = audit._saturating(report.name, BOUNDS[report.name])
+                assert report.worst_config == config
+                assert report.worst_margin == float(margins[0])
 
     def test_memory_does_not_grow_with_samples(self):
         peaks = []
