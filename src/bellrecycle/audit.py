@@ -5,8 +5,9 @@ for every sample, and reports the number of violations together with the
 worst margin and the configuration that attained it.  The known saturating
 configuration of each relation is evaluated after the random samples, so a
 healthy audit reports zero violations and a near-zero worst margin.  The
-monogamy audits evaluate (|S1|, S2*) with `bell.sequential_chsh_batch`, and
-the tradeoff audit builds R and D from `observables.reversibility_roots`.
+monogamy audits take (|S1|, S2*) from `bell.sequential_chsh_batch` and
+their margins from `monogamy.monogamy_margin`; the tradeoff audit takes R's
+roots and D from `observables`, as `reversibility_roots` and `decoherence_array`.
 
 The random samples are drawn and evaluated in chunks of `_CHUNK` (2^12)
 rows.  Chunk i draws from its own generator, seeded with
@@ -38,8 +39,8 @@ import numpy as np
 
 from .bell import schmidt_tensors, sequential_chsh_batch
 from .errors import DomainError
-from .monogamy import ORTHOGONAL_MONOGAMY_BOUND, EQUAL_STRENGTH_MONOGAMY_BOUND
-from .observables import reversibility_roots
+from .monogamy import ORTHOGONAL_MONOGAMY_BOUND, EQUAL_STRENGTH_MONOGAMY_BOUND, monogamy_margin
+from .observables import decoherence_array, reversibility_roots
 
 _SEED_OFFSETS = {
     "orthogonal-monogamy": 101,
@@ -137,8 +138,7 @@ def _fold(name: str, tol: float, chunks) -> AuditReport:
 
 def _monogamy_margins(bound, T, dirs, s):
     """Margins bound - (|S1| + S2*) and the configuration of the worst row."""
-    s1, sstar = sequential_chsh_batch(T, s, dirs)
-    margins = bound - (np.abs(s1) + sstar)
+    margins = monogamy_margin(bound, *sequential_chsh_batch(T, s, dirs))
     return margins, _config_dict(int(np.argmin(margins)), T, dirs, s)
 
 
@@ -208,11 +208,7 @@ def _tradeoff_margins(s: np.ndarray, b: np.ndarray):
     u, v = reversibility_roots(b, s)
     r = 0.5 * u + 0.5 * v
     r2 = r * r
-    # D^2 = 2 S^2 / (1 - B^2 + S^2 + uv), the rationalised form of 1 - R^2
-    # that observables.decoherence uses; 1 - R^2 cancels as S -> 0
-    denom = (1 - b) * (1 + b) + s * s + u * v
-    d2 = np.divide(2 * s * s, denom, out=np.zeros_like(denom), where=denom > 0)
-    d = np.sqrt(np.clip(d2, 0, 1))
+    d = decoherence_array(b, s, u, v)
     margins = np.stack(
         [
             r2 - (1 - s),          # lower half of the chain

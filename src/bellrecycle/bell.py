@@ -31,9 +31,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConstraintViolation, NegativeRadicand, ZeroDirection
-from .observables import Observable, reversibility_roots
-from .states import TwoQubitState
+from .errors import ConstraintViolation, NegativeRadicand
+from .observables import Observable, reversibility_roots, scaled_direction
+from .states import VALIDITY_TOL, TwoQubitState
 
 #: Tsirelson's bound 2 sqrt(2), the largest |S| any two-qubit state reaches.
 S_MAX = 2.0 * math.sqrt(2.0)
@@ -198,33 +198,17 @@ def sequential_chsh_batch(T, s, dirs, biases=None, a=None, b=None):
 def horodecki_sstar(T) -> float:
     """Optimal downstream CHSH value 2*sqrt(s1^2 + s2^2) of a correlation matrix."""
     s1, s2, _ = svd3(T)
-    if s1 > 1.0 + 1e-9:
+    if s1 > 1.0 + VALIDITY_TOL:
         raise ConstraintViolation(f"largest singular value {s1} exceeds 1")
     return 2.0 * math.sqrt(s1 * s1 + s2 * s2)
-
-
-def _scaled(v) -> tuple[float, float, float]:
-    """The components of `v` divided by its largest |component|.
-
-    Keeps the products of angle_between clear of underflow and overflow;
-    a zero vector raises ZeroDirection and a non-finite one ConstraintViolation.
-    """
-    x, y, z = np.asarray(v, dtype=float).reshape(3).tolist()
-    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
-        raise ConstraintViolation(f"direction {[x, y, z]} is not finite")
-    m = max(abs(x), abs(y), abs(z))
-    if m == 0.0:
-        raise ZeroDirection("angle_between needs nonzero directions")
-    return x / m, y / m, z / m
 
 
 def angle_between(u, v) -> float:
     """Angle in [0, pi] between two direction vectors, stable near 0 and pi.
 
-    atan2(|u x v|, u . v) of the two vectors, each first scaled to a largest
-    |component| of 1.
+    atan2(|u x v|, u . v) of the two vectors after `observables.scaled_direction`.
     """
-    (ux, uy, uz), (vx, vy, vz) = _scaled(u), _scaled(v)
+    (ux, uy, uz), (vx, vy, vz) = scaled_direction(u), scaled_direction(v)
     cross = math.hypot(uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx)
     return math.atan2(cross, ux * vx + uy * vy + uz * vz)
 

@@ -30,7 +30,7 @@ import numpy as np
 from . import __version__
 from .audit import run_all_audits
 from .bell import MeasurementPair
-from .errors import BellRecycleError, Infeasible
+from .errors import BellRecycleError, ConstraintViolation, Infeasible
 from .instruments import MeasurementKind
 from .monogamy import (
     ScenarioConfig,
@@ -117,14 +117,18 @@ def _parse_grid(spec: str) -> list[float]:
     return [float(p) for p in spec.split(",") if p.strip()]
 
 
-def _json_object(payload, what: str) -> dict:
+def _json_object(payload, what: str, *required: str) -> dict:
+    """`payload` if it is a JSON object holding every `required` field."""
     if not isinstance(payload, dict):
         raise ValueError(f"{what} must be a JSON object")
+    for key in required:
+        if key not in payload:
+            raise ConstraintViolation(f"{what} has no {key!r} field")
     return payload
 
 
 def _parse_state(payload, check: bool = True):
-    payload = _json_object(payload, "state")
+    payload = _json_object(payload, "state", "T")
     T = payload["T"]
     if isinstance(T, str):
         spec = T.strip()
@@ -234,11 +238,13 @@ def cmd_multibob(args) -> int:
     return EXIT_OK
 
 
-def _observable_from_dict(payload):
-    payload = _json_object(payload, "observable")
-    return make_observable(
-        payload.get("bias", 0.0), payload["strength"], payload["direction"]
-    )
+def _pair_from_config(observables, side: str) -> MeasurementPair:
+    if not isinstance(observables, list) or len(observables) != 2:
+        raise ConstraintViolation(f"{side} must list exactly two observables")
+    payloads = [_json_object(o, f"an observable of {side}", "strength", "direction")
+                for o in observables]
+    return MeasurementPair(*(make_observable(p.get("bias", 0.0), p["strength"], p["direction"])
+                             for p in payloads))
 
 
 def cmd_scenario(args) -> int:
@@ -247,11 +253,10 @@ def cmd_scenario(args) -> int:
     else:
         with open(args.config) as fh:
             payload = json.load(fh)
-    payload = _json_object(payload, "config")
+    payload = _json_object(payload, "config", "alice", "bob")
     state_spec = payload.get("state", "singlet")
     state = singlet() if state_spec == "singlet" else _parse_state(state_spec)
-    alice = MeasurementPair(*(_observable_from_dict(o) for o in payload["alice"]))
-    bob = MeasurementPair(*(_observable_from_dict(o) for o in payload["bob"]))
+    alice, bob = (_pair_from_config(payload[side], side) for side in ("alice", "bob"))
     # the library checks the tag and that quality is given iff it is weak-pointer
     kind = MeasurementKind(payload.get("kind", "square-root"), payload.get("quality"))
     result = evaluate_scenario(ScenarioConfig(state=state, alice=alice, bob=bob, kind=kind))
@@ -324,7 +329,7 @@ def main(argv=None) -> int:
     except Infeasible as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (BellRecycleError, OSError, ValueError, KeyError, TypeError) as exc:
+    except (BellRecycleError, OSError, ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

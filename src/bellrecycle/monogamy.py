@@ -60,6 +60,17 @@ def evaluate_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     return ScenarioResult(s_first=s_first, s_star_second=s_star)
 
 
+def monogamy_margin(bound, s_first, s_star):
+    """Margin bound - (|S1| + S2*) of a monogamy relation, of floats or arrays."""
+    return bound - (abs(s_first) + s_star)
+
+
+def _check(cfg: ScenarioConfig, bound: float) -> TheoremCheck:
+    res = evaluate_scenario(cfg)
+    margin = monogamy_margin(bound, res.s_first, res.s_star_second)
+    return TheoremCheck(holds=margin >= -_PRECONDITION_TOL, margin=margin)
+
+
 def _require_unbiased(cfg: ScenarioConfig) -> None:
     for obs in (cfg.alice.first, cfg.alice.second, cfg.bob.first, cfg.bob.second):
         if abs(obs.bias) > _PRECONDITION_TOL:
@@ -82,9 +93,7 @@ def check_orthogonal_monogamy(cfg: ScenarioConfig) -> TheoremCheck:
         dot = abs(x * u + y * v + z * w)
         if dot > _PRECONDITION_TOL:
             raise PreconditionViolation(f"setting directions not orthogonal (dot={dot})")
-    res = evaluate_scenario(cfg)
-    margin = ORTHOGONAL_MONOGAMY_BOUND - (abs(res.s_first) + res.s_star_second)
-    return TheoremCheck(holds=margin >= -_PRECONDITION_TOL, margin=margin)
+    return _check(cfg, ORTHOGONAL_MONOGAMY_BOUND)
 
 
 def check_equal_strength_monogamy(cfg: ScenarioConfig) -> TheoremCheck:
@@ -97,9 +106,7 @@ def check_equal_strength_monogamy(cfg: ScenarioConfig) -> TheoremCheck:
     for pair in (cfg.alice, cfg.bob):
         if abs(pair.first.strength - pair.second.strength) > _PRECONDITION_TOL:
             raise PreconditionViolation("setting strengths differ on one side")
-    res = evaluate_scenario(cfg)
-    margin = EQUAL_STRENGTH_MONOGAMY_BOUND - (abs(res.s_first) + res.s_star_second)
-    return TheoremCheck(holds=margin >= -_PRECONDITION_TOL, margin=margin)
+    return _check(cfg, EQUAL_STRENGTH_MONOGAMY_BOUND)
 
 
 def conjecture_margin(res: ScenarioResult) -> float:
@@ -109,7 +116,7 @@ def conjecture_margin(res: ScenarioResult) -> float:
     (trivial(1), trivial(1)) and Bob = (trivial(1), trivial(-1)) reach S1 = 2
     undisturbed, so S2* = 2*sqrt(2) and the margin is 2 - 2*sqrt(2) < 0.
     """
-    return EQUAL_STRENGTH_MONOGAMY_BOUND - (abs(res.s_first) + res.s_star_second)
+    return monogamy_margin(EQUAL_STRENGTH_MONOGAMY_BOUND, res.s_first, res.s_star_second)
 
 
 def g_orthogonal(x: float, y: float) -> float:

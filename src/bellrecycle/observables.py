@@ -22,12 +22,10 @@ from .errors import (
     NegativeRadicand,
     ZeroDirection,
 )
+from .states import VALIDITY_TOL
 
 #: Absolute tolerance for constraint checks at construction time.
 CONSTRUCTION_TOL = 1e-12
-
-#: Absolute tolerance at interface boundaries (inputs arriving from optimizers).
-INTERFACE_TOL = 1e-9
 
 #: Canonical direction assigned when the strength vanishes.
 _ZERO_STRENGTH_DIRECTION = (0.0, 0.0, 1.0)
@@ -69,28 +67,21 @@ def make_observable(bias: float, strength: float, direction) -> Observable:
     zero-strength observable then gets the canonical direction (0, 0, 1),
     whatever the direction given; a zero vector is legal only there.
     """
-    bias = float(bias)
-    strength = float(strength)
+    bias, strength = float(bias), float(strength)
     if not -1.0 - CONSTRUCTION_TOL <= bias <= 1.0 + CONSTRUCTION_TOL:
         raise ConstraintViolation(f"bias {bias} outside [-1, 1]")
     if not -CONSTRUCTION_TOL <= strength <= 1.0 + CONSTRUCTION_TOL:
         raise ConstraintViolation(f"strength {strength} outside [0, 1]")
     if strength + abs(bias) > 1.0 + CONSTRUCTION_TOL:
-        raise ConstraintViolation(
-            f"strength + |bias| = {strength + abs(bias)} exceeds 1"
-        )
+        raise ConstraintViolation(f"strength + |bias| = {strength + abs(bias)} exceeds 1")
     bias = min(max(bias, -1.0), 1.0)
     strength = min(max(strength, 0.0), 1.0 - abs(bias))
 
     x, y, z = np.asarray(direction, dtype=float).reshape(3).tolist()
-    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
-        raise ConstraintViolation(f"direction {[x, y, z]} is not finite")
     norm = math.hypot(x, y, z)
-    if math.isinf(norm):
-        # finite components whose norm overflows: scale to a largest
-        # |component| of 1 first, as bell._scaled does
-        m = max(abs(x), abs(y), abs(z))
-        x, y, z = x / m, y / m, z / m
+    if not math.isfinite(norm):
+        # a non-finite component raises; finite ones whose norm overflows are scaled
+        x, y, z = scaled_direction((x, y, z))
         norm = math.hypot(x, y, z)
     if strength == 0.0:
         vec = np.array(_ZERO_STRENGTH_DIRECTION)
@@ -99,6 +90,20 @@ def make_observable(bias: float, strength: float, direction) -> Observable:
     else:
         vec = np.array((x / norm, y / norm, z / norm))
     return Observable(bias=bias, strength=strength, direction=vec)
+
+
+def scaled_direction(direction) -> tuple[float, float, float]:
+    """`direction`'s components over its largest |component|, clear of under- and overflow.
+
+    A non-finite component raises ConstraintViolation, a zero vector ZeroDirection.
+    """
+    x, y, z = np.asarray(direction, dtype=float).reshape(3).tolist()
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+        raise ConstraintViolation(f"direction {[x, y, z]} is not finite")
+    m = max(abs(x), abs(y), abs(z))
+    if m == 0.0:
+        raise ZeroDirection("direction is the zero vector")
+    return x / m, y / m, z / m
 
 
 def projective(direction) -> Observable:
@@ -136,8 +141,7 @@ def reversibility_roots(b, s):
     """`reversibility`'s roots sqrt((1 +- b)^2 - s^2) of arrays b, s, clamped at 0.
 
     Same factors in the same order, so 0.5 u + 0.5 v is the scalar R bit for bit.
-    For b None (unbiased settings) the two roots are one, sqrt((1 - s)(1 + s)),
-    taken once and returned twice; it is then R itself.
+    For b None (unbiased settings) the one root sqrt((1 - s)(1 + s)) is R itself.
     """
     if b is None:
         u = np.sqrt(np.maximum((1.0 - s) * (1.0 + s), 0.0))
@@ -147,21 +151,24 @@ def reversibility_roots(b, s):
     return u, v
 
 
-def decoherence(obs: Observable) -> float:
-    """Minimal decoherence D = sqrt(1 - R^2).
+def decoherence_array(b, s, u, v):
+    """`decoherence` of arrays b, s and their `reversibility_roots` u, v, bit for bit."""
+    denom = (1.0 - b) * (1.0 + b) + s * s + u * v
+    d2 = np.divide(2.0 * s * s, denom, out=np.zeros_like(denom), where=denom > 0.0)
+    return np.minimum(np.sqrt(d2), 1.0)
 
-    Evaluated in the rationalised form D^2 = 2 S^2 / (1 - B^2 + S^2 + u v)
-    with u, v the two roots of the reversibility, which stays accurate where
-    1 - R^2 would cancel (weak observables); u, v go through reversibility's
-    clamped sqrt, so s + |b| > 1 raises NegativeRadicand.
+
+def decoherence(obs: Observable) -> float:
+    """Minimal decoherence D = sqrt(1 - R^2), as D^2 = 2 S^2 / (1 - B^2 + S^2 + u v).
+
+    u, v are the reversibility's roots; the rationalised form stays accurate where
+    1 - R^2 would cancel (weak observables), and s + |b| > 1 raises NegativeRadicand.
     """
     b, s = obs.bias, obs.strength
     u, v = _roots(b, s)
     denom = (1.0 - b) * (1.0 + b) + s * s + u * v
-    if denom <= 0.0:
-        # only reachable at |bias| = 1, strength = 0, where D = 0 exactly
-        return 0.0
-    return min(math.sqrt(2.0 * s * s / denom), 1.0)
+    # denom <= 0 only at |bias| = 1, strength = 0, where D = 0 exactly
+    return min(math.sqrt(2.0 * s * s / denom), 1.0) if denom > 0.0 else 0.0
 
 
 @dataclass(frozen=True)
@@ -203,7 +210,7 @@ def expectation(obs: Observable, bloch) -> float:
     """Mean value B + S * (direction . bloch) on a single-qubit state."""
     vec = np.asarray(bloch, dtype=float).reshape(3)
     norm = float(np.linalg.norm(vec))
-    if not norm <= 1.0 + INTERFACE_TOL:
+    if not norm <= 1.0 + VALIDITY_TOL:
         raise InvalidBloch(f"|bloch| = {norm} is not at most 1")
     value = obs.bias + obs.strength * float(obs.direction @ vec)
     return min(max(value, -1.0), 1.0)

@@ -15,7 +15,8 @@ import numpy as np
 
 from .errors import AngleOutOfRange, ConstraintViolation, ProbabilityOutOfRange
 
-#: Tolerance for state-validity checks (norms, singular values, positivity).
+#: Tolerance for state-validity checks (norms, singular values, positivity);
+#: every check of a Bloch norm or of T's largest singular value uses it.
 VALIDITY_TOL = 1e-9
 
 _SIGMA = (

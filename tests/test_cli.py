@@ -310,6 +310,23 @@ class TestScenarioCommand:
     def test_bad_config_exit_2(self):
         assert main(["scenario", "--config", '{"alice": []}']) == 2
 
+    @pytest.mark.parametrize("change, message", [
+        ({"alice": None}, "config has no 'alice' field"),
+        ({"bob": None}, "config has no 'bob' field"),
+        ({"state": {"a": [0, 0, 0], "b": [0, 0, 0]}}, "state has no 'T' field"),
+        ({"alice": [{"direction": [1, 0, 0]}, CONFIG["alice"][1]]},
+         "an observable of alice has no 'strength' field"),
+        ({"bob": [CONFIG["bob"][0], {"strength": 1.0}]},
+         "an observable of bob has no 'direction' field"),
+        ({"alice": CONFIG["alice"][:1]}, "alice must list exactly two observables"),
+        ({"bob": CONFIG["bob"] * 2}, "bob must list exactly two observables"),
+        ({"alice": {"first": CONFIG["alice"][0]}}, "alice must list exactly two observables"),
+    ], ids=["no-alice", "no-bob", "no-T", "no-strength", "no-direction", "one-observable",
+            "four-observables", "not-a-list"])
+    def test_missing_field_named_exit_2(self, change, message, capsys):
+        config = {k: v for k, v in dict(self.CONFIG, **change).items() if v is not None}
+        assert assert_fails(["scenario", "--config", json.dumps(config)], 2, capsys) == f"error: {message}"
+
     @pytest.mark.parametrize("config", [
         {"state": [1], "alice": [], "bob": []},
         dict(CONFIG, alice=[1, 2]),

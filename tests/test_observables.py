@@ -24,7 +24,7 @@ from bellrecycle import (
     trivial,
     unbiased,
 )
-from bellrecycle.observables import reversibility_roots
+from bellrecycle.observables import decoherence_array, reversibility_roots
 
 from oracles import mp_chart_strength, mp_reversibility
 
@@ -207,6 +207,45 @@ class TestReversibilityRoots:
         u, v = reversibility_roots(b, s)
         expected = [mp_reversibility(bi, si) for bi, si in zip(b, s)]
         assert np.allclose(0.5 * u + 0.5 * v, expected, rtol=1e-15, atol=0)
+
+
+class TestDecoherenceArray:
+    """The array D from `reversibility_roots` against the scalar `decoherence`, bit for bit."""
+
+    @staticmethod
+    def assert_matches_scalar(b, s):
+        d = decoherence_array(b, s, *reversibility_roots(b, s))
+        scalar = [decoherence(make_observable(bi, si, (0, 0, 1))) for bi, si in zip(b, s)]
+        assert d.tolist() == scalar
+
+    def test_random_observables(self):
+        rng = np.random.default_rng(25)
+        s = rng.uniform(0, 1, 5000)
+        self.assert_matches_scalar(rng.uniform(-1, 1, 5000) * (1 - s), s)
+
+    def test_constraint_boundary(self):
+        rng = np.random.default_rng(26)
+        b = np.concatenate([np.linspace(-1, 1, 401), rng.uniform(-1, 1, 2000)])
+        self.assert_matches_scalar(b, 1 - np.abs(b))
+
+    def test_weak_observables(self):
+        # s -> 0, where 1 - R^2 would cancel
+        s = np.repeat([10.0**-k for k in range(1, 301, 3)] + [5e-324, 0.0], 3)
+        self.assert_matches_scalar(np.tile([0.0, 0.5, -0.5], s.size // 3), s)
+
+    def test_certain_outcome_limit(self):
+        # |b| -> 1 along s = 0 and s = 1 - |b|; the denominator is <= 0 only
+        # at |b| = 1, s = 0, where D = 0
+        b = np.array([1.0 - 10.0**-k for k in range(1, 16)] + [1.0])
+        b = np.concatenate([b, -b])
+        self.assert_matches_scalar(np.concatenate([b, b]),
+                                   np.concatenate([np.zeros_like(b), 1 - np.abs(b)]))
+        certain, zero = np.array([1.0, -1.0]), np.zeros(2)
+        d = decoherence_array(certain, zero, *reversibility_roots(certain, zero))
+        assert d.tolist() == [0.0, 0.0]
+
+    def test_near_projective(self):
+        self.assert_matches_scalar(*near_projective())
 
 
 class TestDecoherence:

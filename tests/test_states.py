@@ -19,6 +19,7 @@ from bellrecycle import (
     state_from_json,
     state_to_json,
 )
+from bellrecycle.bell import schmidt_tensors
 from bellrecycle.states import validate
 
 from oracles import density_matrix_kron_sum, theta_from_state_vector
@@ -69,6 +70,23 @@ class TestFromSchmidt:
     @settings(max_examples=100)
     def test_always_valid(self, alpha):
         validate(from_schmidt(alpha))
+
+    def test_matches_batched_schmidt_tensors(self):
+        # the scalar/batched pair: row i of bell.schmidt_tensors is from_schmidt(alpha_i),
+        # bit for bit, for the whole stack and for one-row calls alike
+        def bits(x):  # the float64 bit patterns, which tell -0.0 from 0.0
+            return np.ascontiguousarray(x).view(np.int64)
+
+        rng = np.random.default_rng(29)
+        alpha = np.concatenate([rng.uniform(0.0, np.pi / 4, 2000),
+                                [0.0, np.pi / 8, np.pi / 4, 1e-300]])
+        a, b, T = schmidt_tensors(alpha)
+        for i, angle in enumerate(alpha):
+            state = from_schmidt(angle)
+            a1, b1, T1 = schmidt_tensors(alpha[i:i + 1])
+            for stacked, row, scalar in ((a, a1, state.a), (b, b1, state.b), (T, T1, state.T)):
+                assert np.array_equal(bits(stacked[..., i]), bits(scalar))
+                assert np.array_equal(bits(row[..., 0]), bits(scalar))
 
 
 class TestIsotropicNoise:
