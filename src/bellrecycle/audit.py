@@ -39,7 +39,8 @@ import numpy as np
 
 from .bell import schmidt_tensors, sequential_chsh_batch
 from .errors import DomainError
-from .monogamy import ORTHOGONAL_MONOGAMY_BOUND, EQUAL_STRENGTH_MONOGAMY_BOUND, monogamy_margin
+from .monogamy import (EQUAL_STRENGTH_MONOGAMY_BOUND, MARGIN_TOL, ORTHOGONAL_MONOGAMY_BOUND,
+                       monogamy_margin)
 from .observables import decoherence_array, reversibility_roots
 
 _SEED_OFFSETS = {
@@ -182,7 +183,7 @@ def _monogamy_audit(name: str, bound: float, samples: int, seed: int,
                     orthogonal: bool, equal_strengths: bool) -> AuditReport:
     chunks = (_monogamy_chunk(rng, n, bound, orthogonal, equal_strengths)
               for rng, n in _chunk_rngs(name, samples, seed))
-    return _fold(name, 1e-9, itertools.chain(chunks, [_saturating(name, bound)]))
+    return _fold(name, MARGIN_TOL, itertools.chain(chunks, [_saturating(name, bound)]))
 
 
 def audit_orthogonal_monogamy(samples: int = 100_000, seed: int = 1) -> AuditReport:

@@ -31,9 +31,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConstraintViolation, NegativeRadicand
+from .errors import DomainError, NegativeRadicand
 from .observables import Observable, reversibility_roots, scaled_direction
-from .states import VALIDITY_TOL, TwoQubitState
+from .states import TwoQubitState, check_contraction
 
 #: Tsirelson's bound 2 sqrt(2), the largest |S| any two-qubit state reaches.
 S_MAX = 2.0 * math.sqrt(2.0)
@@ -198,8 +198,7 @@ def sequential_chsh_batch(T, s, dirs, biases=None, a=None, b=None):
 def horodecki_sstar(T) -> float:
     """Optimal downstream CHSH value 2*sqrt(s1^2 + s2^2) of a correlation matrix."""
     s1, s2, _ = svd3(T)
-    if s1 > 1.0 + VALIDITY_TOL:
-        raise ConstraintViolation(f"largest singular value {s1} exceeds 1")
+    check_contraction(s1)
     return 2.0 * math.sqrt(s1 * s1 + s2 * s2)
 
 
@@ -215,14 +214,29 @@ def angle_between(u, v) -> float:
 
 @dataclass(frozen=True)
 class WMatrix:
-    """The 3x3 strength/relative-angle matrix of the singlet CHSH form."""
+    """The 3x3 strength/relative-angle matrix of the singlet CHSH form.
+
+    Non-finite entries raise DomainError.
+    """
 
     entries: np.ndarray = field(repr=False)
     angle_theta: float
     angle_phi: float
 
     def __post_init__(self):
+        if not np.isfinite(self.entries).all():
+            raise DomainError(f"W entries {self.entries.tolist()} are not all finite")
         self.entries.setflags(write=False)
+
+
+def _check_strengths_and_angles(strengths, angles) -> None:
+    """DomainError unless every strength lies in [0, 1] and every angle is finite."""
+    for s in strengths:
+        if not 0.0 <= s <= 1.0:
+            raise DomainError(f"strength {s} outside [0, 1]")
+    for angle in angles:
+        if not math.isfinite(angle):
+            raise DomainError(f"angle {angle} is not finite")
 
 
 def w_matrix(sx: float, sxp: float, sy: float, syp: float, theta: float, phi: float) -> WMatrix:
@@ -230,7 +244,9 @@ def w_matrix(sx: float, sxp: float, sy: float, syp: float, theta: float, phi: fl
 
     theta is the angle between the two settings of the first observer, phi
     between those of the second; only the upper 2x2 block is nonzero.
+    Raises DomainError for a strength outside [0, 1] or a non-finite angle.
     """
+    _check_strengths_and_angles((sx, sxp, sy, syp), (theta, phi))
     A = sx * sy + sx * syp + sxp * sy - sxp * syp
     B = sx * sy - sx * syp + sxp * sy + sxp * syp
     C = sx * sy + sx * syp - sxp * sy + sxp * syp
@@ -246,7 +262,11 @@ def w_matrix(sx: float, sxp: float, sy: float, syp: float, theta: float, phi: fl
 
 
 def s0_bound(sx: float, sxp: float, sy: float, syp: float, theta: float, phi: float) -> float:
-    """Tight upper bound on |CHSH| for unbiased observables on the singlet."""
+    """Tight upper bound on |CHSH| for unbiased observables on the singlet.
+
+    Raises DomainError for a strength outside [0, 1] or a non-finite angle.
+    """
+    _check_strengths_and_angles((sx, sxp, sy, syp), (theta, phi))
     radicand = (
         (sx * sx + sxp * sxp) * (sy * sy + syp * syp)
         + 2.0 * sx * sxp * (sy * sy - syp * syp) * math.cos(theta)

@@ -24,6 +24,10 @@ ORTHOGONAL_MONOGAMY_BOUND = 8.0 * math.sqrt(2.0) / 3.0
 #: Bound of the equal-strengths monogamy relation (also the conjectured one).
 EQUAL_STRENGTH_MONOGAMY_BOUND = 4.0
 
+#: A monogamy relation holds where its margin is at least -MARGIN_TOL; the
+#: checkers and the audits count a violation below it.
+MARGIN_TOL = 1e-9
+
 _PRECONDITION_TOL = 1e-9
 
 
@@ -68,7 +72,7 @@ def monogamy_margin(bound, s_first, s_star):
 def _check(cfg: ScenarioConfig, bound: float) -> TheoremCheck:
     res = evaluate_scenario(cfg)
     margin = monogamy_margin(bound, res.s_first, res.s_star_second)
-    return TheoremCheck(holds=margin >= -_PRECONDITION_TOL, margin=margin)
+    return TheoremCheck(holds=margin >= -MARGIN_TOL, margin=margin)
 
 
 def _require_unbiased(cfg: ScenarioConfig) -> None:
@@ -119,18 +123,30 @@ def conjecture_margin(res: ScenarioResult) -> float:
     return monogamy_margin(EQUAL_STRENGTH_MONOGAMY_BOUND, res.s_first, res.s_star_second)
 
 
+def _check_unit_square(x: float, y: float) -> None:
+    if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
+        raise DomainError(f"({x}, {y}) outside the unit square [0, 1]^2")
+
+
 def g_orthogonal(x: float, y: float) -> float:
     """Objective sqrt(2)(2-x^2-y^2) + sqrt((1+x)^4+(1+y)^4)/2 of the first bound.
 
-    Its maximum over the unit square is 8*sqrt(2)/3, attained at (1/3, 1/3).
+    Its maximum over the unit square is 8*sqrt(2)/3, attained at (1/3, 1/3);
+    outside the square (NaN included) it raises DomainError.
     """
+    _check_unit_square(x, y)
     return math.sqrt(2.0) * (2.0 - x * x - y * y) + 0.5 * math.sqrt(
         (1.0 + x) ** 4 + (1.0 + y) ** 4
     )
 
 
 def g_equal_strength(x: float, c: float) -> float:
-    """Objective of the equal-strengths bound; maximum 2 at (x, c) = (0, 1)."""
+    """Objective of the equal-strengths bound.
+
+    Its maximum over the unit square is 2, attained at (x, c) = (0, 1);
+    outside the square (NaN included) it raises DomainError.
+    """
+    _check_unit_square(x, c)
     f4 = ((1.0 + x) ** 2 + (1.0 - x) ** 2 * c) ** 2 + 4.0 * (1.0 - x * x) ** 2 * c
     return math.sqrt(2.0 - c) * (1.0 - x * x) + math.sqrt(f4) / math.sqrt(8.0)
 

@@ -21,7 +21,7 @@ from .bell import MeasurementPair, chsh_value
 from .errors import ConstraintViolation, Infeasible, IndexOutOfRange, NotNonlocal
 from .instruments import SQUARE_ROOT, MeasurementKind, apply_chain, apply_local, setting_channel
 from .observables import make_observable, projective
-from .states import VALIDITY_TOL, TwoQubitState, add_isotropic_noise, make_state
+from .states import TwoQubitState, add_isotropic_noise, check_contraction, make_state
 
 
 @dataclass(frozen=True)
@@ -112,8 +112,7 @@ def plan_multibob(T, n_bobs: int, margin: float = 0.05) -> MultiBobSchedule:
     if not np.isfinite(T).all():
         raise ConstraintViolation(f"T = {T.tolist()} has a non-finite entry")
     U, sv, Vt = np.linalg.svd(T)
-    if sv[0] > 1.0 + VALIDITY_TOL:
-        raise ConstraintViolation(f"largest singular value of T is {sv[0]} > 1")
+    check_contraction(float(sv[0]))
     alice = MeasurementPair(projective(U[:, 0]), projective(U[:, 1]))
     chi = math.atan2(sv[1], sv[0])
     y = math.cos(chi) * Vt[0] + math.sin(chi) * Vt[1]

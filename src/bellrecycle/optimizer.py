@@ -60,18 +60,16 @@ _PENALTY_START = 10.0
 _PENALTY_PERIOD = 50
 _FEASIBILITY_TOL = 1e-4
 _MIN_BUDGET = 10_000
-# the polish gets budget // _POLISH_PART of the evaluations, DE the rest
+# the last polish keeps budget // _POLISH_PART of the evaluations; the rest,
+# DE's share, pays for DE and for every stage's polish
 _POLISH_PART = 10
-# DE grows in stages of _STAGES rows per restart before it runs to its full
-# share; after each such stage every restart's best is polished on
-# _STAGE_POLISH rows, and the search stops once two polished restarts are
-# within _FLOOR_MISS of the target and within _AGREEMENT of each other in S*.
-# A stage runs only if the last polish keeps _LAST_POLISH rows per restart,
-# so the first runs from budget 160,000 and the second from 200,000; a
-# smaller last polish left budget-bound targets up to 5e-5 below.
+# DE grows in stages of _STAGES rows per restart, each run if it and
+# _STAGE_POLISH rows for its polish and each earlier one fit in DE's share;
+# after each, every restart's best is polished on those rows, and the search
+# stops once two polished restarts are within _FLOOR_MISS of the target and
+# within _AGREEMENT of each other in S*.
 _STAGES = (2_560, 10_240)
 _STAGE_POLISH = 1_000
-_LAST_POLISH = 3_000
 _AGREEMENT = 1e-10
 # the forward-difference step, sqrt(machine epsilon)
 _FD_STEP = math.sqrt(np.finfo(float).eps)
@@ -518,16 +516,19 @@ def boundary_point(
     """Best found S2* subject to |S(A1,B1)| = s.
 
     `budget` is a ceiling on `evaluations`: four times a restart's DE rows
-    plus every polish's rows; easy targets stop far below it.  Four
-    independent DE restarts run in lockstep on at most nine tenths of it.
-    From budget 160,000 on, DE first stops at 2,560 rows per restart (and
-    from 200,000 also at 10,240): the lockstep SQP polish refines every
-    restart's best on 1,000 rows, and the search ends there if two polished
-    restarts are within 1e-12 of s and within 1e-10 of each other in S*.
-    Otherwise DE resumes where it stopped and runs to its full share, and
-    each restart's polish gets a quarter of what is left.  The winner is the
-    best of every stage's DE bests and polished points: the best within
-    1e-12 of s; without one, the best within 1e-4, else the nearest.
+    plus every polish's rows; easy targets stop far below it.  The last
+    polish keeps a tenth of it, and the rest, DE's share, pays for four
+    independent DE restarts run in lockstep and for every stage's polish.
+    DE stops first at 2,560 rows per restart, then at 10,240, where that
+    stop and 1,000 rows for its polish and each earlier one fit in a
+    restart's share (from budget 15,822 and 54,399 on): the lockstep SQP
+    polish refines every restart's best on those rows, and the search ends
+    there if two polished restarts are within 1e-12 of s and within 1e-10
+    of each other in S*.  Otherwise DE resumes where it stopped and runs to
+    its share less those reservations, and each restart's polish gets a
+    quarter of what is left.  The winner is the best of every stage's DE
+    bests and polished points: the best within 1e-12 of s; without one, the
+    best within 1e-4, else the nearest.
     Results are deterministic in (mode, s, budget, seed).
     """
     _check_target(s)
@@ -537,15 +538,12 @@ def boundary_point(
     rngs = [np.random.default_rng(stream)
             for stream in np.random.SeedSequence(seed).spawn(_RESTARTS)]
     de_budget = (budget - budget // _POLISH_PART) // _RESTARTS
-    # the polish's tenth of the budget pays for the early stages' polishes
-    # and still leaves the last one _LAST_POLISH rows per restart
-    share = budget // _POLISH_PART // _RESTARTS
-    early = [rows for i, rows in enumerate(_STAGES, 1)
-             if share >= i * _STAGE_POLISH + _LAST_POLISH]
-    stages = _de_lockstep(evaluator, lo, hi, s, [*early, de_budget], rngs)
+    early = [rows for i, rows in enumerate(_STAGES, 1) if rows + i * _STAGE_POLISH <= de_budget]
+    stops = [*early, de_budget - len(early) * _STAGE_POLISH]
+    stages = _de_lockstep(evaluator, lo, hi, s, stops, rngs)
     pool, polish_rows = [], 0
     for stage, (starts, values, used) in enumerate(stages):
-        # the polish of DE's full share gets what is left of the budget
+        # the polish of DE's last stop gets what is left of the budget
         last = stage == len(early)
         allowance = ((budget - _RESTARTS * used - polish_rows) // _RESTARTS if last
                      else _STAGE_POLISH)

@@ -59,6 +59,15 @@ def density_matrix(state: TwoQubitState) -> np.ndarray:
     return np.tensordot(state.theta, _PAULI_BASIS, 2) / 4.0
 
 
+def check_contraction(smax: float) -> None:
+    """Raise ConstraintViolation if T's largest singular value `smax` exceeds 1.
+
+    The caller takes the SVD it needs anyway and passes its largest value.
+    """
+    if smax > 1.0 + VALIDITY_TOL:
+        raise ConstraintViolation(f"largest singular value of T = {smax} exceeds 1")
+
+
 def validate(state: TwoQubitState) -> None:
     """Check normalisation, finiteness, Bloch norms, correlation strength and positivity.
 
@@ -77,9 +86,7 @@ def validate(state: TwoQubitState) -> None:
         norm = float(np.linalg.norm(vec))
         if norm > 1.0 + VALIDITY_TOL:
             raise ConstraintViolation(f"|{name}| = {norm} exceeds 1")
-    smax = float(np.linalg.svd(state.T, compute_uv=False)[0])
-    if smax > 1.0 + VALIDITY_TOL:
-        raise ConstraintViolation(f"largest singular value of T = {smax} exceeds 1")
+    check_contraction(float(np.linalg.svd(state.T, compute_uv=False)[0]))
     rho = density_matrix(state)
     eigs = np.linalg.eigvalsh(rho)
     if eigs.min() < -VALIDITY_TOL:

@@ -7,10 +7,14 @@ from hypothesis import strategies as st
 
 from bellrecycle import (
     ConstraintViolation,
+    DomainError,
     MeasurementPair,
+    WMatrix,
     ZeroDirection,
     angle_between,
     chsh_value,
+    g_equal_strength,
+    g_orthogonal,
     horodecki_sstar,
     make_state,
     projective,
@@ -293,6 +297,42 @@ class TestS0Bound:
             th = angle_between(dirs[0], dirs[1])
             ph = angle_between(dirs[2], dirs[3])
             assert value <= s0_bound(sx, sxp, sy, syp, th, ph) + 1e-9
+
+
+_NAN, _INF = math.nan, math.inf
+
+
+def _s0_of_w(*args):
+    return s0_from_w(w_matrix(*args))
+
+
+@pytest.mark.parametrize("fn,args", [
+    (s0_bound, (1, 1, 1, 1, _NAN, 0)),
+    (s0_bound, (1, 1, 1, 1, _INF, 0)),
+    (s0_bound, (1, 1, 1, 1, 0, -_INF)),
+    (s0_bound, (_NAN, 1, 1, 1, 0, 0)),
+    (s0_bound, (1, 1, _INF, 1, 0, 0)),
+    (s0_bound, (2, 2, 2, 2, 0, 0)),
+    (s0_bound, (1, -0.1, 1, 1, 0, 0)),
+    (w_matrix, (1, 1, 1, 1, 0, _NAN)),
+    (w_matrix, (1, 1, 1, 1.5, 0, 0)),
+    (_s0_of_w, (1, 1, 1, 1, _NAN, 0)),
+    (_s0_of_w, (1, 1, 1, 1, 0, _INF)),
+    (WMatrix, (np.full((3, 3), _NAN), 0.0, 0.0)),
+    (g_orthogonal, (_NAN, 0)),
+    (g_orthogonal, (0, _INF)),
+    (g_orthogonal, (-_INF, 0)),
+    (g_orthogonal, (1.5, 0)),
+    (g_orthogonal, (0, -0.1)),
+    (g_equal_strength, (0.0, 3.0)),
+    (g_equal_strength, (_NAN, 1)),
+    (g_equal_strength, (0, _INF)),
+    (g_equal_strength, (-0.5, 0.5)),
+], ids=lambda v: getattr(v, "__name__", None))
+def test_bound_and_objective_reject_bad_input(fn, args):
+    # these used to return nan or 8.0, or raise a bare math domain error
+    with pytest.raises(DomainError):
+        fn(*args)
 
 
 class TestAngleBetween:

@@ -257,6 +257,11 @@ class TestMultibobCommand:
         line = assert_fails(["multibob", "--n", "2", "--state", state], 2, capsys)
         assert line == "error: T = [[-1.0, 0.0, 0.0], [0.0, nan, 0.0], [0.0, 0.0, -1.0]] has a non-finite entry"
 
+    def test_non_contraction_state_exit_2(self, capsys):
+        state = '{"T": [[2, 0, 0], [0, 2, 0], [0, 0, 2]]}'
+        line = assert_fails(["multibob", "--n", "2", "--state", state], 2, capsys)
+        assert line == "error: largest singular value of T = 2.0 exceeds 1"
+
     @pytest.mark.parametrize("state", ["[1]", "null", '{"T": {"x": 1}}'])
     def test_state_not_an_object_exit_2(self, state):
         assert main(["multibob", "--n", "2", "--state", state]) == 2

@@ -503,11 +503,43 @@ class TestStagedStop:
         assert abs(point.achieved_s - s) <= 1e-12
         assert abs(point.s_star - float.fromhex(_FULL_DE_SSTAR[tag, s])) <= 5e-12
 
+    @pytest.mark.parametrize("mode,evaluations", [(UNBIASED_SINGLET, 13_750),
+                                                  (GENERAL_BIASED, 13_286)],
+                             ids=["unbiased-singlet", "general-biased"])
+    def test_first_stage_stop_does_not_depend_on_the_budget(self, mode, evaluations):
+        points = [boundary_point(1.0, mode, budget, 0) for budget in (20_000, 40_000, 200_000)]
+        assert len({(p.s_star.hex(), p.achieved_s.hex(), p.params, p.evaluations)
+                    for p in points}) == 1
+        assert points[0].evaluations == evaluations
+
+    @pytest.mark.parametrize("budget,stops", [
+        (15_821, [3_559]),
+        (15_822, [2_560, 2_560]),
+        (54_398, [2_560, 11_239]),
+        (54_399, [2_560, 10_240, 10_240]),
+    ])
+    def test_stages_run_where_their_polishes_fit_in_de_share(self, monkeypatch, budget, stops):
+        # a stage runs where its stop and 1,000 polish rows per restart for
+        # it and each earlier stage fit in (budget - budget // 10) // 4; DE's
+        # last stop is that share less those rows
+        recorded = []
+        de_lockstep = optimizer._de_lockstep
+
+        def recording(evaluator, lo, hi, target, stops, rngs):
+            recorded.append(list(stops))
+            return de_lockstep(evaluator, lo, hi, target, stops, rngs)
+
+        monkeypatch.setattr(optimizer, "_de_lockstep", recording)
+        point, received = counted_point(monkeypatch, 1.0, UNBIASED_SINGLET, budget)
+        assert recorded == [stops]
+        assert point.evaluations == received <= budget
+
     @pytest.mark.parametrize("tag,s", [("unbiased-singlet", 2.05), ("general-biased", 2.05),
                                        ("general-biased", 2.2), ("region2-ansatz", 2.05)])
     def test_hard_targets_end_no_worse(self, monkeypatch, tag, s):
         # region2-ansatz 2.05 stops at the second stage, 1.2e-9 below; the
-        # others run DE to its full share and end where it did
+        # others run DE to its share less the 2,000 rows per restart reserved
+        # for the two stage polishes, short of the full share behind the pins
         point, received = counted_point(monkeypatch, s, search_mode(tag), 200_000)
         assert point.evaluations == received <= 200_000
         assert abs(point.achieved_s - s) <= 1e-12

@@ -15,6 +15,7 @@ from bellrecycle import (
     from_schmidt,
     horodecki_sstar,
     make_state,
+    plan_multibob,
     singlet,
     state_from_json,
     state_to_json,
@@ -135,6 +136,16 @@ class TestValidation:
         parts[part].flat[1] = value
         with pytest.raises(ConstraintViolation, match=rf"^{part} = .* non-finite"):
             make_state(parts["a"], parts["b"], parts["T"])
+
+    @pytest.mark.parametrize("check", [
+        lambda T: make_state(np.zeros(3), np.zeros(3), T),
+        horodecki_sstar,
+        lambda T: plan_multibob(T, 1, margin=0.05),
+    ], ids=["validate", "horodecki_sstar", "plan_multibob"])
+    def test_one_contraction_message(self, check):
+        with pytest.raises(ConstraintViolation,
+                           match=r"^largest singular value of T = 2\.0 exceeds 1$"):
+            check(2.0 * np.eye(3))
 
     def test_triplet_correlations_accepted(self):
         make_state([0, 0, 0], [0, 0, 0], np.diag([1.0, 1.0, -1.0]))
