@@ -22,23 +22,35 @@ in the Schmidt frame loses no generality: a pure state's T is Ra D Rb^T,
 S1 and S2* of (T; x, x', y, y') equal those of (D; Ra^T x, Ra^T x',
 Rb^T y, Rb^T y'), and isotropic directions keep their joint law under
 rotation, so every margin has the same distribution as with random local
-rotations.  `_fold` keeps the first worst row over the chunks.  Only one
-chunk's draws and temporaries, a running worst margin, its configuration
-and the violation count are held, so memory does not grow with the sample
-count.  Audits run independently and stay reproducible.
+rotations.
+
+The chunks run in contiguous blocks, one per usable CPU (at most one per
+chunk): the calling process computes the first block itself and a process
+pool the others.  Each block reduces every chunk to a `_summary` (rows,
+violations, lowest margin and the configuration of its row), so no margin
+array leaves the process that made it, and `_fold` folds the summaries in
+chunk order, with the fixed rows last, keeping the first worst row.  A
+chunk's draws depend only on the seed and its index, and the fold's order
+only on the chunk order, so a report is the same, bit for bit, for any
+number of workers.  Each process holds one chunk's draws and temporaries
+at a time; the caller also keeps one small summary per chunk.  With one
+chunk (up to 2^12 samples), one usable CPU or in a daemonic process no
+pool starts.  Audits run independently and stay reproducible.
 """
 
 from __future__ import annotations
 
-import itertools
+import concurrent.futures
 import math
+import os
+import sys
 from dataclasses import asdict, dataclass
 from typing import Any
 
 import numpy as np
 
 from .bell import schmidt_tensors, sequential_chsh_batch
-from .errors import DomainError
+from .errors import DomainError, check_seed
 from .monogamy import (EQUAL_STRENGTH_MONOGAMY_BOUND, MARGIN_TOL, ORTHOGONAL_MONOGAMY_BOUND,
                        monogamy_margin)
 from .observables import decoherence_array, reversibility_roots
@@ -105,36 +117,97 @@ def _config_dict(i, T, dirs, s) -> dict[str, Any]:
     }
 
 
-def _chunk_rngs(name: str, samples: int, seed: int):
-    """(generator, rows) of each fixed-size chunk of an audit's random draws.
+def _chunk_count(samples: int, seed: int) -> int:
+    """Number of chunks of an audit's random draws.
 
-    Raises DomainError at once for samples < 1; the generators are made lazily.
+    Raises DomainError for samples < 1 or a negative seed.
     """
     if samples < 1:
         raise DomainError(f"samples must be at least 1, got {samples}")
+    check_seed(seed)
+    return -(-samples // _CHUNK)
+
+
+def _chunk_rngs(name: str, samples: int, seed: int, chunks: range | None = None):
+    """(generator, rows) of each fixed-size chunk of an audit's random draws.
+
+    All chunks, or those whose indices are in `chunks`.  Raises DomainError
+    at once for samples < 1 or a negative seed; the generators are made lazily.
+    """
+    count = _chunk_count(samples, seed)
     entropy = seed + _SEED_OFFSETS[name]
     return ((np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=(i,))),
              min(_CHUNK, samples - i * _CHUNK))
-            for i in range(-(-samples // _CHUNK)))
+            for i in chunks or range(count))
 
 
-def _fold(name: str, tol: float, chunks) -> AuditReport:
-    """One report from (margins, config of their argmin) per chunk.
+def _summary(tol: float, margins: np.ndarray, config) -> tuple:
+    """(rows, violations below -tol, lowest margin, config of its row) of one chunk."""
+    return (margins.size, int(np.count_nonzero(margins < -tol)),
+            float(margins.min(initial=math.inf)), config)
 
-    Keeps the sample and violation counts and the first worst margin, with
-    its configuration, over all chunks: a later chunk must be strictly
-    worse to replace it, as `np.argmin` keeps the first of equal rows.
+
+def _fold(name: str, summaries) -> AuditReport:
+    """One report from the `_summary` of each chunk, in chunk order.
+
+    Adds up the rows and violations and keeps the first lowest margin, with
+    its configuration: a later chunk must be strictly lower to replace it,
+    as `np.argmin` keeps the first of equal rows.
     """
     samples = violations = 0
     worst, config = math.inf, None
-    for margins, chunk_config in chunks:
-        samples += margins.size
-        violations += int(np.count_nonzero(margins < -tol))
-        low = margins.min(initial=math.inf)
+    for rows, bad, low, chunk_config in summaries:
+        samples += rows
+        violations += bad
         if low < worst:
-            worst, config = float(low), chunk_config
+            worst, config = low, chunk_config
     return AuditReport(name=name, samples=samples, worst_margin=worst,
                        violations=violations, worst_config=config)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, else the machine's count.
+
+    A daemonic process (a `multiprocessing.Pool` worker, say) may not start
+    children, so it gets one; a process that never loaded multiprocessing
+    is not one.
+    """
+    mp = sys.modules.get("multiprocessing")
+    if mp is not None and mp.current_process().daemon:
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _block(name: str, samples: int, seed: int, chunks: range, tol: float, chunk, *args) -> list:
+    """The `_summary` of each chunk in `chunks`, in order, from chunk(rng, rows, *args)."""
+    return [_summary(tol, *chunk(rng, n, *args))
+            for rng, n in _chunk_rngs(name, samples, seed, chunks)]
+
+
+def _audit(name: str, tol: float, samples: int, seed: int, fixed, chunk, *args) -> AuditReport:
+    """Fold an audit's chunks, split in contiguous blocks over the usable CPUs.
+
+    `fixed` is the (margins, config) of the relation's fixed rows, folded
+    after the random ones.  The first block runs here and the others in a
+    pool that lives only for this call; the inputs are checked before it starts.
+    """
+    count = _chunk_count(samples, seed)
+    workers = min(_usable_cpus(), count)
+    edges = [count * k // workers for k in range(workers + 1)]
+    first, *rest = [(name, samples, seed, range(a, b), tol, chunk, *args)
+                    for a, b in zip(edges, edges[1:])]
+    if not rest:
+        summaries = _block(*first)
+    else:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=len(rest)) as pool:
+            futures = [pool.submit(_block, *block) for block in rest]
+            summaries = _block(*first)
+            for future in futures:
+                summaries += future.result()
+    return _fold(name, [*summaries, _summary(tol, *fixed)])
 
 
 def _monogamy_margins(bound, T, dirs, s):
@@ -181,9 +254,8 @@ def _saturating(name: str, bound: float):
 
 def _monogamy_audit(name: str, bound: float, samples: int, seed: int,
                     orthogonal: bool, equal_strengths: bool) -> AuditReport:
-    chunks = (_monogamy_chunk(rng, n, bound, orthogonal, equal_strengths)
-              for rng, n in _chunk_rngs(name, samples, seed))
-    return _fold(name, MARGIN_TOL, itertools.chain(chunks, [_saturating(name, bound)]))
+    return _audit(name, MARGIN_TOL, samples, seed, _saturating(name, bound),
+                  _monogamy_chunk, bound, orthogonal, equal_strengths)
 
 
 def audit_orthogonal_monogamy(samples: int = 100_000, seed: int = 1) -> AuditReport:
@@ -236,11 +308,9 @@ def audit_tradeoff_chain(samples: int = 100_000, seed: int = 1) -> AuditReport:
     Checks, within 1e-12: 1-S <= R^2 <= 1-S^2, D >= S >= D^2, |B| <= R^2 and
     R^2 + S^2 >= 3/4.
     """
-    name = "tradeoff-chain"
-    chunks = (_tradeoff_chunk(rng, n) for rng, n in _chunk_rngs(name, samples, seed))
     # boundary families: projective, trivial and unbiased observables
     boundary = _tradeoff_margins(np.array([1.0, 0.0, 0.5]), np.array([0.0, 0.7, 0.0]))
-    return _fold(name, 1e-12, itertools.chain(chunks, [boundary]))
+    return _audit("tradeoff-chain", 1e-12, samples, seed, boundary, _tradeoff_chunk)
 
 
 def run_all_audits(samples: int = 100_000, seed: int = 1) -> list[AuditReport]:

@@ -1,4 +1,4 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and its one seed check.
 
 Most errors derive from ValueError so that generic callers can treat a bad
 input the usual way while still being able to catch the precise condition.
@@ -43,6 +43,12 @@ class NegativeRadicand(BellRecycleError, ArithmeticError):
 
 class DomainError(BellRecycleError, ValueError):
     """A function argument lies outside the function's domain."""
+
+
+def check_seed(seed: int) -> None:
+    """Raise DomainError naming a negative seed, which `numpy.random.SeedSequence` refuses."""
+    if seed < 0:
+        raise DomainError(f"seed must be non-negative, got {seed}")
 
 
 class PreconditionViolation(BellRecycleError, ValueError):

@@ -46,7 +46,7 @@ import numpy as np
 import scipy
 
 from .bell import S_MAX, MeasurementPair, schmidt_tensors, sequential_chsh_batch
-from .errors import BudgetTooSmall, DomainError, LengthMismatch
+from .errors import BudgetTooSmall, DomainError, LengthMismatch, check_seed
 from .instruments import SQUARE_ROOT
 from .monogamy import ScenarioConfig
 from .observables import make_observable
@@ -533,6 +533,7 @@ def boundary_point(
     """
     _check_target(s)
     _check_budget(budget)
+    check_seed(seed)
     evaluator = make_batch_evaluator(mode)
     lo, hi = np.array(mode.lo), np.array(mode.hi)
     rngs = [np.random.default_rng(stream)
@@ -591,6 +592,7 @@ def boundary_curve(
     for g in grid:
         _check_target(g)
     _check_budget(budget)
+    check_seed(seed)
     if workers < 1:
         raise DomainError(f"workers must be at least 1, got {workers}")
     args = (grid, repeat(mode), repeat(budget), repeat(seed))

@@ -228,5 +228,6 @@ def whole_chunk_audits(samples: int, seed: int) -> list:
             tol = 1e-9
             tail = audit._saturating(name, MONOGAMY_AUDITS[name][0])
         chunks = whole_chunks(name, samples, seed)
-        reports.append(audit._fold(name, tol, itertools.chain(chunks, [tail])))
+        summaries = [audit._summary(tol, *chunk) for chunk in itertools.chain(chunks, [tail])]
+        reports.append(audit._fold(name, summaries))
     return reports

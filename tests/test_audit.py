@@ -1,3 +1,4 @@
+import multiprocessing
 import tracemalloc
 
 import numpy as np
@@ -190,7 +191,7 @@ class TestChunkedAudits:
         chunk = audit._monogamy_chunk(rng, audit._CHUNK, bound, orthogonal, equal_strengths)
         margins = chunk[0]
         assert margins.shape == (audit._CHUNK,)
-        report = audit._fold("chunk", 1e-9, [chunk])
+        report = audit._fold("chunk", [audit._summary(1e-9, *chunk)])
         assert report.worst_margin == margins.min()
         config = report.worst_config
         assert scalar_margin(bound, config) == pytest.approx(margins.min(), abs=1e-12)
@@ -212,6 +213,9 @@ class TestChunkedAudits:
                 assert report.worst_margin == float(margins[0])
 
     def test_memory_does_not_grow_with_samples(self):
+        # the first process pool imports multiprocessing once; keep that
+        # one-time import out of the traced runs
+        run_all_audits(2**13, 1)
         peaks = []
         for samples in (2**14, 2**18):
             tracemalloc.start()
@@ -265,3 +269,83 @@ class TestChunkedAudits:
                     chunks, whole_chunks(name, samples, seed), strict=True):
                 assert np.array_equal(margins, oracle_margins)
                 assert config == oracle_config
+
+
+_tradeoff_chunk = audit._tradeoff_chunk
+
+
+def _failing_chunk(rng, n):
+    raise RuntimeError("chunk failed")
+
+
+def _short_chunk_fails(rng, n):
+    # 3 * 2^12 + 5 rows end in a 5-row chunk, which the second block runs
+    if n < audit._CHUNK:
+        raise RuntimeError("short chunk failed")
+    return _tradeoff_chunk(rng, n)
+
+
+class NoPool:
+    """Stands in for ProcessPoolExecutor and fails if an audit asks for one."""
+
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+
+class TestWorkerSplit:
+    @pytest.mark.parametrize("samples", [3 * audit._CHUNK + 5, audit._CHUNK])
+    def test_reports_do_not_depend_on_the_worker_count(self, monkeypatch, samples):
+        # 3 * 2^12 + 5 rows make four chunks, split 4, 2 + 2 and 1 + 1 + 2;
+        # 2^12 rows make one, which always runs here.  The fixed rows win
+        # every report, so each chunk's summary is compared too.
+        fold = audit._fold
+        reports, summaries = [], []
+
+        def recording(name, rows):
+            summaries[-1].append(rows)
+            return fold(name, rows)
+
+        monkeypatch.setattr(audit, "_fold", recording)
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(audit, "_usable_cpus", lambda cpus=cpus: cpus)
+            summaries.append([])
+            reports.append(run_all_audits(samples, 8))
+        assert reports[0] == reports[1] == reports[2]
+        assert summaries[0] == summaries[1] == summaries[2]
+        assert [len(rows) for rows in summaries[0]] == [-(-samples // audit._CHUNK) + 1] * 4
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus, samples", [(3, audit._CHUNK), (1, 3 * audit._CHUNK + 5)],
+                             ids=["one-chunk", "one-cpu"])
+    def test_starts_no_process(self, monkeypatch, cpus, samples):
+        monkeypatch.setattr(audit, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(audit.concurrent.futures, "ProcessPoolExecutor", NoPool)
+        assert [r.samples for r in run_all_audits(samples, 2)] == [
+            samples + 1, samples + 1, samples + 3, samples + 1]
+
+    @pytest.mark.parametrize("chunk", [_failing_chunk, _short_chunk_fails],
+                             ids=["every-chunk", "second-block"])
+    def test_no_process_outlives_a_failing_chunk(self, monkeypatch, chunk):
+        monkeypatch.setattr(audit, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(audit, "_tradeoff_chunk", chunk)
+        with pytest.raises(RuntimeError, match="chunk failed"):
+            audit_tradeoff_chain(3 * audit._CHUNK + 5, 1)
+        assert multiprocessing.active_children() == []
+
+    def test_runs_in_place_in_a_daemonic_worker(self):
+        # a multiprocessing.Pool worker may not start children of its own
+        samples = 3 * audit._CHUNK + 5
+        with multiprocessing.Pool(1) as pool:
+            report = pool.apply(audit_tradeoff_chain, (samples, 1))
+        assert report == audit_tradeoff_chain(samples, 1)
+
+    @pytest.mark.parametrize("run", [run_all_audits, audit_orthogonal_monogamy,
+                                     audit_equal_strength_monogamy, audit_tradeoff_chain,
+                                     audit_conjecture], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("seed", [-1, -500])
+    def test_negative_seed_named_before_the_pool(self, monkeypatch, run, seed):
+        # seeds down to -101 used to pass, by the accident of the per-audit offsets
+        monkeypatch.setattr(audit, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(audit.concurrent.futures, "ProcessPoolExecutor", NoPool)
+        with pytest.raises(DomainError, match=f"seed must be non-negative, got {seed}"):
+            run(3 * audit._CHUNK, seed)

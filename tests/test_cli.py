@@ -136,6 +136,11 @@ class TestCurveCommand:
     def test_invalid_configs_exit_2(self, argv):
         assert main(argv) == 2
 
+    def test_negative_seed_named_exit_2(self, capsys):
+        line = assert_fails(["curve", "--grid", "1.0", "--budget", "10000", "--seed", "-1"], 2,
+                            capsys)
+        assert line == "error: seed must be non-negative, got -1"
+
     def test_thread_count_preserves_output(self, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
@@ -174,6 +179,11 @@ class TestAuditCommand:
 
     def test_zero_samples_exit_2(self):
         assert main(["audit", "--samples", "0"]) == 2
+
+    @pytest.mark.parametrize("seed", ["-1", "-500"])
+    def test_negative_seed_named_exit_2(self, seed, capsys):
+        line = assert_fails(["audit", "--samples", "2000", "--seed", seed], 2, capsys)
+        assert line == f"error: seed must be non-negative, got {seed}"
 
     def test_violation_exit_4(self, tmp_path, monkeypatch, capsys, schema):
         # the report is still written whole, and each violated audit gets one

@@ -3,7 +3,8 @@
 `import bellrecycle` should cost numpy and scipy's top-level package only.
 The optimizer's polish and `max_exponent_d` are plain numpy and math, so
 `scipy.optimize` (~0.5 s, ~40 MB) never loads; `multiprocessing` loads at
-the first `boundary_curve(..., workers > 1)`.  Each check runs in a fresh
+the first `boundary_curve(..., workers > 1)`, or at the first audit of more
+than one chunk on more than one CPU.  Each check runs in a fresh
 interpreter, since this test process has long since loaded both.
 """
 

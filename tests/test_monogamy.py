@@ -268,6 +268,14 @@ class TestMaxExponent:
         changes = np.count_nonzero(np.diff(signs))
         assert changes == 1
 
+    def test_power_law_fails_on_region3_at_that_exponent(self):
+        # d comes from the Tsirelson endpoint (2 sqrt 2, 1/sqrt 2) alone; on
+        # region 3's optimal curve |S1|^d + S2*^d <= 2^(d+1) fails at s = 2.79
+        d = max_exponent_d()
+        s = 2.79
+        excess = s ** d + region3_curve(s) ** d - 2 ** (d + 1)
+        assert excess == pytest.approx(0.1096, abs=1e-4)
+
 
 class TestConjectureMargin:
     def test_tsirelson_pair(self):

@@ -306,6 +306,10 @@ class TestBoundaryPoint:
         with pytest.raises(DomainError):
             boundary_point(3.0, UNBIASED_SINGLET)
 
+    def test_negative_seed_named(self):
+        with pytest.raises(DomainError, match="seed must be non-negative, got -1"):
+            boundary_point(1.0, UNBIASED_SINGLET, budget=10_000, seed=-1)
+
     def test_region2_ansatz_mode(self):
         point = boundary_point(2.4, REGION2_ANSATZ, budget=15_000, seed=4)
         assert abs(point.achieved_s - 2.4) <= 1e-4
@@ -669,4 +673,12 @@ class TestBoundaryCurve:
                             self.recording_executor(sizes))
         with pytest.raises(BudgetTooSmall):
             boundary_curve([1.0, 2.0], UNBIASED_SINGLET, budget=5_000, workers=2)
+        assert sizes == []
+
+    def test_seed_checked_before_the_pool(self, monkeypatch):
+        sizes = []
+        monkeypatch.setattr(optimizer.concurrent.futures, "ProcessPoolExecutor",
+                            self.recording_executor(sizes))
+        with pytest.raises(DomainError, match="seed must be non-negative, got -1"):
+            boundary_curve([1.0, 2.0], UNBIASED_SINGLET, budget=10_000, seed=-1, workers=2)
         assert sizes == []

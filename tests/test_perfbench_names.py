@@ -5,7 +5,9 @@ table, and a traced run fails when one is missing.  Reading the table here,
 without importing or running the tracer, makes a rename fail this suite
 rather than the traced benchmark.  A wrapped function must also stay on its
 workload's path, or its spans read zero: the scalar workload reaches
-`multiparty.chain_chsh` only through its multibob requests.
+`multiparty.chain_chsh` only through its multibob requests.  Spans
+recorded in an audit's pool workers are lost, so the audit workload's
+`bell.singular_values_batch` span must come from the calling process.
 """
 
 import ast
@@ -13,9 +15,10 @@ import importlib
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import bellrecycle
-from bellrecycle import multiparty
+from bellrecycle import audit, bell, multiparty
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
@@ -54,4 +57,21 @@ def test_scalar_multibob_request_calls_chain_chsh(monkeypatch):
     request = workloads._scalar_request(rng, workloads.MULTIBOB_EVERY - 1)
     assert request["type"] == "multibob"
     workloads.multibob_request(bellrecycle, request)
+    assert len(calls) > 0
+
+
+@pytest.mark.parametrize("samples", [2_000, 3 * audit._CHUNK + 5], ids=["one-chunk", "two-blocks"])
+def test_audit_calls_singular_values_batch_in_the_calling_process(monkeypatch, samples):
+    # with two workers the second block runs in a pool worker, whose calls
+    # land in its own copy of `calls`
+    calls = []
+    singular_values_batch = bell.singular_values_batch
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return singular_values_batch(*args, **kwargs)
+
+    monkeypatch.setattr(bell, "singular_values_batch", counting)
+    monkeypatch.setattr(audit, "_usable_cpus", lambda: 2)
+    audit.run_all_audits(samples, 1)
     assert len(calls) > 0
