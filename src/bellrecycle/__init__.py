@@ -98,7 +98,6 @@ from .optimizer import (
     REGION2_ANSATZ,
     UNBIASED,
     UNBIASED_SINGLET,
-    UNBIASED_SINGLET_EQUATORIAL,
     BoundaryPoint,
     SearchMode,
     boundary_curve,

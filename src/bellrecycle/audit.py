@@ -42,8 +42,6 @@ from __future__ import annotations
 
 import concurrent.futures
 import math
-import os
-import sys
 from dataclasses import asdict, dataclass
 from typing import Any
 
@@ -54,6 +52,7 @@ from .errors import DomainError, check_seed
 from .monogamy import (EQUAL_STRENGTH_MONOGAMY_BOUND, MARGIN_TOL, ORTHOGONAL_MONOGAMY_BOUND,
                        monogamy_margin)
 from .observables import decoherence_array, reversibility_roots
+from .optimizer import _usable_cpus
 
 _SEED_OFFSETS = {
     "orthogonal-monogamy": 101,
@@ -163,22 +162,6 @@ def _fold(name: str, summaries) -> AuditReport:
             worst, config = low, chunk_config
     return AuditReport(name=name, samples=samples, worst_margin=worst,
                        violations=violations, worst_config=config)
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask, else the machine's count.
-
-    A daemonic process (a `multiprocessing.Pool` worker, say) may not start
-    children, so it gets one; a process that never loaded multiprocessing
-    is not one.
-    """
-    mp = sys.modules.get("multiprocessing")
-    if mp is not None and mp.current_process().daemon:
-        return 1
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
 
 
 def _block(name: str, samples: int, seed: int, chunks: range, tol: float, chunk, *args) -> list:
@@ -307,6 +290,14 @@ def audit_tradeoff_chain(samples: int = 100_000, seed: int = 1) -> AuditReport:
 
     Checks, within 1e-12: 1-S <= R^2 <= 1-S^2, D >= S >= D^2, |B| <= R^2 and
     R^2 + S^2 >= 3/4.
+
+    Two identities prove it.  With u, v = sqrt((1 +- B)^2 - S^2), R^2 =
+    (1 + B^2 - S^2 + uv)/2, so R^2 <= 1 - S^2 and R^2 >= 1 - S say uv <=
+    1 - B^2 - S^2 and uv >= (1 - S)^2 - B^2, both sides >= 0 for |B| <= 1 - S.
+    Squared: (1 - B^2 - S^2)^2 - u^2 v^2 = 4 B^2 S^2 and u^2 v^2 -
+    ((1 - S)^2 - B^2)^2 = 4 S ((1 - S)^2 - B^2), tight iff BS = 0, and iff
+    S = 0 or |B| = 1 - S.  D >= S >= D^2 restate them, |B| <= 1 - S <= R^2,
+    and R^2 + S^2 - 3/4 >= (S - 1/2)^2 (`test_chain_is_two_identities`).
     """
     # boundary families: projective, trivial and unbiased observables
     boundary = _tradeoff_margins(np.array([1.0, 0.0, 0.5]), np.array([0.0, 0.7, 0.0]))

@@ -25,8 +25,6 @@ import os
 import sys
 from decimal import Decimal, InvalidOperation
 
-import numpy as np
-
 from . import __version__
 from .audit import run_all_audits
 from .bell import MeasurementPair
@@ -42,7 +40,7 @@ from .monogamy import (
 from .multiparty import noise_robustness, plan_multibob, verify_noise_robustness
 from .observables import make_observable
 from .optimizer import _MODES, boundary_curve, search_mode
-from .states import make_state, singlet
+from .states import singlet, state_from_payload
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -127,22 +125,6 @@ def _json_object(payload, what: str, *required: str) -> dict:
     return payload
 
 
-def _parse_state(payload, check: bool = True):
-    payload = _json_object(payload, "state", "T")
-    T = payload["T"]
-    if isinstance(T, str):
-        spec = T.strip()
-        if not (spec.startswith("diag(") and spec.endswith(")")):
-            raise ValueError(f"unsupported T shorthand {spec!r}")
-        T = np.diag([float(v) for v in spec[5:-1].split(",")])
-    return make_state(
-        payload.get("a", [0.0, 0.0, 0.0]),
-        payload.get("b", [0.0, 0.0, 0.0]),
-        T,
-        check=check,
-    )
-
-
 def cmd_curve(args) -> int:
     grid = _parse_grid(args.grid)
     mode = search_mode(args.mode)
@@ -199,7 +181,7 @@ def cmd_multibob(args) -> int:
     # the scheduler works at the correlation-matrix level, so accept any
     # contraction here; the planner itself rejects s1(T) > 1
     state = (singlet() if args.state is None
-             else _parse_state(json.loads(args.state), check=False))
+             else state_from_payload(json.loads(args.state), check=False))
     schedule = plan_multibob(state.T, args.n, args.margin)
     robustness = noise_robustness(schedule)
     p_check = min(robustness.p_min + 0.01, 1.0)
@@ -255,7 +237,7 @@ def cmd_scenario(args) -> int:
             payload = json.load(fh)
     payload = _json_object(payload, "config", "alice", "bob")
     state_spec = payload.get("state", "singlet")
-    state = singlet() if state_spec == "singlet" else _parse_state(state_spec)
+    state = singlet() if state_spec == "singlet" else state_from_payload(state_spec)
     alice, bob = (_pair_from_config(payload[side], side) for side in ("alice", "bob"))
     # the library checks the tag and that quality is given iff it is weak-pointer
     kind = MeasurementKind(payload.get("kind", "square-root"), payload.get("quality"))
@@ -290,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "together; easy targets stop far below it (default 200000)")
     curve.add_argument("--seed", type=int, default=0)
     curve.add_argument("--threads", type=int, default=1,
-                       help="parallel grid workers, at most one per grid point")
+                       help="parallel grid workers, at most one per grid point and usable CPU")
     curve.add_argument("--format", default="csv", choices=["csv", "json"])
     curve.add_argument("--out", default=None, help="output path (default stdout)")
     curve.set_defaults(func=cmd_curve)

@@ -21,7 +21,7 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import BiasedWeakPointer, ConstraintViolation, QualityExceedsReversibility
+from .errors import BiasedWeakPointer, ConstraintViolation, DomainError, QualityExceedsReversibility
 from .observables import CONSTRUCTION_TOL, Observable, reversibility
 from .states import TwoQubitState, make_state
 
@@ -138,7 +138,7 @@ def apply_local(
         return make_state(K @ state.a, state.b, K @ state.T, check=False)
     if side == "bob":
         return make_state(state.a, K @ state.b, state.T @ K.T, check=False)
-    raise ValueError(f"side must be 'alice' or 'bob', got {side!r}")
+    raise DomainError(f"side must be 'alice' or 'bob', got {side!r}")
 
 
 def apply_chain(

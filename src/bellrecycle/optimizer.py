@@ -34,6 +34,8 @@ from __future__ import annotations
 
 import concurrent.futures
 import math
+import os
+import sys
 from dataclasses import asdict, dataclass
 from itertools import repeat
 from typing import Callable
@@ -104,11 +106,6 @@ def _sph(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=1)
 
 
-def _planar(angle: np.ndarray) -> np.ndarray:
-    """(k, 3, n) unit vectors in the x-y plane from (k, n) azimuths."""
-    return np.stack([np.cos(angle), np.sin(angle), np.zeros_like(angle)], axis=1)
-
-
 def _unbiased_geometry(Q: np.ndarray):
     return np.clip(Q[:4], 0.0, 1.0), None, _sph(Q[4::2], Q[5::2])
 
@@ -159,10 +156,6 @@ def _decode_unbiased_singlet(Q: np.ndarray):
     return (*_singlet(Q.shape[1]), *_unbiased_geometry(Q))
 
 
-def _decode_equatorial(Q: np.ndarray):
-    return (*_singlet(Q.shape[1]), np.clip(Q[:4], 0.0, 1.0), None, _planar(Q[4:8]))
-
-
 def _decode_region2(Q: np.ndarray):
     return (*_singlet(Q.shape[1]), *_region2_geometry(Q))
 
@@ -198,22 +191,19 @@ class SearchMode:
 
 _PI, _TWOPI = math.pi, 2.0 * math.pi
 
-# unbiased charts: four strengths, then (theta, phi) per setting (phi alone on
-# the equator); biased: (r, alpha / arcsin r, theta, phi) per setting; the
-# Schmidt angle last; the ansatz: strengths of x, x' and both y, then theta
+# unbiased charts: four strengths, then (theta, phi) per setting; biased:
+# (r, alpha / arcsin r, theta, phi) per setting; the Schmidt angle last; the
+# ansatz: strengths of x, x' and both y, then theta
 GENERAL_BIASED = SearchMode("general-biased", (0.0, -1.0, 0.0, 0.0) * 4 + (0.0,),
                             (1.0, 1.0, _PI, _TWOPI) * 4 + (_PI / 4,), _decode_general_biased)
 UNBIASED = SearchMode("unbiased", (0.0,) * 13,
                       (1.0,) * 4 + (_PI, _TWOPI) * 4 + (_PI / 4,), _decode_unbiased)
 UNBIASED_SINGLET = SearchMode("unbiased-singlet", (0.0,) * 12,
                               (1.0,) * 4 + (_PI, _TWOPI) * 4, _decode_unbiased_singlet)
-UNBIASED_SINGLET_EQUATORIAL = SearchMode("unbiased-singlet-equatorial", (0.0,) * 8,
-                                         (1.0,) * 4 + (_TWOPI,) * 4, _decode_equatorial)
 REGION2_ANSATZ = SearchMode("region2-ansatz", (0.0,) * 4,
                             (1.0, 1.0, 1.0, _PI / 2), _decode_region2)
 
-_MODES = {m.tag: m for m in (GENERAL_BIASED, UNBIASED, UNBIASED_SINGLET,
-                              UNBIASED_SINGLET_EQUATORIAL, REGION2_ANSATZ)}
+_MODES = {m.tag: m for m in (GENERAL_BIASED, UNBIASED, UNBIASED_SINGLET, REGION2_ANSATZ)}
 
 
 def search_mode(tag: str) -> SearchMode:
@@ -526,9 +516,10 @@ def boundary_point(
     there if two polished restarts are within 1e-12 of s and within 1e-10
     of each other in S*.  Otherwise DE resumes where it stopped and runs to
     its share less those reservations, and each restart's polish gets a
-    quarter of what is left.  The winner is the best of every stage's DE
-    bests and polished points: the best within 1e-12 of s; without one, the
-    best within 1e-4, else the nearest.
+    quarter of what is left; a run that would add no generation is dropped,
+    and the last stage's polish gets it.  The winner is the best of every
+    stage's DE bests and polished points: the best within 1e-12 of s;
+    without one, the best within 1e-4, else the nearest.
     Results are deterministic in (mode, s, budget, seed).
     """
     _check_target(s)
@@ -541,11 +532,14 @@ def boundary_point(
     de_budget = (budget - budget // _POLISH_PART) // _RESTARTS
     early = [rows for i, rows in enumerate(_STAGES, 1) if rows + i * _STAGE_POLISH <= de_budget]
     stops = [*early, de_budget - len(early) * _STAGE_POLISH]
+    # a last stop short of one more generation would only repeat its stage
+    if early and stops[-1] < early[-1] + _POPULATION:
+        stops.pop()
     stages = _de_lockstep(evaluator, lo, hi, s, stops, rngs)
     pool, polish_rows = [], 0
     for stage, (starts, values, used) in enumerate(stages):
         # the polish of DE's last stop gets what is left of the budget
-        last = stage == len(early)
+        last = stage == len(stops) - 1
         allowance = ((budget - _RESTARTS * used - polish_rows) // _RESTARTS if last
                      else _STAGE_POLISH)
         polished, rows = _polish(evaluator, starts, values, lo, hi, s, allowance)
@@ -582,9 +576,10 @@ def boundary_curve(
 ) -> list[BoundaryPoint]:
     """One optimised BoundaryPoint per grid value, in grid order.
 
-    Points are independent; with workers > 1 they run in separate processes,
-    at most one per grid point.  Each point uses the same base seed, so a
-    sub-grid rerun reproduces the matching rows byte for byte.
+    Points are independent; with workers > 1 they run in up to one process
+    per grid point and usable CPU (`_usable_cpus`), or here where that is
+    one.  Each point uses the same base seed, so a sub-grid rerun reproduces
+    the matching rows byte for byte.
     """
     grid = [float(g) for g in grid]
     if not grid:
@@ -596,10 +591,25 @@ def boundary_curve(
     if workers < 1:
         raise DomainError(f"workers must be at least 1, got {workers}")
     args = (grid, repeat(mode), repeat(budget), repeat(seed))
-    if workers > 1 and len(grid) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=min(workers, len(grid))) as pool:
+    if workers > 1 and len(grid) > 1 and (size := min(workers, len(grid), _usable_cpus())) > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=size) as pool:
             return list(pool.map(_point, *args))
     return list(map(_point, *args))
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, else the machine's count.
+
+    A daemonic process (a `multiprocessing.Pool` worker) may not start
+    children, so it gets one; one that never loaded multiprocessing is not.
+    """
+    mp = sys.modules.get("multiprocessing")
+    if mp is not None and mp.current_process().daemon:
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def _point(s, mode, budget, seed):

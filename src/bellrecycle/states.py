@@ -144,7 +144,24 @@ def state_to_json(state: TwoQubitState) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
+def state_from_payload(payload, check: bool = True) -> TwoQubitState:
+    """The state of a parsed state document: an object with "T" (a 3x3 list
+    or "diag(x,y,z)") and optional "a" and "b", zero by default.  A non-object,
+    a missing T or another shorthand raises ConstraintViolation; `check` is
+    passed to `make_state`."""
+    if not isinstance(payload, dict):
+        raise ConstraintViolation("state must be a JSON object")
+    if "T" not in payload:
+        raise ConstraintViolation("state has no 'T' field")
+    T = payload["T"]
+    if isinstance(T, str):
+        spec = T.strip()
+        if not (spec.startswith("diag(") and spec.endswith(")")):
+            raise ConstraintViolation(f"unsupported T shorthand {spec!r}")
+        T = np.diag([float(v) for v in spec[5:-1].split(",")])
+    return make_state(payload.get("a", np.zeros(3)), payload.get("b", np.zeros(3)), T, check=check)
+
+
 def state_from_json(text: str) -> TwoQubitState:
-    """Parse the JSON produced by state_to_json (validating the result)."""
-    payload = json.loads(text)
-    return make_state(payload["a"], payload["b"], payload["T"])
+    """Parse and validate a state document, such as state_to_json's (see state_from_payload)."""
+    return state_from_payload(json.loads(text))

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import sympy
 
 from bellrecycle import (
     DomainError,
@@ -63,6 +64,33 @@ class TestTradeoffChainAudit:
         b = np.tile(np.linspace(-1.0, 1.0, 9), 15) * (1 - s)
         margins, _ = audit._tradeoff_margins(s, b)
         assert margins.min() >= -1e-12
+
+    def test_chain_is_two_identities(self):
+        # with u^2, v^2 = (1 +- b)^2 - s^2 and R = (u + v) / 2, R^2 <= 1 - s^2
+        # and R^2 >= 1 - s square to the identities below, whose differences
+        # vanish exactly where the audit's margins saturate
+        b, s = sympy.symbols("b s", real=True)
+        u2, v2 = (1 + b) ** 2 - s ** 2, (1 - b) ** 2 - s ** 2
+        upper = (1 - b ** 2 - s ** 2) ** 2 - u2 * v2
+        lower = u2 * v2 - ((1 - s) ** 2 - b ** 2) ** 2
+        assert sympy.expand(upper - 4 * b ** 2 * s ** 2) == 0
+        assert sympy.expand(lower - 4 * s * ((1 - s) ** 2 - b ** 2)) == 0
+
+        def zeros(expr):
+            # the zero set of a product is the union of its factors' zero sets
+            return {frozenset(root.items()) for f, _ in sympy.factor_list(expr)[1]
+                    for root in sympy.solve(f, [b, s], dict=True)}
+
+        # b s = 0, and s = 0 or |b| = 1 - s
+        assert zeros(upper) == {frozenset({(b, 0)}), frozenset({(s, 0)})}
+        assert zeros(lower) == {frozenset({(s, 0)}), frozenset({(b, 1 - s)}),
+                                frozenset({(b, s - 1)})}
+        # both squared sides are non-negative where |b| <= 1 - s: the smaller
+        # is (1 - s)^2 - b^2, and the other exceeds it by 2 s (1 - s)
+        assert sympy.expand((1 - b ** 2 - s ** 2) - ((1 - s) ** 2 - b ** 2) - 2 * s * (1 - s)) == 0
+        # R^2 >= 1 - s gives R^2 + s^2 - 3/4 >= (s - 1/2)^2
+        assert sympy.expand((1 - s) + s ** 2 - sympy.Rational(3, 4)
+                            - (s - sympy.Rational(1, 2)) ** 2) == 0
 
 
 class TestAuditKernel:

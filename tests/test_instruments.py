@@ -7,6 +7,7 @@ from bellrecycle import (
     SIMPLE_MODEL,
     SQUARE_ROOT,
     BiasedWeakPointer,
+    DomainError,
     QualityExceedsReversibility,
     add_isotropic_noise,
     apply_chain,
@@ -185,6 +186,10 @@ class TestApplyLocal:
             axis /= np.linalg.norm(axis)
             K = transfer_matrix(DephasingChannel(axis=axis, factor=rng.uniform(0, 1)))
             validate(apply_local(state, rng.choice(["alice", "bob"]), K))
+
+    def test_unknown_side_named(self):
+        with pytest.raises(DomainError, match="side must be 'alice' or 'bob', got 'carol'"):
+            apply_local(singlet(), "carol", np.eye(3))
 
 
 class TestApplyChain:

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -16,7 +17,6 @@ from bellrecycle import (
     REGION2_ANSATZ,
     UNBIASED,
     UNBIASED_SINGLET,
-    UNBIASED_SINGLET_EQUATORIAL,
     boundary_curve,
     boundary_point,
     chsh_value,
@@ -50,7 +50,6 @@ class TestSearchMode:
             (GENERAL_BIASED, 17),
             (UNBIASED, 13),
             (UNBIASED_SINGLET, 12),
-            (UNBIASED_SINGLET_EQUATORIAL, 8),
             (REGION2_ANSATZ, 4),
         ],
     )
@@ -109,8 +108,7 @@ class TestDecodeParams:
 
     def test_batch_evaluator_matches_decode(self):
         rng = np.random.default_rng(3)
-        for mode in (UNBIASED_SINGLET, UNBIASED, GENERAL_BIASED, UNBIASED_SINGLET_EQUATORIAL,
-                     REGION2_ANSATZ):
+        for mode in (UNBIASED_SINGLET, UNBIASED, GENERAL_BIASED, REGION2_ANSATZ):
             evaluate = make_batch_evaluator(mode)
             P = rng.uniform(0.05, 0.95, size=(20, mode.n_params))
             if mode is GENERAL_BIASED:
@@ -126,8 +124,7 @@ class TestDecodeParams:
                 assert res.s_star_second == pytest.approx(sstar[i], abs=1e-12)
 
 
-ALL_MODES = [GENERAL_BIASED, UNBIASED, UNBIASED_SINGLET, UNBIASED_SINGLET_EQUATORIAL,
-             REGION2_ANSATZ]
+ALL_MODES = [GENERAL_BIASED, UNBIASED, UNBIASED_SINGLET, REGION2_ANSATZ]
 
 
 def counted_point(monkeypatch, s, mode, budget):
@@ -324,11 +321,6 @@ class TestBoundaryPoint:
         assert abs(point.achieved_s - s) <= 1e-12
         assert point.s_star == pytest.approx(best, abs=1e-8)
 
-    def test_equatorial_mode_matches_full(self):
-        full = boundary_point(1.5, UNBIASED_SINGLET, budget=30_000, seed=6)
-        flat = boundary_point(1.5, UNBIASED_SINGLET_EQUATORIAL, budget=30_000, seed=6)
-        assert flat.s_star == pytest.approx(full.s_star, abs=2e-2)
-
 
 class TestPolishGradient:
     @staticmethod
@@ -518,14 +510,19 @@ class TestStagedStop:
 
     @pytest.mark.parametrize("budget,stops", [
         (15_821, [3_559]),
-        (15_822, [2_560, 2_560]),
+        (15_822, [2_560]),
+        (16_105, [2_560]),
+        (16_106, [2_560, 2_624]),
         (54_398, [2_560, 11_239]),
-        (54_399, [2_560, 10_240, 10_240]),
+        (54_399, [2_560, 10_240]),
+        (54_683, [2_560, 10_240]),
+        (54_684, [2_560, 10_240, 10_304]),
     ])
     def test_stages_run_where_their_polishes_fit_in_de_share(self, monkeypatch, budget, stops):
         # a stage runs where its stop and 1,000 polish rows per restart for
         # it and each earlier stage fit in (budget - budget // 10) // 4; DE's
-        # last stop is that share less those rows
+        # last stop is that share less those rows, and is dropped where it
+        # is short of one more 64-row generation past the last stage
         recorded = []
         de_lockstep = optimizer._de_lockstep
 
@@ -537,6 +534,23 @@ class TestStagedStop:
         point, received = counted_point(monkeypatch, 1.0, UNBIASED_SINGLET, budget)
         assert recorded == [stops]
         assert point.evaluations == received <= budget
+
+    @pytest.mark.parametrize("budget", [15_822, 54_399])
+    @pytest.mark.parametrize("mode", [UNBIASED_SINGLET, GENERAL_BIASED], ids=lambda m: m.tag)
+    def test_no_polish_repeats_a_start(self, monkeypatch, mode, budget):
+        # at these budgets DE's last stop used to add no generation, so the
+        # last polish restarted from the stage's DE bests
+        starts = []
+        polish = optimizer._polish
+
+        def recording(evaluator, X0, *args):
+            starts.append(X0.tobytes())
+            return polish(evaluator, X0, *args)
+
+        monkeypatch.setattr(optimizer, "_polish", recording)
+        point = boundary_point(2.05, mode, budget, 0)
+        assert len(set(starts)) == len(starts)
+        assert point.evaluations <= budget
 
     @pytest.mark.parametrize("tag,s", [("unbiased-singlet", 2.05), ("general-biased", 2.05),
                                        ("general-biased", 2.2), ("region2-ansatz", 2.05)])
@@ -666,6 +680,22 @@ class TestBoundaryCurve:
         # one point runs in this process, without a pool
         boundary_curve([1.0], UNBIASED_SINGLET, budget=10_000, workers=5_000)
         assert sizes == [2]
+
+    def test_pool_has_at_most_one_worker_per_usable_cpu(self, monkeypatch):
+        sizes = []
+        monkeypatch.setattr(optimizer, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(optimizer.concurrent.futures, "ProcessPoolExecutor",
+                            self.recording_executor(sizes))
+        assert boundary_curve([0.5, 1.0, 1.5], UNBIASED_SINGLET, budget=10_000,
+                              workers=5_000) == [None] * 3
+        assert sizes == [2]
+
+    def test_runs_in_place_in_a_daemonic_worker(self):
+        # a multiprocessing.Pool worker may not start children of its own
+        grid = [1.0, 1.1]
+        with multiprocessing.Pool(1) as pool:
+            points = pool.apply(boundary_curve, (grid,), {"budget": 10_000, "workers": 2})
+        assert points == boundary_curve(grid, budget=10_000)
 
     def test_budget_checked_before_the_pool(self, monkeypatch):
         sizes = []

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from bellrecycle import (
     state_to_json,
 )
 from bellrecycle.bell import schmidt_tensors
-from bellrecycle.states import validate
+from bellrecycle.states import state_from_payload, validate
 
 from oracles import density_matrix_kron_sum, theta_from_state_vector
 
@@ -173,6 +174,33 @@ class TestJsonRoundTrip:
         st4 = from_schmidt(0.3)
         again = state_from_json(state_to_json(st4))
         assert np.allclose(st4.theta, again.theta, atol=1e-15)
+
+    def test_round_trip_is_exact(self):
+        state = add_isotropic_noise(from_schmidt(0.3), 0.7)
+        assert state_from_json(state_to_json(state)).theta.tobytes() == state.theta.tobytes()
+
+    def test_bloch_vectors_default_to_zero(self):
+        state = state_from_json('{"T": [[-1, 0, 0], [0, -1, 0], [0, 0, -1]]}')
+        assert np.array_equal(state.theta, singlet().theta)
+
+    def test_diagonal_shorthand(self):
+        state = state_from_json('{"T": "diag(0.5, -0.5, 1)"}')
+        assert np.array_equal(state.T, np.diag([0.5, -0.5, 1.0]))
+
+    @pytest.mark.parametrize("text, message", [
+        ("[1, 2]", "state must be a JSON object"),
+        ('{"a": [0, 0, 0], "b": [0, 0, 0]}', "state has no 'T' field"),
+        ('{"T": "eye(3)"}', "unsupported T shorthand 'eye(3)'"),
+    ], ids=["not-an-object", "no-T", "shorthand"])
+    def test_bad_document_named(self, text, message):
+        with pytest.raises(ConstraintViolation, match=re.escape(message)):
+            state_from_json(text)
+
+    def test_check_is_passed_on(self):
+        text = '{"T": "diag(2, 2, 2)"}'
+        with pytest.raises(ConstraintViolation, match="exceeds 1"):
+            state_from_json(text)
+        assert state_from_payload(json.loads(text), check=False).T[0, 0] == 2.0
 
     def test_layout(self):
         payload = json.loads(state_to_json(singlet()))
