@@ -14,10 +14,12 @@ rows.  Chunk i draws from its own generator, seeded with
 `SeedSequence(seed + offset, spawn_key=(i,))` (the i-th child that
 `SeedSequence(seed + offset).spawn` would make), with a fixed offset per
 audit name; each generator is made only when its chunk runs.  A chunk's
-draws are component-major: (3, n) standard normals, which `_random_units`
-and `_orthogonal_partners` turn into the kernel's directions (3, n), and
-uniform Schmidt angles, whose correlation matrices (3, 3, n) are
-T = diag(sin 2alpha, -sin 2alpha, 1) from `bell.schmidt_tensors`.  Sampling
+draws are component-major: uniform Schmidt angles, whose correlation
+matrices (3, 3, n) are T = diag(sin 2alpha, -sin 2alpha, 1) from
+`bell.schmidt_correlations`, and the kernel's directions (3, n), which
+`_random_units` draws by Marsaglia's disc method (exactly uniform on the
+sphere, from about 2.7 uniforms a direction) and `_orthogonal_partners`
+projects off their partners for the orthogonal audit.  Sampling
 in the Schmidt frame loses no generality: a pure state's T is Ra D Rb^T,
 S1 and S2* of (T; x, x', y, y') equal those of (D; Ra^T x, Ra^T x',
 Rb^T y, Rb^T y'), and isotropic directions keep their joint law under
@@ -47,7 +49,7 @@ from typing import Any
 
 import numpy as np
 
-from .bell import schmidt_tensors, sequential_chsh_batch
+from .bell import schmidt_correlations, sequential_chsh_batch
 from .errors import DomainError, check_seed
 from .monogamy import (EQUAL_STRENGTH_MONOGAMY_BOUND, MARGIN_TOL, ORTHOGONAL_MONOGAMY_BOUND,
                        monogamy_margin)
@@ -82,17 +84,45 @@ def _lengths(v: np.ndarray) -> np.ndarray:
     return np.sqrt(sum(c * c for c in v))
 
 
-def _random_units(g: np.ndarray) -> np.ndarray:
-    """Uniform random unit vectors, shape (3, n), from (3, n) standard normal draws."""
-    return g / _lengths(g)
+def _random_units(rng, n: int) -> np.ndarray:
+    """Uniform random unit vectors, shape (3, n), by Marsaglia's disc method.
+
+    Points (u, v) uniform on [-1, 1)^2 are kept, in draw order, while
+    s = u^2 + v^2 < 1, and each kept point gives (2u sqrt(1 - s),
+    2v sqrt(1 - s), 1 - 2s).  In the disc s is uniform on [0, 1) and the
+    angle of (u, v) is uniform and independent of it, so the height 1 - 2s
+    is uniform on (-1, 1] and the azimuth uniform: by Archimedes' theorem the
+    direction is exactly uniform on the sphere.  A batch of n + n // 3 + 16
+    points, pi/4 of which land in the disc, falls short with chance ~1e-11 at
+    n = 2^12; the rest are then drawn the same way.
+    """
+    out = np.empty((3, n))
+    done = 0
+    while done < n:
+        need = n - done
+        u, v = rng.uniform(-1.0, 1.0, (2, need + need // 3 + 16))
+        s = u * u + v * v
+        keep = np.flatnonzero(s < 1.0)[:need]
+        u, v, s = u[keep], v[keep], s[keep]
+        r = 2 * np.sqrt(1 - s)
+        rows = slice(done, done + keep.size)
+        out[0, rows], out[1, rows], out[2, rows] = r * u, r * v, 1 - 2 * s
+        done += keep.size
+    return out
+
+
+def _project_off(g: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Each column of g less its component along the unit column of u."""
+    return g - (g[0] * u[0] + g[1] * u[1] + g[2] * u[2]) * u
 
 
 def _orthogonal_partners(g: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Random unit vectors orthogonal to each column of u, shape (3, n).
 
-    g holds (3, n) standard normal draws; each is projected off its u.
+    g holds (3, n) isotropic draws, from `_random_units`; each is projected
+    off its u, which leaves its angle in the plane normal to u uniform.
     """
-    w = g - (g[0] * u[0] + g[1] * u[1] + g[2] * u[2]) * u
+    w = _project_off(g, u)
     norms = _lengths(w)
     # a collinear draw is measure-zero; fall back to a deterministic partner
     bad = norms < 1e-12
@@ -101,7 +131,9 @@ def _orthogonal_partners(g: np.ndarray, u: np.ndarray) -> np.ndarray:
         axis = np.where(np.abs(ub[0]) < 0.9, [[1.0], [0.0], [0.0]], [[0.0], [1.0], [0.0]])
         w[:, bad] = np.cross(ub, axis, axis=0)
         norms = _lengths(w)
-    return w / norms
+    # one projection leaves w.u at rounding over |w| (up to 7e-14 in 2^20
+    # draws); the second, of a unit vector, leaves it at rounding
+    return _project_off(w / norms, u)
 
 
 def _config_dict(i, T, dirs, s) -> dict[str, Any]:
@@ -202,17 +234,19 @@ def _monogamy_margins(bound, T, dirs, s):
 def _monogamy_chunk(rng, n: int, bound: float, orthogonal: bool, equal_strengths: bool):
     """(margins, worst config) of one chunk of n random configurations.
 
-    Draws Schmidt angles, the directions x, y, x', y', then the strengths.
-    Each state is taken in its Schmidt frame, T = diag(sin 2alpha,
-    -sin 2alpha, 1); see the module docstring for why that loses no generality.
+    Draws Schmidt angles, the directions x, y, x', y' (by Marsaglia's disc
+    method, `_random_units`, exactly uniform on the sphere), then the
+    strengths.  Each state is taken in its Schmidt frame, T = diag(sin 2alpha,
+    -sin 2alpha, 1); unbiased settings read no Bloch vector, so none is
+    built.  See the module docstring for why that loses no generality.
     """
-    _, _, T = schmidt_tensors(rng.uniform(0.0, np.pi / 4, size=n))
-    x, y = _random_units(rng.normal(size=(3, n))), _random_units(rng.normal(size=(3, n)))
-    gxp, gyp = rng.normal(size=(3, n)), rng.normal(size=(3, n))
+    T = schmidt_correlations(rng.uniform(0.0, np.pi / 4, size=n))
+    x, y = _random_units(rng, n), _random_units(rng, n)
+    gxp, gyp = _random_units(rng, n), _random_units(rng, n)
     if orthogonal:
         xp, yp = _orthogonal_partners(gxp, x), _orthogonal_partners(gyp, y)
     else:
-        xp, yp = _random_units(gxp), _random_units(gyp)
+        xp, yp = gxp, gyp
     # strengths of x, x', y, y', or one per side repeated for both settings
     s = rng.uniform(0, 1, (2 if equal_strengths else 4, n))
     if equal_strengths:
@@ -259,13 +293,13 @@ def audit_conjecture(samples: int = 100_000, seed: int = 1) -> AuditReport:
                            orthogonal=False, equal_strengths=False)
 
 
-def _tradeoff_margins(s: np.ndarray, b: np.ndarray):
-    """Smallest margin of the tradeoff chain per observable, and the worst one's config."""
+def _tradeoff_chain(s: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The six margins of the tradeoff chain, shape (6, n), each >= 0 for a valid observable."""
     u, v = reversibility_roots(b, s)
     r = 0.5 * u + 0.5 * v
     r2 = r * r
     d = decoherence_array(b, s, u, v)
-    margins = np.stack(
+    return np.stack(
         [
             r2 - (1 - s),          # lower half of the chain
             (1 - s * s) - r2,      # upper half of the chain
@@ -274,7 +308,12 @@ def _tradeoff_margins(s: np.ndarray, b: np.ndarray):
             r2 - np.abs(b),        # bias lower-bounds squared reversibility
             r2 + s * s - 0.75,     # complementary lower bound
         ]
-    ).min(axis=0)
+    )
+
+
+def _tradeoff_margins(s: np.ndarray, b: np.ndarray):
+    """Smallest margin of the tradeoff chain per observable, and the worst one's config."""
+    margins = _tradeoff_chain(s, b).min(axis=0)
     worst = int(np.argmin(margins))
     return margins, {"bias": float(b[worst]), "strength": float(s[worst])}
 

@@ -121,6 +121,17 @@ def _sstar(M: np.ndarray) -> np.ndarray:
     return out
 
 
+def schmidt_correlations(alpha: np.ndarray) -> np.ndarray:
+    """Correlation matrices T = diag(sin 2alpha, -sin 2alpha, 1), shape (3, 3, n),
+    of a stack of Schmidt states (see `schmidt_tensors`); alpha must lie in [0, pi/4]."""
+    s2 = np.sin(2 * alpha)
+    T = np.zeros((3, 3, alpha.shape[0]))
+    T[0, 0] = s2
+    T[1, 1] = -s2
+    T[2, 2] = 1.0
+    return T
+
+
 def schmidt_tensors(alpha: np.ndarray):
     """Bloch vectors a, b and correlation matrices T of a stack of Schmidt states.
 
@@ -129,16 +140,10 @@ def schmidt_tensors(alpha: np.ndarray):
     Component-major: a and b are (3, n) and T is (3, 3, n).  a and b are one
     shared array, so callers must treat them as read-only.
     """
-    n = alpha.shape[0]
     alpha = np.clip(alpha, 0.0, np.pi / 4)
-    c2, s2 = np.cos(2 * alpha), np.sin(2 * alpha)
-    a = np.zeros((3, n))
-    a[2] = c2
-    T = np.zeros((3, 3, n))
-    T[0, 0] = s2
-    T[1, 1] = -s2
-    T[2, 2] = 1.0
-    return a, a, T
+    a = np.zeros((3, alpha.shape[0]))
+    a[2] = np.cos(2 * alpha)
+    return a, a, schmidt_correlations(alpha)
 
 
 def _add_outer(M, c, U, V):

@@ -68,6 +68,13 @@ def check_contraction(smax: float) -> None:
         raise ConstraintViolation(f"largest singular value of T = {smax} exceeds 1")
 
 
+def check_bloch_norm(name: str, vec: np.ndarray) -> None:
+    """Raise ConstraintViolation if the Bloch vector `vec` of side `name` is longer than 1."""
+    norm = float(np.linalg.norm(vec))
+    if norm > 1.0 + VALIDITY_TOL:
+        raise ConstraintViolation(f"|{name}| = {norm} exceeds 1")
+
+
 def validate(state: TwoQubitState) -> None:
     """Check normalisation, finiteness, Bloch norms, correlation strength and positivity.
 
@@ -83,9 +90,7 @@ def validate(state: TwoQubitState) -> None:
         if not np.isfinite(part).all():
             raise ConstraintViolation(f"{name} = {part.tolist()} has a non-finite entry")
     for name, vec in (("a", state.a), ("b", state.b)):
-        norm = float(np.linalg.norm(vec))
-        if norm > 1.0 + VALIDITY_TOL:
-            raise ConstraintViolation(f"|{name}| = {norm} exceeds 1")
+        check_bloch_norm(name, vec)
     check_contraction(float(np.linalg.svd(state.T, compute_uv=False)[0]))
     rho = density_matrix(state)
     eigs = np.linalg.eigvalsh(rho)
@@ -144,11 +149,22 @@ def state_to_json(state: TwoQubitState) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
+def _numbers(value, size: int, what: str) -> np.ndarray:
+    """`value` as a float array of `size` entries, or ConstraintViolation naming `what`."""
+    try:
+        array = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        array = None
+    if array is None or array.size != size:
+        raise ConstraintViolation(f"{what}, got {value!r}")
+    return array
+
+
 def state_from_payload(payload, check: bool = True) -> TwoQubitState:
     """The state of a parsed state document: an object with "T" (a 3x3 list
     or "diag(x,y,z)") and optional "a" and "b", zero by default.  A non-object,
-    a missing T or another shorthand raises ConstraintViolation; `check` is
-    passed to `make_state`."""
+    a missing or malformed field, another shorthand or a Bloch vector longer
+    than 1 raises ConstraintViolation; `check` is passed to `make_state`."""
     if not isinstance(payload, dict):
         raise ConstraintViolation("state must be a JSON object")
     if "T" not in payload:
@@ -156,10 +172,20 @@ def state_from_payload(payload, check: bool = True) -> TwoQubitState:
     T = payload["T"]
     if isinstance(T, str):
         spec = T.strip()
-        if not (spec.startswith("diag(") and spec.endswith(")")):
+        entries = spec[5:-1].split(",")
+        if not (spec.startswith("diag(") and spec.endswith(")") and len(entries) == 3):
             raise ConstraintViolation(f"unsupported T shorthand {spec!r}")
-        T = np.diag([float(v) for v in spec[5:-1].split(",")])
-    return make_state(payload.get("a", np.zeros(3)), payload.get("b", np.zeros(3)), T, check=check)
+        try:
+            T = np.diag([float(v) for v in entries])
+        except ValueError:
+            raise ConstraintViolation(f"unsupported T shorthand {spec!r}") from None
+    T = _numbers(T, 9, "T must be a 3x3 matrix of numbers")
+    a, b = (_numbers(payload.get(name, np.zeros(3)), 3, f"{name} must be three numbers")
+            for name in ("a", "b"))
+    # a longer Bloch vector makes the document malformed, whatever `check` skips
+    check_bloch_norm("a", a)
+    check_bloch_norm("b", b)
+    return make_state(a, b, T, check=check)
 
 
 def state_from_json(text: str) -> TwoQubitState:

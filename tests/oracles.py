@@ -12,8 +12,9 @@ which make each draw and its transform in one step, builds each Schmidt-frame
 T itself, and evaluates the chunk at once; its quaternion rotations make the
 rotated pure states that tests hold the Schmidt-frame sampling against.
 The reversibility R and the chart strength sqrt(1 - r^2) are evaluated in
-40-digit `mpmath` at the exact values of their float inputs, so a test can
-hold the float functions to a few units in the last place.
+40-digit `mpmath`, and the tradeoff chain's margins in 50-digit, at the exact
+values of their float inputs, so a test can hold the float functions to a
+few units in the last place.
 """
 
 from __future__ import annotations
@@ -91,6 +92,18 @@ def mp_reversibility(b: float, s: float) -> float:
         return float(sum(roots) / 2)
 
 
+def mp_tradeoff_chain(b: float, s: float) -> list[float]:
+    """The six tradeoff-chain margins of floats b, s at 50 digits, in `audit._tradeoff_chain`'s
+    order, from R = sqrt((1 + b)^2 - s^2)/2 + sqrt((1 - b)^2 - s^2)/2 and D = sqrt(1 - R^2)."""
+    with mpmath.workdps(50):
+        b, s = mpmath.mpf(b), mpmath.mpf(s)
+        r2 = (sum(mpmath.sqrt(max((1 + c) ** 2 - s**2, 0)) for c in (b, -b)) / 2) ** 2
+        d = mpmath.sqrt(max(1 - r2, 0))
+        margins = (r2 - (1 - s), (1 - s**2) - r2, d - s, s - d**2, r2 - abs(b),
+                   r2 + s**2 - mpmath.mpf(3) / 4)
+        return [float(m) for m in margins]
+
+
 def mp_chart_strength(r: float, alpha: float) -> float:
     """sqrt(1 - r^2) cos(alpha) of floats r, alpha, at 40 digits."""
     with mpmath.workdps(40):
@@ -119,21 +132,27 @@ def grid_refine_max(fn, lo, hi, coarse: int = 401, refine_rounds: int = 30):
     return best, (cx, cy)
 
 
-def _components(rng, n: int, d: int) -> np.ndarray:
-    return rng.normal(size=(d, n))
-
-
 def _lengths(v: np.ndarray) -> np.ndarray:
     return np.sqrt(sum(c * c for c in v))
 
 
 def _random_units(rng, n: int) -> np.ndarray:
-    v = _components(rng, n, 3)
-    return v / _lengths(v)
+    # Marsaglia (1972): a point (u, v) uniform in the unit disc, s = u^2 + v^2,
+    # gives the unit vector (2u sqrt(1 - s), 2v sqrt(1 - s), 1 - 2s); draws of
+    # r + r // 3 + 16 points in the square are repeated until n lie in the disc
+    kept = np.empty((2, 0))
+    while kept.shape[1] < n:
+        r = n - kept.shape[1]
+        points = rng.uniform(-1.0, 1.0, (2, r + r // 3 + 16))
+        inside = points[:, (points ** 2).sum(axis=0) < 1.0]
+        kept = np.concatenate([kept, inside[:, :r]], axis=1)
+    s = (kept ** 2).sum(axis=0)
+    root = np.sqrt(1 - s)
+    return np.concatenate([2 * kept * root, [1 - 2 * s]])
 
 
 def _orthogonal_partners(rng, u: np.ndarray) -> np.ndarray:
-    w = _components(rng, u.shape[1], 3)
+    w = _random_units(rng, u.shape[1])
     w -= (w[0] * u[0] + w[1] * u[1] + w[2] * u[2]) * u
     norms = _lengths(w)
     bad = norms < 1e-12
@@ -142,11 +161,14 @@ def _orthogonal_partners(rng, u: np.ndarray) -> np.ndarray:
         axis = np.where(np.abs(ub[0]) < 0.9, [[1.0], [0.0], [0.0]], [[0.0], [1.0], [0.0]])
         w[:, bad] = np.cross(ub, axis, axis=0)
         norms = _lengths(w)
-    return w / norms
+    w /= norms
+    # Gram-Schmidt twice, so w.u is at rounding level even where w was short
+    w -= (w[0] * u[0] + w[1] * u[1] + w[2] * u[2]) * u
+    return w
 
 
 def _random_rotations(rng, n: int) -> np.ndarray:
-    q = _components(rng, n, 4)
+    q = rng.normal(size=(4, n))
     q /= _lengths(q)
     w, x, y, z = q
     R = np.empty((3, 3, n))

@@ -24,6 +24,7 @@ from bellrecycle.audit import (
 )
 from bellrecycle.bell import sequential_chsh_batch
 from bellrecycle.monogamy import EQUAL_STRENGTH_MONOGAMY_BOUND, ORTHOGONAL_MONOGAMY_BOUND
+from bellrecycle.observables import decoherence, reversibility
 
 import oracles
 from oracles import MONOGAMY_AUDITS, whole_chunk_audits, whole_chunks
@@ -65,6 +66,22 @@ class TestTradeoffChainAudit:
         margins, _ = audit._tradeoff_margins(s, b)
         assert margins.min() >= -1e-12
 
+    def test_margins_match_mpmath_on_the_saturating_families(self):
+        # every margin is tight on b = 0 or |b| = 1 - s, so each sits at
+        # rounding level there; the scalar path (make_observable, reversibility,
+        # decoherence) and the audit's arrays both stay within 1e-15 of 50 digits
+        s = np.linspace(0.0, 1.0, 1001)
+        for b in (np.zeros_like(s), 1 - s, -(1 - s)):
+            chain = audit._tradeoff_chain(s, b)
+            for i in range(s.size):
+                exact = oracles.mp_tradeoff_chain(b[i], s[i])
+                obs = make_observable(b[i], s[i], [0.0, 0.0, 1.0])
+                r2, d = reversibility(obs) ** 2, decoherence(obs)
+                scalar = [r2 - (1 - s[i]), (1 - s[i] * s[i]) - r2, d - s[i], s[i] - d * d,
+                          r2 - abs(b[i]), r2 + s[i] * s[i] - 0.75]
+                assert np.abs(np.array(scalar) - exact).max() <= 1e-15
+                assert np.abs(chain[:, i] - exact).max() <= 1e-15
+
     def test_chain_is_two_identities(self):
         # with u^2, v^2 = (1 +- b)^2 - s^2 and R = (u + v) / 2, R^2 <= 1 - s^2
         # and R^2 >= 1 - s square to the identities below, whose differences
@@ -103,7 +120,7 @@ class TestAuditKernel:
         n = 200
         rng = np.random.default_rng(5)
         T = oracles._random_pure_state_tensors(rng, n)
-        dirs = tuple(_random_units(rng.normal(size=(3, n))) for _ in range(4))
+        dirs = tuple(_random_units(rng, n) for _ in range(4))
         s = rng.uniform(0, 1, (4, n))
         s[:, ::7] = 0.0
         s[:, 3::7] = 1.0
@@ -113,8 +130,8 @@ class TestAuditKernel:
         biases = None
         if biased:
             T *= rng.uniform(0, 1, n)
-            a = _random_units(rng.normal(size=(3, n))) * rng.uniform(0, 1, n)
-            b = _random_units(rng.normal(size=(3, n))) * rng.uniform(0, 1, n)
+            a = _random_units(rng, n) * rng.uniform(0, 1, n)
+            b = _random_units(rng, n) * rng.uniform(0, 1, n)
             biases = rng.uniform(-1, 1, (4, n)) * (1 - s)
         s1, sstar = sequential_chsh_batch(T, s, dirs, biases, a, b)
         for i in range(n):
@@ -176,6 +193,71 @@ class TestOrthogonalPartners:
         assert w.shape == (3, n)
         assert np.allclose(np.sqrt((w * w).sum(axis=0)), 1.0, rtol=0, atol=1e-15)
         assert np.abs((u * w).sum(axis=0)).max() <= 1e-12
+
+
+class ScriptedUniform:
+    """Stands in for a Generator: each uniform call returns the next given (2, m) batch."""
+
+    def __init__(self, *batches):
+        self.batches = list(batches)
+        self.sizes = []
+
+    def uniform(self, low, high, size):
+        assert (low, high) == (-1.0, 1.0)
+        self.sizes.append(size)
+        return self.batches.pop(0)
+
+
+class TestRandomUnits:
+    SAMPLES = 2**20
+
+    @pytest.fixture(scope="class")
+    def draws(self):
+        # 2^20 directions and as many partner draws, a chunk at a time as the audits draw them
+        rng = np.random.default_rng(2024)
+        chunks = self.SAMPLES // audit._CHUNK
+        x = np.concatenate([_random_units(rng, audit._CHUNK) for _ in range(chunks)], axis=1)
+        g = np.concatenate([_random_units(rng, audit._CHUNK) for _ in range(chunks)], axis=1)
+        return x, g
+
+    def test_directions_are_unit_vectors(self, draws):
+        x, _ = draws
+        assert x.shape == (3, self.SAMPLES)
+        assert np.abs(np.sqrt((x * x).sum(axis=0)) - 1).max() <= 4 * np.finfo(float).eps
+
+    def test_first_and_second_moments_are_isotropic(self, draws):
+        # a uniform unit vector has E x = 0, E x x^T = I/3, var x_i = 1/3,
+        # var x_i^2 = 1/5 - 1/9 = 4/45 and var x_i x_j = E x_i^2 x_j^2 = 1/15
+        x, _ = draws
+        n = self.SAMPLES
+        assert np.all(np.abs(x.mean(axis=1)) <= 5 * np.sqrt(1 / 3 / n))
+        second = x @ x.T / n
+        variance = np.where(np.eye(3, dtype=bool), 4 / 45, 1 / 15)
+        assert np.all(np.abs(second - np.eye(3) / 3) <= 5 * np.sqrt(variance / n))
+
+    def test_orthogonal_partners_are_orthogonal_unit_vectors(self, draws):
+        x, g = draws
+        xp = audit._orthogonal_partners(g, x)
+        assert np.abs(np.sqrt((xp * xp).sum(axis=0)) - 1).max() <= 4 * np.finfo(float).eps
+        assert np.abs((x * xp).sum(axis=0)).max() <= 1e-15
+
+    def test_a_short_batch_is_refilled_in_draw_order(self):
+        # n = 6 asks for 6 + 2 + 16 = 24 points, of which only two land in
+        # the disc ((-1, 0) lies on its edge); the other four come first
+        # from a second batch of 4 + 1 + 16 = 21, which has six
+        n, outside = 6, [0.9, 0.8]
+        first = np.tile(np.array([outside]).T, 24)
+        first[:, 5], first[:, 11], first[:, 17] = [0.3, -0.4], [-1.0, 0.0], [-0.1, 0.2]
+        second = np.tile(np.array([outside]).T, 21)
+        inside = [[0.0, 0.0], [0.5, 0.5], [-0.6, 0.1], [0.2, -0.9], [0.7, 0.0], [0.0, -0.3]]
+        second[:, [1, 2, 6, 9, 14, 20]] = np.array(inside).T
+        rng = ScriptedUniform(first, second)
+        units = _random_units(rng, n)
+        assert rng.sizes == [(2, 24), (2, 21)]
+        accepted = [[0.3, -0.4], [-0.1, 0.2], *inside[:4]]
+        expected = [[2 * u * np.sqrt(1 - (u * u + v * v)), 2 * v * np.sqrt(1 - (u * u + v * v)),
+                     1 - 2 * (u * u + v * v)] for u, v in accepted]
+        np.testing.assert_allclose(units, np.array(expected).T, rtol=0, atol=1e-15)
 
 
 class TestChunkedAudits:

@@ -422,6 +422,23 @@ class TestScenarioCommand:
         assert message in assert_fails(["scenario", "--config", json.dumps(config)], 2, capsys)
 
 
+class TestStateDocuments:
+    """multibob --state and scenario's state read one document alike."""
+
+    @pytest.mark.parametrize("state, message", [
+        ('{"T": [[1, 2], [3, 4]]}', "T must be a 3x3 matrix of numbers, got [[1, 2], [3, 4]]"),
+        ('{"T": "diag(1,1,1)", "a": null}', "a must be three numbers, got None"),
+        ('{"T": {"x": 1}}', "T must be a 3x3 matrix of numbers, got {'x': 1}"),
+        ('{"T": "diag(1,x,1)"}', "unsupported T shorthand 'diag(1,x,1)'"),
+        ('{"T": "diag(1,1,1)", "a": [2, 0, 0]}', "|a| = 2.0 exceeds 1"),
+    ], ids=["T-2x2", "a-null", "T-object", "diag-word", "long-a"])
+    def test_both_commands_name_a_malformed_state(self, state, message, capsys):
+        config = json.dumps(dict(TestScenarioCommand.CONFIG, state=json.loads(state)))
+        lines = [assert_fails(["multibob", "--n", "2", "--state", state], 2, capsys),
+                 assert_fails(["scenario", "--config", config], 2, capsys)]
+        assert lines == [f"error: {message}"] * 2
+
+
 class TestFailureBoundary:
     ARGV = {
         "curve": ["curve", "--grid", "1.0", "--budget", "10000"],

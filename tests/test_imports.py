@@ -68,7 +68,8 @@ def test_commands_without_an_optimizer_do_not_load_it(argv):
     ("from bellrecycle import max_exponent_d\nmax_exponent_d()", "scipy.optimize", False),
     ("from bellrecycle.cli import main\n"
      "assert main(['curve', '--grid', '2.4', '--budget', '10000']) == 0", "scipy.optimize", False),
-    ("from bellrecycle import boundary_curve\n"
+    ("from bellrecycle import boundary_curve, optimizer\n"
+     "optimizer._usable_cpus = lambda: 2\n"
      "boundary_curve([1.0, 2.0], budget=10_000, workers=2)", "multiprocessing", True),
 ], ids=["boundary_point", "max_exponent_d", "curve", "boundary_curve-workers"])
 def test_first_use_loads_what_it_needs(code, module, loads):

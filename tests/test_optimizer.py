@@ -634,6 +634,7 @@ class TestBoundaryCurve:
             return point(*args)
 
         monkeypatch.setattr(optimizer, "boundary_point", wrapper)
+        monkeypatch.setattr(optimizer, "_usable_cpus", lambda: 2)
         grid = [0.7, 2.0]
         parallel = boundary_curve(grid, UNBIASED_SINGLET, budget=10_000, seed=13, workers=2)
         # the workers called the wrapper in their own processes
@@ -672,6 +673,7 @@ class TestBoundaryCurve:
 
     def test_pool_has_at_most_one_worker_per_point(self, monkeypatch):
         sizes = []
+        monkeypatch.setattr(optimizer, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(optimizer.concurrent.futures, "ProcessPoolExecutor",
                             self.recording_executor(sizes))
         assert boundary_curve([0.5, 1.0], UNBIASED_SINGLET, budget=10_000,

@@ -191,10 +191,27 @@ class TestJsonRoundTrip:
         ("[1, 2]", "state must be a JSON object"),
         ('{"a": [0, 0, 0], "b": [0, 0, 0]}', "state has no 'T' field"),
         ('{"T": "eye(3)"}', "unsupported T shorthand 'eye(3)'"),
-    ], ids=["not-an-object", "no-T", "shorthand"])
+        ('{"T": "diag(1,x,1)"}', "unsupported T shorthand 'diag(1,x,1)'"),
+        ('{"T": "diag(1,1)"}', "unsupported T shorthand 'diag(1,1)'"),
+        ('{"T": [[1, 2], [3, 4]]}', "T must be a 3x3 matrix of numbers, got [[1, 2], [3, 4]]"),
+        ('{"T": [[1, 0, 0], [0, 1, 0], [0, 0]]}',
+         "T must be a 3x3 matrix of numbers, got [[1, 0, 0], [0, 1, 0], [0, 0]]"),
+        ('{"T": {"x": 1}}', "T must be a 3x3 matrix of numbers, got {'x': 1}"),
+        ('{"T": "diag(1,1,1)", "a": null}', "a must be three numbers, got None"),
+        ('{"T": "diag(1,1,1)", "b": [0, 1]}', "b must be three numbers, got [0, 1]"),
+    ], ids=["not-an-object", "no-T", "shorthand", "diag-word", "diag-two", "T-2x2", "T-ragged",
+            "T-object", "a-null", "b-short"])
     def test_bad_document_named(self, text, message):
         with pytest.raises(ConstraintViolation, match=re.escape(message)):
             state_from_json(text)
+
+    @pytest.mark.parametrize("check", [True, False])
+    @pytest.mark.parametrize("name", ["a", "b"])
+    def test_long_bloch_vector_rejected_whatever_check_says(self, name, check):
+        payload = {"T": "diag(1,1,1)", name: [0, 2, 0]}
+        with pytest.raises(ConstraintViolation) as info:
+            state_from_payload(payload, check=check)
+        assert str(info.value) == f"|{name}| = 2.0 exceeds 1"
 
     def test_check_is_passed_on(self):
         text = '{"T": "diag(2, 2, 2)"}'
