@@ -1,7 +1,7 @@
 """Vectorised sampling audits of the tradeoff and monogamy relations.
 
-Each audit draws random configurations, evaluates the relevant inequality
-for every sample, and reports the number of violations together with the
+Each audit draws random configurations, checks the relevant inequality
+on every sample, and reports the number of violations together with the
 worst margin and the configuration that attained it.  The known saturating
 configuration of each relation is evaluated after the random samples, so a
 healthy audit reports zero violations and a near-zero worst margin.  The
@@ -34,10 +34,30 @@ array leaves the process that made it, and `_fold` folds the summaries in
 chunk order, with the fixed rows last, keeping the first worst row.  A
 chunk's draws depend only on the seed and its index, and the fold's order
 only on the chunk order, so a report is the same, bit for bit, for any
-number of workers.  Each process holds one chunk's draws and temporaries
-at a time; the caller also keeps one small summary per chunk.  With one
-chunk (up to 2^12 samples), one usable CPU or in a daemonic process no
-pool starts.  Audits run independently and stay reproducible.
+number of workers.  A process holds one block's T and direction arrays
+and one chunk's other draws and temporaries at a time; the caller also
+keeps one small summary per chunk.  With one chunk (up to 2^12 samples),
+one usable CPU or in a daemonic process no pool starts.  Audits run
+independently and stay reproducible.
+
+A monogamy chunk runs the kernel on only the few rows that can decide its
+summary.  Local unital channels only contract: K = c0 I + c1 x x^T +
+c2 x' x'^T, with c0 = (R_x + R_x')/2 and c_k = (1 - R_k)/2, is symmetric
+positive semidefinite with ||K||_2 <= c0 + c1 + c2 = 1, and so is L.  Each
+singular value of K T L is then at most T's, so S2* is at most the
+Horodecki value S*(T) (R., P. & M. Horodecki, Phys. Lett. A 200, 340,
+1995), which for the Schmidt-frame T, with singular values (1, sin 2alpha,
+sin 2alpha), is 2 sqrt(1 + sin^2 2alpha).  A row's margin is therefore at
+least its floor, bound - (|S1| + 2 sqrt(1 + T00^2)), with S1 from the
+kernel's own `bell._s1`.  `_monogamy_summary` runs the kernel on the 32
+rows of lowest floor, then on every row whose floor is within 1e-12 (far
+above the kernel's ~4e-14 error) of max(their lowest margin, -tol).  The
+rows left out, about 95 % of a chunk, are neither violations nor the lowest
+row, so every summary, and so every report, is exactly the whole chunk's.
+A block draws all its chunks into one T array and one direction array:
+with the kernel on so few rows, a chunk that allocated its own made glibc
+trim the heap after each chunk and fault it back in, some 7,300 minor
+page faults per 2^16-sample `run_all_audits` in one process (glibc 2.36).
 """
 
 from __future__ import annotations
@@ -49,7 +69,7 @@ from typing import Any
 
 import numpy as np
 
-from .bell import schmidt_correlations, sequential_chsh_batch
+from .bell import _s1, schmidt_correlations, sequential_chsh_batch
 from .errors import DomainError, check_seed
 from .monogamy import (EQUAL_STRENGTH_MONOGAMY_BOUND, MARGIN_TOL, ORTHOGONAL_MONOGAMY_BOUND,
                        monogamy_margin)
@@ -65,6 +85,10 @@ _SEED_OFFSETS = {
 
 # rows per chunk of random draws, evaluated at once; each chunk has its own stream
 _CHUNK = 1 << 12
+# rows of a monogamy chunk that reach the kernel first, those of lowest bound
+_PROBE = 32
+# slack on the margin bound, far above the kernel's ~4e-14 error in S*
+_BOUND_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -84,7 +108,7 @@ def _lengths(v: np.ndarray) -> np.ndarray:
     return np.sqrt(sum(c * c for c in v))
 
 
-def _random_units(rng, n: int) -> np.ndarray:
+def _random_units(rng, n: int, out: np.ndarray | None = None) -> np.ndarray:
     """Uniform random unit vectors, shape (3, n), by Marsaglia's disc method.
 
     Points (u, v) uniform on [-1, 1)^2 are kept, in draw order, while
@@ -94,9 +118,11 @@ def _random_units(rng, n: int) -> np.ndarray:
     is uniform on (-1, 1] and the azimuth uniform: by Archimedes' theorem the
     direction is exactly uniform on the sphere.  A batch of n + n // 3 + 16
     points, pi/4 of which land in the disc, falls short with chance ~1e-11 at
-    n = 2^12; the rest are then drawn the same way.
+    n = 2^12; the rest are then drawn the same way.  Written into `out`, a
+    (3, n) array, when one is given.
     """
-    out = np.empty((3, n))
+    if out is None:
+        out = np.empty((3, n))
     done = 0
     while done < n:
         need = n - done
@@ -196,13 +222,13 @@ def _fold(name: str, summaries) -> AuditReport:
                        violations=violations, worst_config=config)
 
 
-def _block(name: str, samples: int, seed: int, chunks: range, tol: float, chunk, *args) -> list:
-    """The `_summary` of each chunk in `chunks`, in order, from chunk(rng, rows, *args)."""
-    return [_summary(tol, *chunk(rng, n, *args))
-            for rng, n in _chunk_rngs(name, samples, seed, chunks)]
+def _block(name: str, samples: int, seed: int, chunks: range, tol: float, block, *args) -> list:
+    """The `_summary` of each chunk in `chunks`, in order, from
+    block(pairs, tol, *args) over the chunks' (generator, rows) pairs."""
+    return block(_chunk_rngs(name, samples, seed, chunks), tol, *args)
 
 
-def _audit(name: str, tol: float, samples: int, seed: int, fixed, chunk, *args) -> AuditReport:
+def _audit(name: str, tol: float, samples: int, seed: int, fixed, block, *args) -> AuditReport:
     """Fold an audit's chunks, split in contiguous blocks over the usable CPUs.
 
     `fixed` is the (margins, config) of the relation's fixed rows, folded
@@ -212,7 +238,7 @@ def _audit(name: str, tol: float, samples: int, seed: int, fixed, chunk, *args) 
     count = _chunk_count(samples, seed)
     workers = min(_usable_cpus(), count)
     edges = [count * k // workers for k in range(workers + 1)]
-    first, *rest = [(name, samples, seed, range(a, b), tol, chunk, *args)
+    first, *rest = [(name, samples, seed, range(a, b), tol, block, *args)
                     for a, b in zip(edges, edges[1:])]
     if not rest:
         summaries = _block(*first)
@@ -231,27 +257,72 @@ def _monogamy_margins(bound, T, dirs, s):
     return margins, _config_dict(int(np.argmin(margins)), T, dirs, s)
 
 
-def _monogamy_chunk(rng, n: int, bound: float, orthogonal: bool, equal_strengths: bool):
-    """(margins, worst config) of one chunk of n random configurations.
+def _margin_floor(bound, T, s1):
+    """A lower bound on each margin bound - (|S1| + S2*) of a Schmidt-frame stack.
+
+    S2* <= S*(T) = 2 sqrt(1 + T[0, 0]^2) for T = diag(sin 2alpha, -sin 2alpha,
+    1); see the module docstring.
+    """
+    return monogamy_margin(bound, s1, 2 * np.sqrt(1 + T[0, 0] * T[0, 0]))
+
+
+def _monogamy_summary(tol: float, bound: float, T, dirs, s) -> tuple:
+    """The `_summary` of a stack of Schmidt-frame rows, exactly as if every row were evaluated.
+
+    The kernel runs on the `_PROBE` rows of lowest `_margin_floor`, giving a
+    lowest margin m, and then on every other row whose floor is at most
+    max(m, -tol) + `_BOUND_SLACK` (or not a number).  A row left out has a
+    margin above max(m, -tol), so it is neither a violation nor the lowest
+    row, and a tie still goes to the first row, as with `np.argmin`.
+    """
+    margins = np.full(s.shape[1], np.inf)
+
+    def evaluate(rows):
+        sub = sequential_chsh_batch(T[:, :, rows], s[:, rows], dirs[:, :, rows])
+        margins[rows] = monogamy_margin(bound, *sub)
+
+    floor = _margin_floor(bound, T, _s1(T, s, dirs)[0])
+    probe = np.argpartition(floor, min(floor.size, _PROBE) - 1)[:_PROBE]
+    evaluate(probe)
+    rest = ~(floor > max(margins[probe].min(), -tol) + _BOUND_SLACK)
+    rest[probe] = False
+    evaluate(np.flatnonzero(rest))
+    return _summary(tol, margins, _config_dict(int(np.argmin(margins)), T, dirs, s))
+
+
+def _monogamy_chunk(rng, n: int, tol: float, bound: float, orthogonal: bool,
+                    equal_strengths: bool, T, dirs) -> tuple:
+    """The `_summary` of one chunk of n random configurations, drawn into T and dirs.
 
     Draws Schmidt angles, the directions x, y, x', y' (by Marsaglia's disc
     method, `_random_units`, exactly uniform on the sphere), then the
     strengths.  Each state is taken in its Schmidt frame, T = diag(sin 2alpha,
     -sin 2alpha, 1); unbiased settings read no Bloch vector, so none is
-    built.  See the module docstring for why that loses no generality.
+    built.  See the module docstring for why that loses no generality.  T,
+    (3, 3, n), and dirs, (4, 3, n), are overwritten.  The summary is exact,
+    the same as the whole chunk's: `_monogamy_summary` leaves out only rows
+    whose margin bound proves them neither violations nor the lowest.
     """
-    T = schmidt_correlations(rng.uniform(0.0, np.pi / 4, size=n))
-    x, y = _random_units(rng, n), _random_units(rng, n)
-    gxp, gyp = _random_units(rng, n), _random_units(rng, n)
+    schmidt_correlations(rng.uniform(0.0, np.pi / 4, size=n), out=T)
+    for k in (0, 2, 1, 3):
+        _random_units(rng, n, out=dirs[k])
     if orthogonal:
-        xp, yp = _orthogonal_partners(gxp, x), _orthogonal_partners(gyp, y)
-    else:
-        xp, yp = gxp, gyp
+        dirs[1] = _orthogonal_partners(dirs[1], dirs[0])
+        dirs[3] = _orthogonal_partners(dirs[3], dirs[2])
     # strengths of x, x', y, y', or one per side repeated for both settings
     s = rng.uniform(0, 1, (2 if equal_strengths else 4, n))
     if equal_strengths:
         s = np.repeat(s, 2, axis=0)
-    return _monogamy_margins(bound, T, np.stack([x, xp, y, yp]), s)
+    return _monogamy_summary(tol, bound, T, dirs, s)
+
+
+def _monogamy_block(chunks, tol: float, bound: float, orthogonal: bool,
+                    equal_strengths: bool) -> list:
+    """The summary of each (generator, rows) chunk, all drawn into one T and one dirs array."""
+    T, dirs = np.empty((3, 3, _CHUNK)), np.empty((4, 3, _CHUNK))
+    return [_monogamy_chunk(rng, n, tol, bound, orthogonal, equal_strengths,
+                            T[:, :, :n], dirs[:, :, :n])
+            for rng, n in chunks]
 
 
 def _saturating(name: str, bound: float):
@@ -272,7 +343,7 @@ def _saturating(name: str, bound: float):
 def _monogamy_audit(name: str, bound: float, samples: int, seed: int,
                     orthogonal: bool, equal_strengths: bool) -> AuditReport:
     return _audit(name, MARGIN_TOL, samples, seed, _saturating(name, bound),
-                  _monogamy_chunk, bound, orthogonal, equal_strengths)
+                  _monogamy_block, bound, orthogonal, equal_strengths)
 
 
 def audit_orthogonal_monogamy(samples: int = 100_000, seed: int = 1) -> AuditReport:
@@ -324,6 +395,11 @@ def _tradeoff_chunk(rng, n: int):
     return _tradeoff_margins(s, rng.uniform(-1, 1, n) * (1 - s))
 
 
+def _tradeoff_block(chunks, tol: float) -> list:
+    """The summary of each (generator, rows) chunk of random observables."""
+    return [_summary(tol, *_tradeoff_chunk(rng, n)) for rng, n in chunks]
+
+
 def audit_tradeoff_chain(samples: int = 100_000, seed: int = 1) -> AuditReport:
     """Strength/bias/reversibility tradeoffs over random valid observables.
 
@@ -340,7 +416,7 @@ def audit_tradeoff_chain(samples: int = 100_000, seed: int = 1) -> AuditReport:
     """
     # boundary families: projective, trivial and unbiased observables
     boundary = _tradeoff_margins(np.array([1.0, 0.0, 0.5]), np.array([0.0, 0.7, 0.0]))
-    return _audit("tradeoff-chain", 1e-12, samples, seed, boundary, _tradeoff_chunk)
+    return _audit("tradeoff-chain", 1e-12, samples, seed, boundary, _tradeoff_block)
 
 
 def run_all_audits(samples: int = 100_000, seed: int = 1) -> list[AuditReport]:

@@ -121,11 +121,14 @@ def _sstar(M: np.ndarray) -> np.ndarray:
     return out
 
 
-def schmidt_correlations(alpha: np.ndarray) -> np.ndarray:
+def schmidt_correlations(alpha: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Correlation matrices T = diag(sin 2alpha, -sin 2alpha, 1), shape (3, 3, n),
-    of a stack of Schmidt states (see `schmidt_tensors`); alpha must lie in [0, pi/4]."""
+    of a stack of Schmidt states (see `schmidt_tensors`); alpha must lie in [0, pi/4].
+
+    Written into `out`, a (3, 3, n) array, when one is given."""
     s2 = np.sin(2 * alpha)
-    T = np.zeros((3, 3, alpha.shape[0]))
+    T = np.empty((3, 3, alpha.shape[0])) if out is None else out
+    T.fill(0.0)
     T[0, 0] = s2
     T[1, 1] = -s2
     T[2, 2] = 1.0
@@ -153,8 +156,14 @@ def _add_outer(M, c, U, V):
     return M
 
 
-def _s1(AT, A, B, s, biases, a, b):
-    """Signed S(A1,B1) from AT[k] = u_k^T T over u = (x, x'), v = (y, y')."""
+def _s1(T, s, D, biases=None, a=None, b=None):
+    """Signed S(A1,B1) of a stack, and the rows AT[k] = u_k^T T over u = (x, x').
+
+    The arguments are `sequential_chsh_batch`'s, with the directions as one
+    (4, 3, n) array D; that kernel and the monogamy audits' bound share it.
+    """
+    A, B = D[:2], D[2:]
+    AT = _sum3(lambda i: A[:, i, None] * T[i])
     terms = _sum3(lambda j: AT[:, None, j] * B[:, j])
     terms *= s[:2, None] * s[2:]
     if biases is not None:
@@ -163,7 +172,7 @@ def _s1(AT, A, B, s, biases, a, b):
         terms += biases[:2, None] * biases[2:]
         terms += biases[:2, None] * s[2:] * bv
         terms += (s[:2] * ua)[:, None] * biases[2:]
-    return terms[0, 0] + terms[0, 1] + terms[1, 0] - terms[1, 1]
+    return terms[0, 0] + terms[0, 1] + terms[1, 0] - terms[1, 1], AT
 
 
 def sequential_chsh_batch(T, s, dirs, biases=None, a=None, b=None):
@@ -180,15 +189,15 @@ def sequential_chsh_batch(T, s, dirs, biases=None, a=None, b=None):
     c2 x' x'^T, c0 = (R_x + R_x') / 2 and c_k = (1 - R_k) / 2 from the
     settings' reversibilities, and L the same for y and y'.  M is built
     from rank-one updates, never from K or L:
-    K T = c0 T + c1 x (x^T T) + c2 x' (x'^T T) reuses the x^T T rows of
-    S1, and the same update on the right with (K T) y and (K T) y' gives M.
+    K T = c0 T + c1 x (x^T T) + c2 x' (x'^T T) reuses the x^T T rows that
+    `_s1` returns with S1, and the same update on the right with (K T) y
+    and (K T) y' gives M.
     Rows are independent, so a stack may be evaluated in any split of its
     rows with the same result; the audits pass blocks of 2^12 rows.
     """
     D = np.asarray(dirs, dtype=float)
     A, B = D[:2], D[2:]
-    AT = _sum3(lambda i: A[:, i, None] * T[i])
-    s1 = _s1(AT, A, B, s, biases, a, b)
+    s1, AT = _s1(T, s, D, biases, a, b)
     u, v = reversibility_roots(biases, s)
     r = u if biases is None else 0.5 * u + 0.5 * v
     c = 0.5 * (1 - r)

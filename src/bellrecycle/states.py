@@ -68,6 +68,15 @@ def check_contraction(smax: float) -> None:
         raise ConstraintViolation(f"largest singular value of T = {smax} exceeds 1")
 
 
+def check_finite(name: str, part: np.ndarray) -> None:
+    """Raise ConstraintViolation naming `part` if it has a NaN or infinite entry.
+
+    NaN passes every range check and stops LAPACK without a name.
+    """
+    if not np.isfinite(part).all():
+        raise ConstraintViolation(f"{name} = {part.tolist()} has a non-finite entry")
+
+
 def check_bloch_norm(name: str, vec: np.ndarray) -> None:
     """Raise ConstraintViolation if the Bloch vector `vec` of side `name` is longer than 1."""
     norm = float(np.linalg.norm(vec))
@@ -85,10 +94,8 @@ def validate(state: TwoQubitState) -> None:
         raise ConstraintViolation(f"theta has shape {theta.shape}, expected (4, 4)")
     if theta[0, 0] != 1.0:
         raise ConstraintViolation(f"theta[0][0] = {theta[0, 0]!r}, expected exactly 1")
-    # NaN passes every range check below and stops LAPACK without a name
     for name, part in (("a", state.a), ("b", state.b), ("T", state.T)):
-        if not np.isfinite(part).all():
-            raise ConstraintViolation(f"{name} = {part.tolist()} has a non-finite entry")
+        check_finite(name, part)
     for name, vec in (("a", state.a), ("b", state.b)):
         check_bloch_norm(name, vec)
     check_contraction(float(np.linalg.svd(state.T, compute_uv=False)[0]))
@@ -163,8 +170,9 @@ def _numbers(value, size: int, what: str) -> np.ndarray:
 def state_from_payload(payload, check: bool = True) -> TwoQubitState:
     """The state of a parsed state document: an object with "T" (a 3x3 list
     or "diag(x,y,z)") and optional "a" and "b", zero by default.  A non-object,
-    a missing or malformed field, another shorthand or a Bloch vector longer
-    than 1 raises ConstraintViolation; `check` is passed to `make_state`."""
+    a missing or malformed field, another shorthand or a Bloch vector that is
+    not finite or is longer than 1 raises ConstraintViolation; `check` is
+    passed to `make_state`."""
     if not isinstance(payload, dict):
         raise ConstraintViolation("state must be a JSON object")
     if "T" not in payload:
@@ -182,9 +190,10 @@ def state_from_payload(payload, check: bool = True) -> TwoQubitState:
     T = _numbers(T, 9, "T must be a 3x3 matrix of numbers")
     a, b = (_numbers(payload.get(name, np.zeros(3)), 3, f"{name} must be three numbers")
             for name in ("a", "b"))
-    # a longer Bloch vector makes the document malformed, whatever `check` skips
-    check_bloch_norm("a", a)
-    check_bloch_norm("b", b)
+    # a non-finite or longer Bloch vector makes the document malformed, whatever `check` skips
+    for name, vec in (("a", a), ("b", b)):
+        check_finite(name, vec)
+        check_bloch_norm(name, vec)
     return make_state(a, b, T, check=check)
 
 

@@ -195,7 +195,8 @@ def _random_pure_state_tensors(rng, n: int) -> np.ndarray:
     return T
 
 
-def _monogamy_chunk(rng, n: int, bound: float, orthogonal: bool, equal_strengths: bool):
+def monogamy_draws(rng, n: int, orthogonal: bool, equal_strengths: bool):
+    """(T, dirs, s) of one chunk of a monogamy audit's random rows."""
     # each pure state in its Schmidt frame, T = diag(sin 2alpha, -sin 2alpha, 1)
     s2 = np.sin(2 * rng.uniform(0.0, np.pi / 4, size=n))
     T = np.zeros((3, 3, n))
@@ -214,7 +215,11 @@ def _monogamy_chunk(rng, n: int, bound: float, orthogonal: bool, equal_strengths
         s = np.repeat(rng.uniform(0, 1, (2, 1, n)), 2, axis=1).reshape(4, n)
     else:
         s = rng.uniform(0, 1, (4, n))
-    return audit._monogamy_margins(bound, T, dirs, s)
+    return T, dirs, s
+
+
+def _monogamy_chunk(rng, n: int, bound: float, orthogonal: bool, equal_strengths: bool):
+    return audit._monogamy_margins(bound, *monogamy_draws(rng, n, orthogonal, equal_strengths))
 
 
 def _tradeoff_chunk(rng, n: int):

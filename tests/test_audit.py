@@ -1,5 +1,10 @@
 import multiprocessing
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,8 +27,9 @@ from bellrecycle.audit import (
     audit_tradeoff_chain,
     run_all_audits,
 )
-from bellrecycle.bell import sequential_chsh_batch
-from bellrecycle.monogamy import EQUAL_STRENGTH_MONOGAMY_BOUND, ORTHOGONAL_MONOGAMY_BOUND
+from bellrecycle.bell import schmidt_correlations, sequential_chsh_batch
+from bellrecycle.monogamy import (EQUAL_STRENGTH_MONOGAMY_BOUND, ORTHOGONAL_MONOGAMY_BOUND,
+                                  monogamy_margin)
 from bellrecycle.observables import decoherence, reversibility
 
 import oracles
@@ -297,11 +303,13 @@ class TestChunkedAudits:
     ])
     def test_chunk_config_is_its_worst_random_row(self, orthogonal, equal_strengths, bound):
         # the saturating row wins every report, so check a random chunk alone
-        rng = np.random.default_rng(11)
-        chunk = audit._monogamy_chunk(rng, audit._CHUNK, bound, orthogonal, equal_strengths)
-        margins = chunk[0]
-        assert margins.shape == (audit._CHUNK,)
-        report = audit._fold("chunk", [audit._summary(1e-9, *chunk)])
+        args = (bound, orthogonal, equal_strengths)
+        summary, = audit._monogamy_block([(np.random.default_rng(11), audit._CHUNK)], 1e-9, *args)
+        margins, oracle_config = oracles._monogamy_chunk(np.random.default_rng(11), audit._CHUNK,
+                                                         *args)
+        assert summary == audit._summary(1e-9, margins, oracle_config)
+        assert summary[0] == audit._CHUNK
+        report = audit._fold("chunk", [summary])
         assert report.worst_margin == margins.min()
         config = report.worst_config
         assert scalar_margin(bound, config) == pytest.approx(margins.min(), abs=1e-12)
@@ -337,6 +345,29 @@ class TestChunkedAudits:
         assert max(peaks) <= 8e6
         assert abs(peaks[1] - peaks[0]) <= 1e6
 
+    @pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+                        reason="glibc's heap trimming on Linux")
+    def test_repeated_audits_fault_in_no_new_pages(self):
+        # a block draws every chunk into the same T and direction arrays; a
+        # chunk that allocated its own made glibc trim the heap after each
+        # chunk and fault it back in, ~7,300 minor faults a call at 2^16 samples
+        code = (
+            "import resource\n"
+            "from bellrecycle import audit\n"
+            "audit._usable_cpus = lambda: 1\n"
+            "for _ in range(3):\n"
+            "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "    audit.run_all_audits(2**16, 1)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < 1000
+
     @pytest.mark.parametrize("name", list(audit._SEED_OFFSETS))
     def test_chunk_streams_are_the_spawned_children(self, name):
         # chunk i draws from the i-th child of the audit's SeedSequence
@@ -368,17 +399,85 @@ class TestChunkedAudits:
             assert report.violations == oracle.violations
             assert report.worst_margin == oracle.worst_margin
             assert report.worst_config == oracle.worst_config
-        # the fixed rows win every report, so compare each chunk's random rows too
-        for name in audit._SEED_OFFSETS:
-            rngs = audit._chunk_rngs(name, samples, seed)
-            if name == "tradeoff-chain":
-                chunks = [audit._tradeoff_chunk(rng, n) for rng, n in rngs]
-            else:
-                chunks = [audit._monogamy_chunk(rng, n, *MONOGAMY_AUDITS[name]) for rng, n in rngs]
-            for (margins, config), (oracle_margins, oracle_config) in zip(
-                    chunks, whole_chunks(name, samples, seed), strict=True):
-                assert np.array_equal(margins, oracle_margins)
-                assert config == oracle_config
+        # the fixed rows win every report, so compare each chunk's random rows
+        # too: a tradeoff chunk's margins, and a monogamy chunk's summary
+        chunks = [audit._tradeoff_chunk(rng, n)
+                  for rng, n in audit._chunk_rngs("tradeoff-chain", samples, seed)]
+        for (margins, config), (oracle_margins, oracle_config) in zip(
+                chunks, whole_chunks("tradeoff-chain", samples, seed), strict=True):
+            assert np.array_equal(margins, oracle_margins)
+            assert config == oracle_config
+        for name, args in MONOGAMY_AUDITS.items():
+            summaries = audit._block(name, samples, seed, range(3), 1e-9, audit._monogamy_block,
+                                     *args)
+            assert summaries == [audit._summary(1e-9, *chunk)
+                                 for chunk in whole_chunks(name, samples, seed)]
+
+
+class TestPrunedChunks:
+    """A monogamy chunk runs the kernel only on rows whose margin bound can
+    reach its lowest margin or a violation, and reports what the whole chunk would."""
+
+    # 100 whole chunks and a short one
+    SAMPLES = 100 * audit._CHUNK + 5
+
+    @pytest.mark.parametrize("seed", [2, 101])
+    @pytest.mark.parametrize("name", list(MONOGAMY_AUDITS))
+    def test_summaries_equal_the_whole_chunk_oracle(self, name, seed):
+        # one block of 101 chunks, so its T and direction arrays are refilled 100 times
+        summaries = audit._block(name, self.SAMPLES, seed, range(101), 1e-9,
+                                 audit._monogamy_block, *MONOGAMY_AUDITS[name])
+        assert summaries == [audit._summary(1e-9, *chunk)
+                             for chunk in whole_chunks(name, self.SAMPLES, seed)]
+
+    @pytest.mark.parametrize("seed", [2, 101])
+    @pytest.mark.parametrize("name", list(MONOGAMY_AUDITS))
+    def test_floor_is_below_every_kernel_margin(self, name, seed):
+        # S2* of K T L is at most S*(T), since K and L are contractions
+        bound, orthogonal, equal_strengths = MONOGAMY_AUDITS[name]
+        excess = []
+        for rng, n in audit._chunk_rngs(name, self.SAMPLES, seed):
+            T, dirs, s = oracles.monogamy_draws(rng, n, orthogonal, equal_strengths)
+            s1, sstar = sequential_chsh_batch(T, s, dirs)
+            floor = audit._margin_floor(bound, T, s1)
+            excess.append((floor - monogamy_margin(bound, s1, sstar)).max())
+        assert max(excess) <= audit._BOUND_SLACK
+
+    @pytest.mark.parametrize("ties", [40, 300])
+    def test_tight_bound_keeps_the_first_of_equal_rows(self, ties):
+        # with every strength 0, K = L = I, so S2* = S*(T) and each floor is
+        # its margin; 40 rows, more than the probe's 32, or all 300 share the
+        # largest sin 2alpha and so the lowest margin, each with its own
+        # directions.  Among 300 equal floors the probe leaves out row 0.
+        n = 300
+        rng = np.random.default_rng(31)
+        alpha = rng.uniform(0.0, 0.6, n)
+        tied = rng.choice(n, ties, replace=False)
+        alpha[tied] = 0.7
+        T = schmidt_correlations(alpha)
+        dirs = np.stack([_random_units(rng, n) for _ in range(4)])
+        s = np.zeros((4, n))
+        bound = EQUAL_STRENGTH_MONOGAMY_BOUND
+        margins, config = audit._monogamy_margins(bound, T, dirs, s)
+        floor = audit._margin_floor(bound, T, sequential_chsh_batch(T, s, dirs)[0])
+        assert np.abs(floor - margins).max() <= 1e-15
+        assert np.all(margins[tied] == margins.min())
+        summary = audit._monogamy_summary(1e-9, bound, T, dirs, s)
+        assert summary == audit._summary(1e-9, margins, config)
+        assert summary[3] == audit._config_dict(int(tied.min()), T, dirs, s)
+
+    @pytest.mark.parametrize("bound", [2.5, 0.0])
+    @pytest.mark.parametrize("name", list(MONOGAMY_AUDITS))
+    def test_every_violation_is_counted(self, name, bound):
+        # below the relation's bound a chunk violates: at 2.5 in about a fifth
+        # of its rows, at 0 in every row
+        _, orthogonal, equal_strengths = MONOGAMY_AUDITS[name]
+        args = (bound, orthogonal, equal_strengths)
+        summary, = audit._monogamy_block([(np.random.default_rng(13), audit._CHUNK)], 1e-9, *args)
+        oracle = oracles._monogamy_chunk(np.random.default_rng(13), audit._CHUNK, *args)
+        assert summary == audit._summary(1e-9, *oracle)
+        violations = summary[1]
+        assert violations == audit._CHUNK if bound == 0.0 else 0 < violations < audit._CHUNK
 
 
 _tradeoff_chunk = audit._tradeoff_chunk

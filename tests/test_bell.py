@@ -27,8 +27,11 @@ from bellrecycle import (
     w_matrix,
 )
 from bellrecycle.audit import run_all_audits
-from bellrecycle.bell import _sstar, singular_values_batch
+from bellrecycle.bell import (_add_outer, _sstar, _sum3, sequential_chsh_batch,
+                              singular_values_batch)
+from bellrecycle.observables import reversibility_roots
 
+import oracles
 from oracles import grid_search_sstar
 
 ROOT2 = math.sqrt(2.0)
@@ -234,6 +237,67 @@ class TestHorodeckiBatch:
         # fallback the cubic reads its margin as about -4e-9
         for report in run_all_audits(1, seed):
             assert report.worst_margin >= -1e-12
+
+
+def kernel_with_inline_s1(T, s, dirs, biases=None, a=None, b=None):
+    """`sequential_chsh_batch` as it stood while it computed S1 in its own body."""
+    D = np.asarray(dirs, dtype=float)
+    A, B = D[:2], D[2:]
+    AT = _sum3(lambda i: A[:, i, None] * T[i])
+    terms = _sum3(lambda j: AT[:, None, j] * B[:, j])
+    terms *= s[:2, None] * s[2:]
+    if biases is not None:
+        ua = _sum3(lambda i: A[:, i] * a[i])
+        bv = _sum3(lambda i: B[:, i] * b[i])
+        terms += biases[:2, None] * biases[2:]
+        terms += biases[:2, None] * s[2:] * bv
+        terms += (s[:2] * ua)[:, None] * biases[2:]
+    s1 = terms[0, 0] + terms[0, 1] + terms[1, 0] - terms[1, 1]
+    u, v = reversibility_roots(biases, s)
+    r = u if biases is None else 0.5 * u + 0.5 * v
+    c = 0.5 * (1 - r)
+    M = _add_outer(0.5 * (r[0] + r[1]) * T, c[:2], A, AT)
+    KTB = _sum3(lambda j: M[:, j] * B[:, None, j])
+    M *= 0.5 * (r[2] + r[3])
+    return s1, _sstar(_add_outer(M, c[2:], KTB, B))
+
+
+def random_scenarios(seed, n, biased):
+    """Stacks (T, s, dirs, biases, a, b) of rotated pure or mixed states and random settings."""
+    rng = np.random.default_rng(seed)
+    T = oracles._random_pure_state_tensors(rng, n)
+    dirs = np.stack([oracles._random_units(rng, n) for _ in range(4)])
+    s = rng.uniform(0, 1, (4, n))
+    s[:, ::7] = 0.0
+    s[:, 3::7] = 1.0
+    if not biased:
+        return T, s, dirs
+    T *= rng.uniform(0, 1, n)
+    a = oracles._random_units(rng, n) * rng.uniform(0, 1, n)
+    b = oracles._random_units(rng, n) * rng.uniform(0, 1, n)
+    return T, s, dirs, rng.uniform(-1, 1, (4, n)) * (1 - s), a, b
+
+
+class TestSequentialKernel:
+    @pytest.mark.parametrize("biased", [False, True], ids=["unbiased", "biased"])
+    @pytest.mark.parametrize("n", [1, 4096])
+    def test_s1_helper_moves_no_bit(self, n, biased):
+        # the optimizer's path: S1 moved into `_s1`, with its operations in the same order
+        args = random_scenarios(n, n, biased)
+        for got, want in zip(sequential_chsh_batch(*args), kernel_with_inline_s1(*args)):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("biased", [False, True], ids=["unbiased", "biased"])
+    def test_row_subsets_give_the_same_bits(self, biased):
+        # the monogamy audits evaluate a chunk's rows in subsets of any order
+        n = 4096
+        T, s, dirs, *rest = random_scenarios(7, n, biased)
+        whole = sequential_chsh_batch(T, s, dirs, *rest)
+        rows = np.random.default_rng(8).permutation(n)[:300]
+        part = sequential_chsh_batch(T[:, :, rows], s[:, rows], dirs[:, :, rows],
+                                     *(x[:, rows] for x in rest))
+        for got, want in zip(part, whole):
+            assert got.tobytes() == want[rows].tobytes()
 
 
 class TestWMatrix:

@@ -431,7 +431,14 @@ class TestStateDocuments:
         ('{"T": {"x": 1}}', "T must be a 3x3 matrix of numbers, got {'x': 1}"),
         ('{"T": "diag(1,x,1)"}', "unsupported T shorthand 'diag(1,x,1)'"),
         ('{"T": "diag(1,1,1)", "a": [2, 0, 0]}', "|a| = 2.0 exceeds 1"),
-    ], ids=["T-2x2", "a-null", "T-object", "diag-word", "long-a"])
+        ('{"T": "diag(1,1,1)", "a": [NaN, 0, 0]}', "a = [nan, 0.0, 0.0] has a non-finite entry"),
+        ('{"T": "diag(1,1,1)", "b": [0, Infinity, 0]}',
+         "b = [0.0, inf, 0.0] has a non-finite entry"),
+        ('{"T": "diag(1,1,1)", "a": [0, 0, -Infinity]}',
+         "a = [0.0, 0.0, -inf] has a non-finite entry"),
+        ('{"T": "diag(1,1,1)", "b": [NaN, 0, 0]}', "b = [nan, 0.0, 0.0] has a non-finite entry"),
+    ], ids=["T-2x2", "a-null", "T-object", "diag-word", "long-a", "nan-a", "inf-b", "minus-inf-a",
+            "nan-b"])
     def test_both_commands_name_a_malformed_state(self, state, message, capsys):
         config = json.dumps(dict(TestScenarioCommand.CONFIG, state=json.loads(state)))
         lines = [assert_fails(["multibob", "--n", "2", "--state", state], 2, capsys),

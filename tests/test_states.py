@@ -213,6 +213,16 @@ class TestJsonRoundTrip:
             state_from_payload(payload, check=check)
         assert str(info.value) == f"|{name}| = 2.0 exceeds 1"
 
+    @pytest.mark.parametrize("check", [True, False])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["a", "b"])
+    def test_non_finite_bloch_vector_rejected_whatever_check_says(self, name, value, check):
+        # NaN passes the norm check, and an infinite entry was named only by its norm
+        payload = {"T": "diag(1,1,1)", name: [value, 0, 0]}
+        with pytest.raises(ConstraintViolation) as info:
+            state_from_payload(payload, check=check)
+        assert str(info.value) == f"{name} = [{value}, 0.0, 0.0] has a non-finite entry"
+
     def test_check_is_passed_on(self):
         text = '{"T": "diag(2, 2, 2)"}'
         with pytest.raises(ConstraintViolation, match="exceeds 1"):
