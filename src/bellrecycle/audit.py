@@ -8,12 +8,16 @@ healthy audit reports zero violations and a near-zero worst margin.  The
 monogamy audits take (|S1|, S2*) from `bell.sequential_chsh_batch` and
 their margins from `monogamy.monogamy_margin`; the tradeoff audit takes R's
 roots and D from `observables`, as `reversibility_roots` and `decoherence_array`.
+Each audit is declared once, with its name, seed offset and tolerance, as a
+frozen `_Monogamy` (bound, sampling rule, saturating singlet configuration)
+or `_Tradeoff` (boundary observables).  Its `block` summarises a range of
+chunks and its `fixed` its fixed rows; `_audit` runs every audit.
 
 The random samples are drawn and evaluated in chunks of `_CHUNK` (2^12)
 rows.  Chunk i draws from its own generator, seeded with
 `SeedSequence(seed + offset, spawn_key=(i,))` (the i-th child that
-`SeedSequence(seed + offset).spawn` would make), with a fixed offset per
-audit name; each generator is made only when its chunk runs.  A chunk's
+`SeedSequence(seed + offset).spawn` would make), with the audit's own
+offset; each generator is made only when its chunk runs.  A chunk's
 draws are component-major: uniform Schmidt angles, whose correlation
 matrices (3, 3, n) are T = diag(sin 2alpha, -sin 2alpha, 1) from
 `bell.schmidt_correlations`, and the kernel's directions (3, n), which
@@ -40,8 +44,9 @@ keeps one small summary per chunk.  With one chunk (up to 2^12 samples),
 one usable CPU or in a daemonic process no pool starts.  Audits run
 independently and stay reproducible.
 
-A monogamy chunk runs the kernel on only the few rows that can decide its
-summary.  Local unital channels only contract: K = c0 I + c1 x x^T +
+Every monogamy row, random or fixed, goes through `_monogamy_summary`,
+which runs the kernel on only the few rows that can decide a summary.
+Local unital channels only contract: K = c0 I + c1 x x^T +
 c2 x' x'^T, with c0 = (R_x + R_x')/2 and c_k = (1 - R_k)/2, is symmetric
 positive semidefinite with ||K||_2 <= c0 + c1 + c2 = 1, and so is L.  Each
 singular value of K T L is then at most T's, so S2* is at most the
@@ -54,10 +59,12 @@ rows of lowest floor, then on every row whose floor is within 1e-12 (far
 above the kernel's ~4e-14 error) of max(their lowest margin, -tol).  The
 rows left out, about 95 % of a chunk, are neither violations nor the lowest
 row, so every summary, and so every report, is exactly the whole chunk's.
-A block draws all its chunks into one T array and one direction array:
-with the kernel on so few rows, a chunk that allocated its own made glibc
-trim the heap after each chunk and fault it back in, some 7,300 minor
-page faults per 2^16-sample `run_all_audits` in one process (glibc 2.36).
+The singlet's T = -I has the Schmidt-frame singular values at alpha = pi/4,
+so the floor holds for the saturating rows too.  A block draws all its
+chunks into one T array and one direction array: with the kernel on so few
+rows, a chunk that allocated its own made glibc trim the heap after each
+chunk and fault it back in, some 7,300 minor page faults per 2^16-sample
+`run_all_audits` in one process (glibc 2.36).
 """
 
 from __future__ import annotations
@@ -70,18 +77,11 @@ from typing import Any
 import numpy as np
 
 from .bell import _s1, schmidt_correlations, sequential_chsh_batch
-from .errors import DomainError, check_seed
+from .errors import DomainError, _check_integer, check_seed
 from .monogamy import (EQUAL_STRENGTH_MONOGAMY_BOUND, MARGIN_TOL, ORTHOGONAL_MONOGAMY_BOUND,
                        monogamy_margin)
 from .observables import decoherence_array, reversibility_roots
 from .optimizer import _usable_cpus
-
-_SEED_OFFSETS = {
-    "orthogonal-monogamy": 101,
-    "equal-strength-monogamy": 202,
-    "tradeoff-chain": 303,
-    "conjecture": 404,
-}
 
 # rows per chunk of random draws, evaluated at once; each chunk has its own stream
 _CHUNK = 1 << 12
@@ -164,38 +164,16 @@ def _orthogonal_partners(g: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 def _config_dict(i, T, dirs, s) -> dict[str, Any]:
     x, xp, y, yp = dirs[:, :, i].tolist()
-    return {
-        "T": T[:, :, i].tolist(),
-        "x": x,
-        "x_prime": xp,
-        "y": y,
-        "y_prime": yp,
-        "strengths": s[:, i].tolist(),
-    }
+    return {"T": T[:, :, i].tolist(), "x": x, "x_prime": xp, "y": y, "y_prime": yp,
+            "strengths": s[:, i].tolist()}
 
 
-def _chunk_count(samples: int, seed: int) -> int:
-    """Number of chunks of an audit's random draws.
-
-    Raises DomainError for samples < 1 or a negative seed.
-    """
-    if samples < 1:
-        raise DomainError(f"samples must be at least 1, got {samples}")
-    check_seed(seed)
-    return -(-samples // _CHUNK)
-
-
-def _chunk_rngs(name: str, samples: int, seed: int, chunks: range | None = None):
-    """(generator, rows) of each fixed-size chunk of an audit's random draws.
-
-    All chunks, or those whose indices are in `chunks`.  Raises DomainError
-    at once for samples < 1 or a negative seed; the generators are made lazily.
-    """
-    count = _chunk_count(samples, seed)
-    entropy = seed + _SEED_OFFSETS[name]
+def _chunk_rngs(audit, samples: int, seed: int, chunks: range):
+    """(generator, rows) of each chunk in `chunks` of an audit's random draws, made lazily."""
+    entropy = seed + audit.offset
     return ((np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=(i,))),
              min(_CHUNK, samples - i * _CHUNK))
-            for i in chunks or range(count))
+            for i in chunks)
 
 
 def _summary(tol: float, margins: np.ndarray, config) -> tuple:
@@ -222,39 +200,31 @@ def _fold(name: str, summaries) -> AuditReport:
                        violations=violations, worst_config=config)
 
 
-def _block(name: str, samples: int, seed: int, chunks: range, tol: float, block, *args) -> list:
-    """The `_summary` of each chunk in `chunks`, in order, from
-    block(pairs, tol, *args) over the chunks' (generator, rows) pairs."""
-    return block(_chunk_rngs(name, samples, seed, chunks), tol, *args)
+def _audit(audit, samples: int, seed: int) -> AuditReport:
+    """Fold an audit's chunks, split in contiguous blocks over the usable CPUs, and its fixed rows.
 
-
-def _audit(name: str, tol: float, samples: int, seed: int, fixed, block, *args) -> AuditReport:
-    """Fold an audit's chunks, split in contiguous blocks over the usable CPUs.
-
-    `fixed` is the (margins, config) of the relation's fixed rows, folded
-    after the random ones.  The first block runs here and the others in a
-    pool that lives only for this call; the inputs are checked before it starts.
+    The first block runs here and the others in a pool that lives only for
+    this call.  A sample count that is not an integer of at least 1, or a
+    seed that is not a non-negative integer, raises DomainError before any
+    work or pool starts.
     """
-    count = _chunk_count(samples, seed)
+    samples = _check_integer("samples", samples)
+    if samples < 1:
+        raise DomainError(f"samples must be at least 1, got {samples}")
+    seed = check_seed(seed)
+    count = -(-samples // _CHUNK)
     workers = min(_usable_cpus(), count)
     edges = [count * k // workers for k in range(workers + 1)]
-    first, *rest = [(name, samples, seed, range(a, b), tol, block, *args)
-                    for a, b in zip(edges, edges[1:])]
+    first, *rest = [range(a, b) for a, b in zip(edges, edges[1:])]
     if not rest:
-        summaries = _block(*first)
+        summaries = audit.block(samples, seed, first)
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=len(rest)) as pool:
-            futures = [pool.submit(_block, *block) for block in rest]
-            summaries = _block(*first)
+            futures = [pool.submit(audit.block, samples, seed, chunks) for chunks in rest]
+            summaries = audit.block(samples, seed, first)
             for future in futures:
                 summaries += future.result()
-    return _fold(name, [*summaries, _summary(tol, *fixed)])
-
-
-def _monogamy_margins(bound, T, dirs, s):
-    """Margins bound - (|S1| + S2*) and the configuration of the worst row."""
-    margins = monogamy_margin(bound, *sequential_chsh_batch(T, s, dirs))
-    return margins, _config_dict(int(np.argmin(margins)), T, dirs, s)
+    return _fold(audit.name, [*summaries, audit.fixed()])
 
 
 def _margin_floor(bound, T, s1):
@@ -290,78 +260,86 @@ def _monogamy_summary(tol: float, bound: float, T, dirs, s) -> tuple:
     return _summary(tol, margins, _config_dict(int(np.argmin(margins)), T, dirs, s))
 
 
-def _monogamy_chunk(rng, n: int, tol: float, bound: float, orthogonal: bool,
-                    equal_strengths: bool, T, dirs) -> tuple:
-    """The `_summary` of one chunk of n random configurations, drawn into T and dirs.
+@dataclass(frozen=True)
+class _Monogamy:
+    """A monogamy audit: unbiased configurations obey |S1| + S2* <= bound.
 
-    Draws Schmidt angles, the directions x, y, x', y' (by Marsaglia's disc
-    method, `_random_units`, exactly uniform on the sphere), then the
-    strengths.  Each state is taken in its Schmidt frame, T = diag(sin 2alpha,
-    -sin 2alpha, 1); unbiased settings read no Bloch vector, so none is
-    built.  See the module docstring for why that loses no generality.  T,
-    (3, 3, n), and dirs, (4, 3, n), are overwritten.  The summary is exact,
-    the same as the whole chunk's: `_monogamy_summary` leaves out only rows
-    whose margin bound proves them neither violations nor the lowest.
+    `orthogonal` draws x' orthogonal to x and y' to y; `equal_strengths`
+    draws one strength per side, shared by its two settings.  `strength` and
+    `saturating`, the directions (x, x', y, y'), give the configuration that
+    meets the bound on the singlet.
     """
-    schmidt_correlations(rng.uniform(0.0, np.pi / 4, size=n), out=T)
-    for k in (0, 2, 1, 3):
-        _random_units(rng, n, out=dirs[k])
-    if orthogonal:
-        dirs[1] = _orthogonal_partners(dirs[1], dirs[0])
-        dirs[3] = _orthogonal_partners(dirs[3], dirs[2])
-    # strengths of x, x', y, y', or one per side repeated for both settings
-    s = rng.uniform(0, 1, (2 if equal_strengths else 4, n))
-    if equal_strengths:
-        s = np.repeat(s, 2, axis=0)
-    return _monogamy_summary(tol, bound, T, dirs, s)
+
+    name: str
+    offset: int
+    bound: float
+    orthogonal: bool
+    equal_strengths: bool
+    strength: float
+    saturating: tuple
+    tol: float = MARGIN_TOL
+
+    def chunk(self, rng, n: int, T, dirs) -> tuple:
+        """The `_summary` of n random configurations, drawn into T (3, 3, n) and dirs (4, 3, n).
+
+        Draws Schmidt angles, the directions x, y, x', y' (`_random_units`),
+        then the strengths.  Each state is taken in its Schmidt frame; unbiased
+        settings read no Bloch vector, so none is built.
+        """
+        schmidt_correlations(rng.uniform(0.0, np.pi / 4, size=n), out=T)
+        for k in (0, 2, 1, 3):
+            _random_units(rng, n, out=dirs[k])
+        if self.orthogonal:
+            dirs[1] = _orthogonal_partners(dirs[1], dirs[0])
+            dirs[3] = _orthogonal_partners(dirs[3], dirs[2])
+        # strengths of x, x', y, y', or one per side repeated for both settings
+        s = rng.uniform(0, 1, (2 if self.equal_strengths else 4, n))
+        if self.equal_strengths:
+            s = np.repeat(s, 2, axis=0)
+        return _monogamy_summary(self.tol, self.bound, T, dirs, s)
+
+    def block(self, samples: int, seed: int, chunks: range) -> list:
+        """The `_summary` of each chunk in `chunks`, in order, drawn into one T and one dirs."""
+        T, dirs = np.empty((3, 3, _CHUNK)), np.empty((4, 3, _CHUNK))
+        return [self.chunk(rng, n, T[:, :, :n], dirs[:, :, :n])
+                for rng, n in _chunk_rngs(self, samples, seed, chunks)]
+
+    def fixed(self) -> tuple:
+        """The `_summary` of the saturating configuration, on the singlet T = -I."""
+        return _monogamy_summary(self.tol, self.bound, -np.eye(3)[:, :, None],
+                                 np.array(self.saturating)[:, :, None],
+                                 np.full((4, 1), self.strength))
 
 
-def _monogamy_block(chunks, tol: float, bound: float, orthogonal: bool,
-                    equal_strengths: bool) -> list:
-    """The summary of each (generator, rows) chunk, all drawn into one T and one dirs array."""
-    T, dirs = np.empty((3, 3, _CHUNK)), np.empty((4, 3, _CHUNK))
-    return [_monogamy_chunk(rng, n, tol, bound, orthogonal, equal_strengths,
-                            T[:, :, :n], dirs[:, :, :n])
-            for rng, n in chunks]
-
-
-def _saturating(name: str, bound: float):
-    """The margins of the relation's known saturating configuration, on the singlet."""
-    root2 = math.sqrt(2.0)
-    if name == "orthogonal-monogamy":
-        strength = 2.0 * root2 / 3.0
-        dirs = ([0.0, 1.0, 0.0], [1.0, 0.0, 0.0],
-                [-1 / root2, -1 / root2, 0.0], [1 / root2, -1 / root2, 0.0])
-    else:
-        # projective parallel settings saturate both the equal-strength bound and the conjecture
-        strength = 1.0
-        dirs = ([0.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, -1.0, 0.0], [0.0, -1.0, 0.0])
-    return _monogamy_margins(bound, -np.eye(3)[:, :, None], np.array(dirs)[:, :, None],
-                             np.full((4, 1), strength))
-
-
-def _monogamy_audit(name: str, bound: float, samples: int, seed: int,
-                    orthogonal: bool, equal_strengths: bool) -> AuditReport:
-    return _audit(name, MARGIN_TOL, samples, seed, _saturating(name, bound),
-                  _monogamy_block, bound, orthogonal, equal_strengths)
+_ROOT_HALF = 1 / math.sqrt(2.0)
+# projective parallel settings saturate both the equal-strength bound and the conjecture
+_PARALLEL = ((0.0, 1.0, 0.0), (0.0, 1.0, 0.0), (0.0, -1.0, 0.0), (0.0, -1.0, 0.0))
+_ORTHOGONAL_MONOGAMY = _Monogamy(
+    "orthogonal-monogamy", 101, ORTHOGONAL_MONOGAMY_BOUND, orthogonal=True, equal_strengths=False,
+    strength=2.0 * math.sqrt(2.0) / 3.0,
+    saturating=((0.0, 1.0, 0.0), (1.0, 0.0, 0.0),
+                (-_ROOT_HALF, -_ROOT_HALF, 0.0), (_ROOT_HALF, -_ROOT_HALF, 0.0)))
+_EQUAL_STRENGTH_MONOGAMY = _Monogamy(
+    "equal-strength-monogamy", 202, EQUAL_STRENGTH_MONOGAMY_BOUND, orthogonal=False,
+    equal_strengths=True, strength=1.0, saturating=_PARALLEL)
+_CONJECTURE = _Monogamy(
+    "conjecture", 404, EQUAL_STRENGTH_MONOGAMY_BOUND, orthogonal=False, equal_strengths=False,
+    strength=1.0, saturating=_PARALLEL)
 
 
 def audit_orthogonal_monogamy(samples: int = 100_000, seed: int = 1) -> AuditReport:
     """Orthogonal unbiased configurations obey |S1| + S2* <= 8*sqrt(2)/3."""
-    return _monogamy_audit("orthogonal-monogamy", ORTHOGONAL_MONOGAMY_BOUND, samples, seed,
-                           orthogonal=True, equal_strengths=False)
+    return _audit(_ORTHOGONAL_MONOGAMY, samples, seed)
 
 
 def audit_equal_strength_monogamy(samples: int = 100_000, seed: int = 1) -> AuditReport:
     """Equal-strength unbiased configurations obey |S1| + S2* <= 4."""
-    return _monogamy_audit("equal-strength-monogamy", EQUAL_STRENGTH_MONOGAMY_BOUND, samples, seed,
-                           orthogonal=False, equal_strengths=True)
+    return _audit(_EQUAL_STRENGTH_MONOGAMY, samples, seed)
 
 
 def audit_conjecture(samples: int = 100_000, seed: int = 1) -> AuditReport:
     """Arbitrary unbiased configurations obey the conjectured bound 4."""
-    return _monogamy_audit("conjecture", EQUAL_STRENGTH_MONOGAMY_BOUND, samples, seed,
-                           orthogonal=False, equal_strengths=False)
+    return _audit(_CONJECTURE, samples, seed)
 
 
 def _tradeoff_chain(s: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -395,9 +373,30 @@ def _tradeoff_chunk(rng, n: int):
     return _tradeoff_margins(s, rng.uniform(-1, 1, n) * (1 - s))
 
 
-def _tradeoff_block(chunks, tol: float) -> list:
-    """The summary of each (generator, rows) chunk of random observables."""
-    return [_summary(tol, *_tradeoff_chunk(rng, n)) for rng, n in chunks]
+@dataclass(frozen=True)
+class _Tradeoff:
+    """The tradeoff-chain audit, with its boundary observables' (strengths, biases)."""
+
+    name: str
+    offset: int
+    tol: float
+    strengths: tuple
+    biases: tuple
+
+    def block(self, samples: int, seed: int, chunks: range) -> list:
+        """The `_summary` of each chunk in `chunks` of random observables, in order."""
+        return [_summary(self.tol, *_tradeoff_chunk(rng, n))
+                for rng, n in _chunk_rngs(self, samples, seed, chunks)]
+
+    def fixed(self) -> tuple:
+        """The `_summary` of the boundary observables."""
+        margins = _tradeoff_margins(np.array(self.strengths), np.array(self.biases))
+        return _summary(self.tol, *margins)
+
+
+# boundary families: projective, trivial and unbiased observables
+_TRADEOFF_CHAIN = _Tradeoff("tradeoff-chain", 303, 1e-12, strengths=(1.0, 0.0, 0.5),
+                            biases=(0.0, 0.7, 0.0))
 
 
 def audit_tradeoff_chain(samples: int = 100_000, seed: int = 1) -> AuditReport:
@@ -414,9 +413,7 @@ def audit_tradeoff_chain(samples: int = 100_000, seed: int = 1) -> AuditReport:
     S = 0 or |B| = 1 - S.  D >= S >= D^2 restate them, |B| <= 1 - S <= R^2,
     and R^2 + S^2 - 3/4 >= (S - 1/2)^2 (`test_chain_is_two_identities`).
     """
-    # boundary families: projective, trivial and unbiased observables
-    boundary = _tradeoff_margins(np.array([1.0, 0.0, 0.5]), np.array([0.0, 0.7, 0.0]))
-    return _audit("tradeoff-chain", 1e-12, samples, seed, boundary, _tradeoff_block)
+    return _audit(_TRADEOFF_CHAIN, samples, seed)
 
 
 def run_all_audits(samples: int = 100_000, seed: int = 1) -> list[AuditReport]:

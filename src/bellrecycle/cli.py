@@ -40,7 +40,7 @@ from .monogamy import (
 from .multiparty import noise_robustness, plan_multibob, verify_noise_robustness
 from .observables import make_observable
 from .optimizer import _MODES, boundary_curve, search_mode
-from .states import singlet, state_from_payload
+from .states import _numbers, singlet, state_from_payload
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -118,7 +118,7 @@ def _parse_grid(spec: str) -> list[float]:
 def _json_object(payload, what: str, *required: str) -> dict:
     """`payload` if it is a JSON object holding every `required` field."""
     if not isinstance(payload, dict):
-        raise ValueError(f"{what} must be a JSON object")
+        raise ConstraintViolation(f"{what} must be a JSON object")
     for key in required:
         if key not in payload:
             raise ConstraintViolation(f"{what} has no {key!r} field")
@@ -223,10 +223,13 @@ def cmd_multibob(args) -> int:
 def _pair_from_config(observables, side: str) -> MeasurementPair:
     if not isinstance(observables, list) or len(observables) != 2:
         raise ConstraintViolation(f"{side} must list exactly two observables")
-    payloads = [_json_object(o, f"an observable of {side}", "strength", "direction")
-                for o in observables]
-    return MeasurementPair(*(make_observable(p.get("bias", 0.0), p["strength"], p["direction"])
-                             for p in payloads))
+    what = f"an observable of {side}"
+    payloads = [_json_object(o, what, "strength", "direction") for o in observables]
+    return MeasurementPair(*(make_observable(
+        float(_numbers(p.get("bias", 0.0), None, f"the bias of {what} must be a number")),
+        float(_numbers(p["strength"], None, f"the strength of {what} must be a number")),
+        _numbers(p["direction"], 3, f"the direction of {what} must be three numbers"))
+        for p in payloads))
 
 
 def cmd_scenario(args) -> int:
@@ -240,7 +243,10 @@ def cmd_scenario(args) -> int:
     state = singlet() if state_spec == "singlet" else state_from_payload(state_spec)
     alice, bob = (_pair_from_config(payload[side], side) for side in ("alice", "bob"))
     # the library checks the tag and that quality is given iff it is weak-pointer
-    kind = MeasurementKind(payload.get("kind", "square-root"), payload.get("quality"))
+    quality = payload.get("quality")
+    if quality is not None:
+        quality = float(_numbers(quality, None, "quality must be a number"))
+    kind = MeasurementKind(payload.get("kind", "square-root"), quality)
     result = evaluate_scenario(ScenarioConfig(state=state, alice=alice, bob=bob, kind=kind))
     _emit_json(
         {

@@ -1,8 +1,10 @@
-"""Exception types shared across the package, and its one seed check.
+"""Exception types shared across the package, and its integer and seed checks.
 
 Most errors derive from ValueError so that generic callers can treat a bad
 input the usual way while still being able to catch the precise condition.
 """
+
+import operator
 
 
 class BellRecycleError(Exception):
@@ -45,10 +47,21 @@ class DomainError(BellRecycleError, ValueError):
     """A function argument lies outside the function's domain."""
 
 
-def check_seed(seed: int) -> None:
-    """Raise DomainError naming a negative seed, which `numpy.random.SeedSequence` refuses."""
+def _check_integer(name: str, value) -> int:
+    """`value` as an int, if it has an integer type; else DomainError naming it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+
+
+def check_seed(seed: int) -> int:
+    """`seed` as an int; DomainError names a seed that is not an integer or is
+    negative, which `numpy.random.SeedSequence` refuses."""
+    seed = _check_integer("seed", seed)
     if seed < 0:
         raise DomainError(f"seed must be non-negative, got {seed}")
+    return seed
 
 
 class PreconditionViolation(BellRecycleError, ValueError):

@@ -79,11 +79,10 @@ class MultiBobSchedule:
         for d in self.bob_directions:
             d.setflags(write=False)
 
-    def bob_plan(self, strengths=None) -> ObserverPlan:
-        """Observer plan realising the schedule (optionally reweighted)."""
+    def bob_plan(self) -> ObserverPlan:
+        """Observer plan realising the schedule."""
         y, yp = self.bob_directions
-        strengths = self.bob_strengths if strengths is None else strengths
-        return ObserverPlan(pairs=tuple(_bob_pair(s, y, yp) for s in strengths))
+        return ObserverPlan(pairs=tuple(_bob_pair(s, y, yp) for s in self.bob_strengths))
 
 
 def plan_multibob(T, n_bobs: int, margin: float = 0.05) -> MultiBobSchedule:

@@ -493,6 +493,8 @@ def _check_target(s: float) -> None:
 
 
 def _check_budget(budget: int) -> None:
+    if not -math.inf < budget < math.inf:
+        raise DomainError(f"budget must be finite, got {budget}")
     if budget < _MIN_BUDGET:
         raise BudgetTooSmall(f"budget {budget} below minimum {_MIN_BUDGET}")
 
@@ -524,7 +526,7 @@ def boundary_point(
     """
     _check_target(s)
     _check_budget(budget)
-    check_seed(seed)
+    seed = check_seed(seed)
     evaluator = make_batch_evaluator(mode)
     lo, hi = np.array(mode.lo), np.array(mode.hi)
     rngs = [np.random.default_rng(stream)
@@ -587,7 +589,7 @@ def boundary_curve(
     for g in grid:
         _check_target(g)
     _check_budget(budget)
-    check_seed(seed)
+    seed = check_seed(seed)
     if workers < 1:
         raise DomainError(f"workers must be at least 1, got {workers}")
     args = (grid, repeat(mode), repeat(budget), repeat(seed))

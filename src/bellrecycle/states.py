@@ -156,15 +156,19 @@ def state_to_json(state: TwoQubitState) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
-def _numbers(value, size: int, what: str) -> np.ndarray:
-    """`value` as a float array of `size` entries, or ConstraintViolation naming `what`."""
+def _numbers(value, size: int | None, what: str) -> np.ndarray:
+    """`value` as a float array of `size` numbers, or of one bare number for size None.
+
+    Anything else, strings among them, raises ConstraintViolation naming `what`.
+    """
     try:
-        array = np.asarray(value, dtype=float)
+        array = np.asarray(value)
     except (TypeError, ValueError):
         array = None
-    if array is None or array.size != size:
+    if (array is None or array.dtype.kind not in "biuf"
+            or (array.ndim != 0 if size is None else array.size != size)):
         raise ConstraintViolation(f"{what}, got {value!r}")
-    return array
+    return array.astype(float)
 
 
 def state_from_payload(payload, check: bool = True) -> TwoQubitState:

@@ -9,8 +9,11 @@ from numpy's identity and outer product, and the maximisers locate function
 maxima by dense grids plus local refinement.  The whole-chunk audit
 sampler draws each chunk's random configurations with its own helpers,
 which make each draw and its transform in one step, builds each Schmidt-frame
-T itself, and evaluates the chunk at once; its quaternion rotations make the
-rotated pure states that tests hold the Schmidt-frame sampling against.
+T itself, and evaluates every row of the chunk, and each audit's fixed rows
+from its own table, with `sequential_chsh_batch` and `monogamy_margin`,
+where the audits leave out the rows their margin bound rules out; its
+quaternion rotations make the rotated pure states that tests hold the
+Schmidt-frame sampling against.
 The reversibility R and the chart strength sqrt(1 - r^2) are evaluated in
 40-digit `mpmath`, and the tradeoff chain's margins in 50-digit, at the exact
 values of their float inputs, so a test can hold the float functions to a
@@ -25,7 +28,9 @@ import mpmath
 import numpy as np
 
 from bellrecycle import audit
-from bellrecycle.monogamy import EQUAL_STRENGTH_MONOGAMY_BOUND, ORTHOGONAL_MONOGAMY_BOUND
+from bellrecycle.bell import sequential_chsh_batch
+from bellrecycle.monogamy import (EQUAL_STRENGTH_MONOGAMY_BOUND, ORTHOGONAL_MONOGAMY_BOUND,
+                                  monogamy_margin)
 
 _PAULI = (
     np.eye(2, dtype=complex),
@@ -218,8 +223,18 @@ def monogamy_draws(rng, n: int, orthogonal: bool, equal_strengths: bool):
     return T, dirs, s
 
 
+def monogamy_margins(bound: float, T, dirs, s):
+    """Margins bound - (|S1| + S2*) of every row of a stack, and the configuration of the worst."""
+    margins = monogamy_margin(bound, *sequential_chsh_batch(T, s, dirs))
+    i = int(np.argmin(margins))
+    x, xp, y, yp = dirs[:, :, i].tolist()
+    config = {"T": T[:, :, i].tolist(), "x": x, "x_prime": xp, "y": y, "y_prime": yp,
+              "strengths": s[:, i].tolist()}
+    return margins, config
+
+
 def _monogamy_chunk(rng, n: int, bound: float, orthogonal: bool, equal_strengths: bool):
-    return audit._monogamy_margins(bound, *monogamy_draws(rng, n, orthogonal, equal_strengths))
+    return monogamy_margins(bound, *monogamy_draws(rng, n, orthogonal, equal_strengths))
 
 
 def _tradeoff_chunk(rng, n: int):
@@ -235,26 +250,46 @@ MONOGAMY_AUDITS = {
     "conjecture": (EQUAL_STRENGTH_MONOGAMY_BOUND, False, False),
 }
 
+_H = 1 / np.sqrt(2.0)
+_PARALLEL = [[0.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, -1.0, 0.0], [0.0, -1.0, 0.0]]
+#: strength and directions x, x', y, y' of each monogamy audit's saturating row on the singlet
+SATURATING = {
+    "orthogonal-monogamy": (2 * np.sqrt(2.0) / 3,
+                            [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [-_H, -_H, 0.0], [_H, -_H, 0.0]]),
+    "equal-strength-monogamy": (1.0, _PARALLEL),
+    "conjecture": (1.0, _PARALLEL),
+}
 
-def whole_chunks(name: str, samples: int, seed: int) -> list:
+#: the audits' declarations, in the order `audit.run_all_audits` runs them
+AUDITS = (audit._ORTHOGONAL_MONOGAMY, audit._EQUAL_STRENGTH_MONOGAMY, audit._TRADEOFF_CHAIN,
+          audit._CONJECTURE)
+
+
+def whole_chunks(declaration, samples: int, seed: int) -> list:
     """(margins, worst config) of each whole chunk of an audit's random rows."""
-    rngs = audit._chunk_rngs(name, samples, seed)
-    if name == "tradeoff-chain":
+    count = -(-samples // audit._CHUNK)
+    rngs = audit._chunk_rngs(declaration, samples, seed, range(count))
+    if declaration.name == "tradeoff-chain":
         return [_tradeoff_chunk(rng, n) for rng, n in rngs]
-    return [_monogamy_chunk(rng, n, *MONOGAMY_AUDITS[name]) for rng, n in rngs]
+    return [_monogamy_chunk(rng, n, *MONOGAMY_AUDITS[declaration.name]) for rng, n in rngs]
+
+
+def fixed_rows(name: str):
+    """(margins, worst config) of the fixed rows of the audit `name`, every row evaluated."""
+    if name == "tradeoff-chain":
+        return audit._tradeoff_margins(np.array([1.0, 0.0, 0.5]), np.array([0.0, 0.7, 0.0]))
+    strength, dirs = SATURATING[name]
+    return monogamy_margins(MONOGAMY_AUDITS[name][0], -np.eye(3)[:, :, None],
+                            np.array(dirs)[:, :, None], np.full((4, 1), strength))
 
 
 def whole_chunk_audits(samples: int, seed: int) -> list:
     """The four reports of `audit.run_all_audits`, each chunk evaluated whole."""
     reports = []
-    for name in ("orthogonal-monogamy", "equal-strength-monogamy", "tradeoff-chain", "conjecture"):
-        if name == "tradeoff-chain":
-            tol = 1e-12
-            tail = audit._tradeoff_margins(np.array([1.0, 0.0, 0.5]), np.array([0.0, 0.7, 0.0]))
-        else:
-            tol = 1e-9
-            tail = audit._saturating(name, MONOGAMY_AUDITS[name][0])
-        chunks = whole_chunks(name, samples, seed)
-        summaries = [audit._summary(tol, *chunk) for chunk in itertools.chain(chunks, [tail])]
-        reports.append(audit._fold(name, summaries))
+    for declaration in AUDITS:
+        tol = 1e-12 if declaration.name == "tradeoff-chain" else 1e-9
+        chunks = whole_chunks(declaration, samples, seed)
+        summaries = [audit._summary(tol, *chunk)
+                     for chunk in itertools.chain(chunks, [fixed_rows(declaration.name)])]
+        reports.append(audit._fold(declaration.name, summaries))
     return reports

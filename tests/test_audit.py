@@ -1,6 +1,8 @@
+import math
 import multiprocessing
 import os
 import platform
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -33,13 +35,18 @@ from bellrecycle.monogamy import (EQUAL_STRENGTH_MONOGAMY_BOUND, ORTHOGONAL_MONO
 from bellrecycle.observables import decoherence, reversibility
 
 import oracles
-from oracles import MONOGAMY_AUDITS, whole_chunk_audits, whole_chunks
+from oracles import AUDITS, MONOGAMY_AUDITS, whole_chunk_audits, whole_chunks
 
 BOUNDS = {
     "orthogonal-monogamy": ORTHOGONAL_MONOGAMY_BOUND,
     "equal-strength-monogamy": EQUAL_STRENGTH_MONOGAMY_BOUND,
     "conjecture": EQUAL_STRENGTH_MONOGAMY_BOUND,
 }
+MONOGAMY = [declaration for declaration in AUDITS if declaration.name in MONOGAMY_AUDITS]
+
+
+def by_name(declaration):
+    return declaration.name
 
 
 def scalar_margin(bound, config):
@@ -54,6 +61,14 @@ def scalar_margin(bound, config):
         bob=MeasurementPair(y, yp),
     ))
     return bound - (abs(res.s_first) + res.s_star_second)
+
+
+def chunk_summary(rng, bound, orthogonal, equal_strengths):
+    """The summary of one 2^12-row monogamy chunk drawn from rng, as an audit's block makes it."""
+    declaration = audit._Monogamy("chunk", 0, bound, orthogonal, equal_strengths,
+                                  strength=1.0, saturating=())
+    T, dirs = np.empty((3, 3, audit._CHUNK)), np.empty((4, 3, audit._CHUNK))
+    return declaration.chunk(rng, audit._CHUNK, T, dirs)
 
 
 class TestTradeoffChainAudit:
@@ -181,8 +196,8 @@ class TestSchmidtFrame:
         frame = np.stack([Ra, Ra, Rb, Rb])
         schmidt_dirs = np.einsum("rikn,rin->rkn", frame, dirs)
         bound = ORTHOGONAL_MONOGAMY_BOUND if orthogonal else EQUAL_STRENGTH_MONOGAMY_BOUND
-        margins, _ = audit._monogamy_margins(bound, T, dirs, s)
-        schmidt_margins, _ = audit._monogamy_margins(bound, D, schmidt_dirs, s)
+        margins, _ = oracles.monogamy_margins(bound, T, dirs, s)
+        schmidt_margins, _ = oracles.monogamy_margins(bound, D, schmidt_dirs, s)
         assert np.abs(margins - schmidt_margins).max() <= 1e-12
 
 
@@ -304,7 +319,7 @@ class TestChunkedAudits:
     def test_chunk_config_is_its_worst_random_row(self, orthogonal, equal_strengths, bound):
         # the saturating row wins every report, so check a random chunk alone
         args = (bound, orthogonal, equal_strengths)
-        summary, = audit._monogamy_block([(np.random.default_rng(11), audit._CHUNK)], 1e-9, *args)
+        summary = chunk_summary(np.random.default_rng(11), *args)
         margins, oracle_config = oracles._monogamy_chunk(np.random.default_rng(11), audit._CHUNK,
                                                          *args)
         assert summary == audit._summary(1e-9, margins, oracle_config)
@@ -326,7 +341,7 @@ class TestChunkedAudits:
         # not depend on the random stream that the chunks draw
         for report in run_all_audits(100_000, seed):
             if report.name in BOUNDS:
-                margins, config = audit._saturating(report.name, BOUNDS[report.name])
+                margins, config = oracles.fixed_rows(report.name)
                 assert report.worst_config == config
                 assert report.worst_margin == float(margins[0])
 
@@ -368,22 +383,22 @@ class TestChunkedAudits:
         assert proc.returncode == 0, proc.stderr
         assert int(proc.stdout) < 1000
 
-    @pytest.mark.parametrize("name", list(audit._SEED_OFFSETS))
-    def test_chunk_streams_are_the_spawned_children(self, name):
+    @pytest.mark.parametrize("declaration", AUDITS, ids=by_name)
+    def test_chunk_streams_are_the_spawned_children(self, declaration):
         # chunk i draws from the i-th child of the audit's SeedSequence
         samples, seed = 3 * audit._CHUNK + 5, 8
-        chunks = list(audit._chunk_rngs(name, samples, seed))
+        chunks = list(audit._chunk_rngs(declaration, samples, seed, range(4)))
         for i in (0, 1, len(chunks) - 1):
             rng, n = chunks[i]
             assert n == min(audit._CHUNK, samples - i * audit._CHUNK)
             # a fresh root each time, as spawn advances its child counter
-            root = np.random.SeedSequence(seed + audit._SEED_OFFSETS[name])
+            root = np.random.SeedSequence(seed + declaration.offset)
             child = np.random.default_rng(root.spawn(i + 1)[i])
             assert np.array_equal(rng.random(8), child.random(8))
         # the generators are made as the chunks run, not all up front
         tracemalloc.start()
         try:
-            next(audit._chunk_rngs(name, 2**29, seed))
+            next(audit._chunk_rngs(declaration, 2**29, seed, range(2**17)))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -402,16 +417,19 @@ class TestChunkedAudits:
         # the fixed rows win every report, so compare each chunk's random rows
         # too: a tradeoff chunk's margins, and a monogamy chunk's summary
         chunks = [audit._tradeoff_chunk(rng, n)
-                  for rng, n in audit._chunk_rngs("tradeoff-chain", samples, seed)]
+                  for rng, n in audit._chunk_rngs(audit._TRADEOFF_CHAIN, samples, seed, range(3))]
         for (margins, config), (oracle_margins, oracle_config) in zip(
-                chunks, whole_chunks("tradeoff-chain", samples, seed), strict=True):
+                chunks, whole_chunks(audit._TRADEOFF_CHAIN, samples, seed), strict=True):
             assert np.array_equal(margins, oracle_margins)
             assert config == oracle_config
-        for name, args in MONOGAMY_AUDITS.items():
-            summaries = audit._block(name, samples, seed, range(3), 1e-9, audit._monogamy_block,
-                                     *args)
+        for declaration in MONOGAMY:
+            summaries = declaration.block(samples, seed, range(3))
             assert summaries == [audit._summary(1e-9, *chunk)
-                                 for chunk in whole_chunks(name, samples, seed)]
+                                 for chunk in whole_chunks(declaration, samples, seed)]
+        # and each audit's fixed rows, which every report folds in last
+        for declaration in AUDITS:
+            assert declaration.fixed() == audit._summary(declaration.tol,
+                                                         *oracles.fixed_rows(declaration.name))
 
 
 class TestPrunedChunks:
@@ -422,21 +440,20 @@ class TestPrunedChunks:
     SAMPLES = 100 * audit._CHUNK + 5
 
     @pytest.mark.parametrize("seed", [2, 101])
-    @pytest.mark.parametrize("name", list(MONOGAMY_AUDITS))
-    def test_summaries_equal_the_whole_chunk_oracle(self, name, seed):
+    @pytest.mark.parametrize("declaration", MONOGAMY, ids=by_name)
+    def test_summaries_equal_the_whole_chunk_oracle(self, declaration, seed):
         # one block of 101 chunks, so its T and direction arrays are refilled 100 times
-        summaries = audit._block(name, self.SAMPLES, seed, range(101), 1e-9,
-                                 audit._monogamy_block, *MONOGAMY_AUDITS[name])
+        summaries = declaration.block(self.SAMPLES, seed, range(101))
         assert summaries == [audit._summary(1e-9, *chunk)
-                             for chunk in whole_chunks(name, self.SAMPLES, seed)]
+                             for chunk in whole_chunks(declaration, self.SAMPLES, seed)]
 
     @pytest.mark.parametrize("seed", [2, 101])
-    @pytest.mark.parametrize("name", list(MONOGAMY_AUDITS))
-    def test_floor_is_below_every_kernel_margin(self, name, seed):
+    @pytest.mark.parametrize("declaration", MONOGAMY, ids=by_name)
+    def test_floor_is_below_every_kernel_margin(self, declaration, seed):
         # S2* of K T L is at most S*(T), since K and L are contractions
-        bound, orthogonal, equal_strengths = MONOGAMY_AUDITS[name]
+        bound, orthogonal, equal_strengths = MONOGAMY_AUDITS[declaration.name]
         excess = []
-        for rng, n in audit._chunk_rngs(name, self.SAMPLES, seed):
+        for rng, n in audit._chunk_rngs(declaration, self.SAMPLES, seed, range(101)):
             T, dirs, s = oracles.monogamy_draws(rng, n, orthogonal, equal_strengths)
             s1, sstar = sequential_chsh_batch(T, s, dirs)
             floor = audit._margin_floor(bound, T, s1)
@@ -458,7 +475,7 @@ class TestPrunedChunks:
         dirs = np.stack([_random_units(rng, n) for _ in range(4)])
         s = np.zeros((4, n))
         bound = EQUAL_STRENGTH_MONOGAMY_BOUND
-        margins, config = audit._monogamy_margins(bound, T, dirs, s)
+        margins, config = oracles.monogamy_margins(bound, T, dirs, s)
         floor = audit._margin_floor(bound, T, sequential_chsh_batch(T, s, dirs)[0])
         assert np.abs(floor - margins).max() <= 1e-15
         assert np.all(margins[tied] == margins.min())
@@ -473,7 +490,7 @@ class TestPrunedChunks:
         # of its rows, at 0 in every row
         _, orthogonal, equal_strengths = MONOGAMY_AUDITS[name]
         args = (bound, orthogonal, equal_strengths)
-        summary, = audit._monogamy_block([(np.random.default_rng(13), audit._CHUNK)], 1e-9, *args)
+        summary = chunk_summary(np.random.default_rng(13), *args)
         oracle = oracles._monogamy_chunk(np.random.default_rng(13), audit._CHUNK, *args)
         assert summary == audit._summary(1e-9, *oracle)
         violations = summary[1]
@@ -558,3 +575,25 @@ class TestWorkerSplit:
         monkeypatch.setattr(audit.concurrent.futures, "ProcessPoolExecutor", NoPool)
         with pytest.raises(DomainError, match=f"seed must be non-negative, got {seed}"):
             run(3 * audit._CHUNK, seed)
+
+    @pytest.mark.parametrize("run", [run_all_audits, audit_orthogonal_monogamy,
+                                     audit_equal_strength_monogamy, audit_tradeoff_chain,
+                                     audit_conjecture], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("samples, seed, message", [
+        (3 * audit._CHUNK, 1.5, "seed must be an integer, got 1.5"),
+        (3 * audit._CHUNK, math.nan, "seed must be an integer, got nan"),
+        (2.5, 1, "samples must be an integer, got 2.5"),
+        (float(3 * audit._CHUNK), 1, "samples must be an integer, got 12288.0"),
+    ], ids=["half-seed", "nan-seed", "half-samples", "float-samples"])
+    def test_non_integer_input_named_before_any_work(self, monkeypatch, run, samples, seed,
+                                                     message):
+        # numpy used to refuse these mid-audit, a seed with the audit's offset added
+        monkeypatch.setattr(audit, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(audit.concurrent.futures, "ProcessPoolExecutor", NoPool)
+        monkeypatch.setattr(audit, "_chunk_rngs", NoPool)
+        with pytest.raises(DomainError, match=re.escape(message)):
+            run(samples, seed)
+
+    def test_any_integer_type_is_accepted(self):
+        assert (run_all_audits(np.int64(audit._CHUNK + 1), np.uint8(3))
+                == run_all_audits(audit._CHUNK + 1, 3))

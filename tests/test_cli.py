@@ -11,8 +11,10 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from bellrecycle import audit, cli, optimizer
+from bellrecycle import ConstraintViolation, audit, cli, optimizer
 from bellrecycle.cli import build_parser, main
+
+from oracles import AUDITS
 
 ROOT2 = math.sqrt(2.0)
 
@@ -175,7 +177,7 @@ class TestAuditCommand:
     def test_names_match_schema(self, schema):
         enum = schema["$defs"]["auditEntry"]["properties"]["name"]["enum"]
         names = [r.name for r in audit.run_all_audits(samples=1, seed=0)]
-        assert sorted(names) == sorted(enum) == sorted(audit._SEED_OFFSETS)
+        assert sorted(names) == sorted(enum) == sorted(d.name for d in AUDITS)
 
     def test_zero_samples_exit_2(self):
         assert main(["audit", "--samples", "0"]) == 2
@@ -341,6 +343,42 @@ class TestScenarioCommand:
     def test_missing_field_named_exit_2(self, change, message, capsys):
         config = {k: v for k, v in dict(self.CONFIG, **change).items() if v is not None}
         assert assert_fails(["scenario", "--config", json.dumps(config)], 2, capsys) == f"error: {message}"
+
+    @pytest.mark.parametrize("change, message", [
+        ({"strength": "x"}, "the strength of an observable of alice must be a number, got 'x'"),
+        ({"strength": [1]}, "the strength of an observable of alice must be a number, got [1]"),
+        ({"strength": "0.5"}, "the strength of an observable of alice must be a number, got '0.5'"),
+        ({"bias": None}, "the bias of an observable of alice must be a number, got None"),
+        ({"direction": [1, 0]},
+         "the direction of an observable of alice must be three numbers, got [1, 0]"),
+        ({"direction": [1, "0", 0]},
+         "the direction of an observable of alice must be three numbers, got [1, '0', 0]"),
+    ], ids=["strength-text", "strength-list", "strength-numeral", "bias-null", "direction-short",
+            "direction-numeral"])
+    def test_malformed_observable_field_named_exit_2(self, change, message, capsys):
+        alice = [dict(self.CONFIG["alice"][0], **change), self.CONFIG["alice"][1]]
+        config = json.dumps(dict(self.CONFIG, alice=alice))
+        assert assert_fails(["scenario", "--config", config], 2, capsys) == f"error: {message}"
+
+    @pytest.mark.parametrize("quality", ["0.5", [0.5], {"q": 0.5}], ids=["numeral", "list", "object"])
+    def test_malformed_quality_named_exit_2(self, quality, capsys):
+        settings = [{"strength": 0.6, "direction": [1, 0, 0]},
+                    {"strength": 0.6, "direction": [0, 1, 0]}]
+        config = json.dumps(dict(self.CONFIG, alice=settings, bob=settings, kind="weak-pointer",
+                                 quality=quality))
+        assert (assert_fails(["scenario", "--config", config], 2, capsys)
+                == f"error: quality must be a number, got {quality!r}")
+
+    @pytest.mark.parametrize("config, message", [
+        ({"state": [1], "alice": [], "bob": []}, "state must be a JSON object"),
+        (dict(CONFIG, alice=[1, 2]), "an observable of alice must be a JSON object"),
+        ([1], "config must be a JSON object"),
+    ], ids=["state", "observable", "config"])
+    def test_part_not_an_object_is_a_constraint_violation(self, tmp_path, config, message):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config))
+        with pytest.raises(ConstraintViolation, match=f"^{message}$"):
+            cli.cmd_scenario(argparse.Namespace(config=str(cfg), out=None))
 
     @pytest.mark.parametrize("config", [
         {"state": [1], "alice": [], "bob": []},

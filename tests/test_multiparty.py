@@ -29,6 +29,7 @@ from bellrecycle import (
     unbiased,
     verify_noise_robustness,
 )
+from bellrecycle.multiparty import _bob_pair
 
 ROOT2 = math.sqrt(2.0)
 
@@ -115,7 +116,8 @@ class TestPlanMultibob:
     def test_strength_is_the_smallest_reaching_the_margin(self):
         for margin in (0.02, 0.1, 0.3):
             schedule = plan_multibob(-np.eye(3), 2, margin=margin)
-            weaker = schedule.bob_plan((schedule.bob_strengths[0] * (1 - 1e-9),))
+            strength = schedule.bob_strengths[0] * (1 - 1e-9)
+            weaker = ObserverPlan(pairs=(_bob_pair(strength, *schedule.bob_directions),))
             alice_plan = ObserverPlan(pairs=(schedule.alice,))
             assert chain_chsh(schedule.state, alice_plan, weaker, 1, 1) < 2 + margin
 

@@ -2,6 +2,7 @@ import hashlib
 import math
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -306,6 +307,20 @@ class TestBoundaryPoint:
     def test_negative_seed_named(self):
         with pytest.raises(DomainError, match="seed must be non-negative, got -1"):
             boundary_point(1.0, UNBIASED_SINGLET, budget=10_000, seed=-1)
+
+    @pytest.mark.parametrize("seed", [1.5, math.nan, np.float64(2.0)], ids=["half", "nan", "float"])
+    def test_non_integer_seed_named(self, seed):
+        # numpy's SeedSequence used to refuse 1.5 with its own TypeError
+        with pytest.raises(DomainError, match=re.escape(f"seed must be an integer, got {seed!r}")):
+            boundary_point(1.0, UNBIASED_SINGLET, budget=10_000, seed=seed)
+
+    @pytest.mark.parametrize("budget", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "inf", "minus-inf"])
+    def test_non_finite_budget_named(self, budget):
+        # a NaN or infinite budget used to pass the minimum check and stop the
+        # search after 304 evaluations at s_star 2.0596 and achieved_s 1.0073
+        with pytest.raises(DomainError, match=f"budget must be finite, got {budget}"):
+            boundary_point(1.0, UNBIASED_SINGLET, budget=budget)
 
     def test_region2_ansatz_mode(self):
         point = boundary_point(2.4, REGION2_ANSATZ, budget=15_000, seed=4)
@@ -713,4 +728,19 @@ class TestBoundaryCurve:
                             self.recording_executor(sizes))
         with pytest.raises(DomainError, match="seed must be non-negative, got -1"):
             boundary_curve([1.0, 2.0], UNBIASED_SINGLET, budget=10_000, seed=-1, workers=2)
+        assert sizes == []
+
+    @pytest.mark.parametrize("budget, seed, message", [
+        (math.nan, 0, "budget must be finite, got nan"),
+        (math.inf, 0, "budget must be finite, got inf"),
+        (-math.inf, 0, "budget must be finite, got -inf"),
+        (10_000, 1.5, "seed must be an integer, got 1.5"),
+        (10_000, math.nan, "seed must be an integer, got nan"),
+    ], ids=["nan-budget", "inf-budget", "minus-inf-budget", "half-seed", "nan-seed"])
+    def test_malformed_input_checked_before_the_pool(self, monkeypatch, budget, seed, message):
+        sizes = []
+        monkeypatch.setattr(optimizer.concurrent.futures, "ProcessPoolExecutor",
+                            self.recording_executor(sizes))
+        with pytest.raises(DomainError, match=message):
+            boundary_curve([1.0, 2.0], UNBIASED_SINGLET, budget=budget, seed=seed, workers=2)
         assert sizes == []

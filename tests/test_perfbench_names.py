@@ -5,7 +5,9 @@ table, and a traced run fails when one is missing.  Reading the table here,
 without importing or running the tracer, makes a rename fail this suite
 rather than the traced benchmark.  A wrapped function must also stay on its
 workload's path, or its spans read zero: the scalar workload reaches
-`multiparty.chain_chsh` only through its multibob requests.  Spans
+`multiparty.chain_chsh` only through its multibob requests, and the audit
+workload each audit only through `run_all_audits`' call of its `audit`
+module binding.  Spans
 recorded in an audit's pool workers are lost, so the audit workload's
 `bell.singular_values_batch` span must come from the calling process.
 """
@@ -58,6 +60,27 @@ def test_scalar_multibob_request_calls_chain_chsh(monkeypatch):
     assert request["type"] == "multibob"
     workloads.multibob_request(bellrecycle, request)
     assert len(calls) > 0
+
+
+def test_run_all_audits_calls_each_audit_by_its_module_binding(monkeypatch):
+    # the audit workload's per-audit spans wrap these four module attributes
+    names = ["audit_orthogonal_monogamy", "audit_equal_strength_monogamy", "audit_tradeoff_chain",
+             "audit_conjecture"]
+    calls = []
+
+    def counting(name):
+        func = getattr(audit, name)
+
+        def call(*args, **kwargs):
+            calls.append(name)
+            return func(*args, **kwargs)
+        return call
+
+    for name in names:
+        monkeypatch.setattr(audit, name, counting(name))
+    reports = audit.run_all_audits(2_000, 1)
+    assert calls == names
+    assert [r.samples for r in reports] == [2_001, 2_001, 2_003, 2_001]
 
 
 @pytest.mark.parametrize("samples", [2_000, 3 * audit._CHUNK + 5], ids=["one-chunk", "two-blocks"])

@@ -199,8 +199,9 @@ class TestJsonRoundTrip:
         ('{"T": {"x": 1}}', "T must be a 3x3 matrix of numbers, got {'x': 1}"),
         ('{"T": "diag(1,1,1)", "a": null}', "a must be three numbers, got None"),
         ('{"T": "diag(1,1,1)", "b": [0, 1]}', "b must be three numbers, got [0, 1]"),
+        ('{"T": "diag(1,1,1)", "a": ["0.5", 0, 0]}', "a must be three numbers, got ['0.5', 0, 0]"),
     ], ids=["not-an-object", "no-T", "shorthand", "diag-word", "diag-two", "T-2x2", "T-ragged",
-            "T-object", "a-null", "b-short"])
+            "T-object", "a-null", "b-short", "a-numeral"])
     def test_bad_document_named(self, text, message):
         with pytest.raises(ConstraintViolation, match=re.escape(message)):
             state_from_json(text)
