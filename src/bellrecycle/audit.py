@@ -30,9 +30,10 @@ Rb^T y, Rb^T y'), and isotropic directions keep their joint law under
 rotation, so every margin has the same distribution as with random local
 rotations.
 
-The chunks run in contiguous blocks, one per usable CPU (at most one per
-chunk): the calling process computes the first block itself and a process
-pool the others.  Each block reduces every chunk to a `_summary` (rows,
+The chunks run in `optimizer._fan_out`'s strided blocks, one per usable
+CPU (at most one per chunk): with w blocks, block k holds chunks k, k + w,
+k + 2w, ...; the calling process computes block 0 itself and a process pool
+the others.  Each block reduces every chunk to a `_summary` (rows,
 violations, lowest margin and the configuration of its row), so no margin
 array leaves the process that made it, and `_fold` folds the summaries in
 chunk order, with the fixed rows last, keeping the first worst row.  A
@@ -69,9 +70,9 @@ chunk and fault it back in, some 7,300 minor page faults per 2^16-sample
 
 from __future__ import annotations
 
-import concurrent.futures
 import math
 from dataclasses import asdict, dataclass
+from functools import partial
 from typing import Any
 
 import numpy as np
@@ -81,7 +82,7 @@ from .errors import DomainError, _check_integer, check_seed
 from .monogamy import (EQUAL_STRENGTH_MONOGAMY_BOUND, MARGIN_TOL, ORTHOGONAL_MONOGAMY_BOUND,
                        monogamy_margin)
 from .observables import decoherence_array, reversibility_roots
-from .optimizer import _usable_cpus
+from .optimizer import _fan_out
 
 # rows per chunk of random draws, evaluated at once; each chunk has its own stream
 _CHUNK = 1 << 12
@@ -201,29 +202,16 @@ def _fold(name: str, summaries) -> AuditReport:
 
 
 def _audit(audit, samples: int, seed: int) -> AuditReport:
-    """Fold an audit's chunks, split in contiguous blocks over the usable CPUs, and its fixed rows.
+    """Fold an audit's chunks, run in `_fan_out`'s blocks, and then its fixed rows.
 
-    The first block runs here and the others in a pool that lives only for
-    this call.  A sample count that is not an integer of at least 1, or a
-    seed that is not a non-negative integer, raises DomainError before any
-    work or pool starts.
+    Samples that are not an integer of at least 1, or a seed that is not a
+    non-negative integer, raise DomainError before any work starts.
     """
     samples = _check_integer("samples", samples)
     if samples < 1:
         raise DomainError(f"samples must be at least 1, got {samples}")
     seed = check_seed(seed)
-    count = -(-samples // _CHUNK)
-    workers = min(_usable_cpus(), count)
-    edges = [count * k // workers for k in range(workers + 1)]
-    first, *rest = [range(a, b) for a, b in zip(edges, edges[1:])]
-    if not rest:
-        summaries = audit.block(samples, seed, first)
-    else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=len(rest)) as pool:
-            futures = [pool.submit(audit.block, samples, seed, chunks) for chunks in rest]
-            summaries = audit.block(samples, seed, first)
-            for future in futures:
-                summaries += future.result()
+    summaries = _fan_out(partial(audit.block, samples, seed), range(-(-samples // _CHUNK)))
     return _fold(audit.name, [*summaries, audit.fixed()])
 
 

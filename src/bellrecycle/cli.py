@@ -278,7 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "together; easy targets stop far below it (default 200000)")
     curve.add_argument("--seed", type=int, default=0)
     curve.add_argument("--threads", type=int, default=1,
-                       help="parallel grid workers, at most one per grid point and usable CPU")
+                       help="processes for the grid, this one included, at most one per grid "
+                            "point and usable CPU; the points run in strided blocks")
     curve.add_argument("--format", default="csv", choices=["csv", "json"])
     curve.add_argument("--out", default=None, help="output path (default stdout)")
     curve.set_defaults(func=cmd_curve)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bell import MeasurementPair, chsh_value
-from .errors import ConstraintViolation, Infeasible, IndexOutOfRange, NotNonlocal
+from .errors import ConstraintViolation, Infeasible, IndexOutOfRange, NotNonlocal, _check_integer
 from .instruments import SQUARE_ROOT, MeasurementKind, apply_chain, apply_local, setting_channel
 from .observables import make_observable, projective
 from .states import TwoQubitState, add_isotropic_noise, check_contraction, make_state
@@ -104,7 +104,7 @@ def plan_multibob(T, n_bobs: int, margin: float = 0.05) -> MultiBobSchedule:
     reach 2 at any strength, for any margin.
     """
     T = np.asarray(T, dtype=float).reshape(3, 3)
-    if n_bobs < 1:
+    if _check_integer("n_bobs", n_bobs) < 1:
         raise ConstraintViolation(f"n_bobs must be >= 1, got {n_bobs}")
     if not (math.isfinite(margin) and margin > 0.0):
         raise ConstraintViolation(f"margin must be finite and positive, got {margin}")
@@ -196,7 +196,7 @@ def multipair_scenario(m_alices: int, n_bobs: int, base_schedule: MultiBobSchedu
     explicit M-pair lift and check it gives them exactly.
     """
     for name, count in (("m_alices", m_alices), ("n_bobs", n_bobs)):
-        if count < 1:
+        if _check_integer(name, count) < 1:
             raise ConstraintViolation(f"{name} must be >= 1, got {count}")
     if n_bobs > len(base_schedule.bob_strengths):
         raise ConstraintViolation(

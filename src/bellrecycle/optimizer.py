@@ -22,12 +22,13 @@ been within 1e-12 of the target for five steps without S* gaining more than
 1e-13, or before a call would overrun its share.  Identical (mode, s,
 budget, seed) inputs give bit-identical results.
 
-Each search mode is one `SearchMode` declaration: its tag, its box bounds
-and its decoder, which maps a parameter block to the state and settings it
-encodes in the kernel's component-major layout (directions (4, 3, n),
-correlation matrices (3, 3, n)).  The batch evaluator passes them to
-`bell.sequential_chsh_batch`, `decode_params` builds the scalar scenario
-from column 0 and `boundary_point` searches the box.
+Each search mode is one `SearchMode` declaration: its tag, its box bounds,
+its state family and its settings chart, which map a parameter block to the
+states and settings it encodes in the kernel's component-major layout
+(directions (4, 3, n), correlation matrices (3, 3, n)).  The batch
+evaluator passes them to `bell.sequential_chsh_batch`, `decode_params`
+builds the scalar scenario from column 0 and `boundary_point` searches the
+box.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import math
 import os
 import sys
 from dataclasses import asdict, dataclass
-from itertools import repeat
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -48,7 +49,7 @@ import numpy as np
 import scipy
 
 from .bell import S_MAX, MeasurementPair, schmidt_tensors, sequential_chsh_batch
-from .errors import BudgetTooSmall, DomainError, LengthMismatch, check_seed
+from .errors import BudgetTooSmall, DomainError, LengthMismatch, _check_integer, check_seed
 from .instruments import SQUARE_ROOT
 from .monogamy import ScenarioConfig
 from .observables import make_observable
@@ -138,55 +139,46 @@ def _region2_geometry(Q: np.ndarray):
     return np.clip(Q[[0, 1, 2, 2]], 0, 1), None, dirs
 
 
-def _singlet(n: int):
-    """a, b and T of n singlet rows; T is -I broadcast without a copy."""
-    a = b = np.zeros((3, n))
-    return a, b, np.broadcast_to(-np.eye(3)[:, :, None], (3, 3, n))
+def _schmidt(Q: np.ndarray):
+    """Schmidt states at the angles of the block's last row; the rows before it."""
+    return (*schmidt_tensors(Q[-1]), Q[:-1])
 
 
-def _decode_general_biased(Q: np.ndarray):
-    return (*schmidt_tensors(Q[-1]), *_biased_geometry(Q[:-1]))
-
-
-def _decode_unbiased(Q: np.ndarray):
-    return (*schmidt_tensors(Q[-1]), *_unbiased_geometry(Q[:-1]))
-
-
-def _decode_unbiased_singlet(Q: np.ndarray):
-    return (*_singlet(Q.shape[1]), *_unbiased_geometry(Q))
-
-
-def _decode_region2(Q: np.ndarray):
-    return (*_singlet(Q.shape[1]), *_region2_geometry(Q))
+def _singlet(Q: np.ndarray):
+    """A singlet per column, T = -I broadcast without a copy; every row."""
+    a = b = np.zeros((3, Q.shape[1]))
+    return a, b, np.broadcast_to(-np.eye(3)[:, :, None], (3, 3, Q.shape[1])), Q
 
 
 @dataclass(frozen=True)
 class SearchMode:
-    """One parameter chart of the search space: its box bounds and decoder.
+    """One parameter chart of the search space: box bounds, state family, settings chart.
 
-    `decoder` maps a (d, n) parameter block, one contiguous row per parameter,
-    to (a, b, T, s, biases, dirs), component-major as `sequential_chsh_batch`
-    takes them: a and b are (3, n), T is (3, 3, n), s and biases are (4, n)
-    over the settings x, x', y, y' (biases is None in the unbiased charts) and
-    dirs their directions, (4, 3, n).  Decoders are module-level functions, so
-    a mode pickles.
+    `state` maps a (d, n) parameter block, one contiguous row per parameter,
+    to (a, b, T, rows), and `settings` the rows it leaves to (s, biases,
+    dirs), component-major as `sequential_chsh_batch` takes them: a and b
+    are (3, n), T is (3, 3, n), s and biases are (4, n) over the settings
+    x, x', y, y' (biases is None in the unbiased charts) and dirs their
+    directions, (4, 3, n).  Both are module-level functions, so a mode pickles.
     """
 
     tag: str
     lo: tuple[float, ...]
     hi: tuple[float, ...]
-    decoder: Callable[[np.ndarray], tuple]
+    state: Callable[[np.ndarray], tuple]
+    settings: Callable[[np.ndarray], tuple]
 
     @property
     def n_params(self) -> int:
         return len(self.lo)
 
     def decode(self, P: np.ndarray):
-        """The decoder's output for an (n, d) block, d = n_params, read as (d, n) rows."""
+        """(a, b, T, s, biases, dirs) of an (n, d) block, d = n_params, read as (d, n) rows."""
         if P.shape[1] != self.n_params:
             raise LengthMismatch(f"{self.tag} expects {self.n_params} parameters, "
                                  f"got {P.shape[1]}")
-        return self.decoder(np.ascontiguousarray(P.T))
+        a, b, T, rows = self.state(np.ascontiguousarray(P.T))
+        return a, b, T, *self.settings(rows)
 
 
 _PI, _TWOPI = math.pi, 2.0 * math.pi
@@ -195,13 +187,14 @@ _PI, _TWOPI = math.pi, 2.0 * math.pi
 # (r, alpha / arcsin r, theta, phi) per setting; the Schmidt angle last; the
 # ansatz: strengths of x, x' and both y, then theta
 GENERAL_BIASED = SearchMode("general-biased", (0.0, -1.0, 0.0, 0.0) * 4 + (0.0,),
-                            (1.0, 1.0, _PI, _TWOPI) * 4 + (_PI / 4,), _decode_general_biased)
-UNBIASED = SearchMode("unbiased", (0.0,) * 13,
-                      (1.0,) * 4 + (_PI, _TWOPI) * 4 + (_PI / 4,), _decode_unbiased)
-UNBIASED_SINGLET = SearchMode("unbiased-singlet", (0.0,) * 12,
-                              (1.0,) * 4 + (_PI, _TWOPI) * 4, _decode_unbiased_singlet)
-REGION2_ANSATZ = SearchMode("region2-ansatz", (0.0,) * 4,
-                            (1.0, 1.0, 1.0, _PI / 2), _decode_region2)
+                            (1.0, 1.0, _PI, _TWOPI) * 4 + (_PI / 4,), _schmidt,
+                            _biased_geometry)
+UNBIASED = SearchMode("unbiased", (0.0,) * 13, (1.0,) * 4 + (_PI, _TWOPI) * 4 + (_PI / 4,),
+                      _schmidt, _unbiased_geometry)
+UNBIASED_SINGLET = SearchMode("unbiased-singlet", (0.0,) * 12, (1.0,) * 4 + (_PI, _TWOPI) * 4,
+                              _singlet, _unbiased_geometry)
+REGION2_ANSATZ = SearchMode("region2-ansatz", (0.0,) * 4, (1.0, 1.0, 1.0, _PI / 2), _singlet,
+                            _region2_geometry)
 
 _MODES = {m.tag: m for m in (GENERAL_BIASED, UNBIASED, UNBIASED_SINGLET, REGION2_ANSATZ)}
 
@@ -578,10 +571,9 @@ def boundary_curve(
 ) -> list[BoundaryPoint]:
     """One optimised BoundaryPoint per grid value, in grid order.
 
-    Points are independent; with workers > 1 they run in up to one process
-    per grid point and usable CPU (`_usable_cpus`), or here where that is
-    one.  Each point uses the same base seed, so a sub-grid rerun reproduces
-    the matching rows byte for byte.
+    Points are independent and run in `_fan_out`'s blocks, in up to `workers`
+    processes, this one included.  Each uses the same base seed, so a
+    sub-grid rerun reproduces the matching rows byte for byte.
     """
     grid = [float(g) for g in grid]
     if not grid:
@@ -590,13 +582,19 @@ def boundary_curve(
         _check_target(g)
     _check_budget(budget)
     seed = check_seed(seed)
+    workers = _check_integer("workers", workers)
     if workers < 1:
         raise DomainError(f"workers must be at least 1, got {workers}")
-    args = (grid, repeat(mode), repeat(budget), repeat(seed))
-    if workers > 1 and len(grid) > 1 and (size := min(workers, len(grid), _usable_cpus())) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=size) as pool:
-            return list(pool.map(_point, *args))
-    return list(map(_point, *args))
+    return _fan_out(partial(_points, mode=mode, budget=budget, seed=seed), grid, workers)
+
+
+def _points(block, mode, budget, seed):
+    """`boundary_point`, looked up as a module global when called, at each target of `block`.
+
+    A pool pickles this function by name, so a wrapper bound to that name
+    (a tracer's closure, say) need not pickle.
+    """
+    return [boundary_point(s, mode, budget, seed) for s in block]
 
 
 def _usable_cpus() -> int:
@@ -614,10 +612,22 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _point(s, mode, budget, seed):
-    """`boundary_point` looked up as a module global when called.
+def _fan_out(task, jobs, cap=None) -> list:
+    """The results of `task` over a non-empty sequence of `jobs`, in job order.
 
-    A pool pickles this function by name, so a wrapper bound to that name
-    (a tracer's closure, say) need not pickle.
+    `task` maps a block, a slice of `jobs`, to one result per job.  Block k
+    of w = min(usable CPUs, len(jobs), cap) holds jobs k, k + w, k + 2w, ...,
+    so neighbouring jobs, which tend to cost alike, land in different blocks.
+    Block 0 runs here and the others in a process pool opened for this call,
+    which pickles `task`; with w = 1 no pool starts.
     """
-    return boundary_point(s, mode, budget, seed)
+    w = min(_usable_cpus(), len(jobs), len(jobs) if cap is None else cap)
+    if w == 1:
+        return task(jobs)
+    with concurrent.futures.ProcessPoolExecutor(max_workers=w - 1) as pool:
+        futures = [pool.submit(task, jobs[k::w]) for k in range(1, w)]
+        done = [task(jobs[::w]), *(future.result() for future in futures)]
+    results = [None] * len(jobs)
+    for k, block in enumerate(done):
+        results[k::w] = block
+    return results

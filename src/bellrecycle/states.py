@@ -93,7 +93,7 @@ def validate(state: TwoQubitState) -> None:
     if theta.shape != (4, 4):
         raise ConstraintViolation(f"theta has shape {theta.shape}, expected (4, 4)")
     if theta[0, 0] != 1.0:
-        raise ConstraintViolation(f"theta[0][0] = {theta[0, 0]!r}, expected exactly 1")
+        raise ConstraintViolation(f"theta[0][0] = {float(theta[0, 0])}, expected exactly 1")
     for name, part in (("a", state.a), ("b", state.b), ("T", state.T)):
         check_finite(name, part)
     for name, vec in (("a", state.a), ("b", state.b)):

@@ -20,7 +20,7 @@ from bellrecycle import (
     make_observable,
     make_state,
 )
-from bellrecycle import audit
+from bellrecycle import audit, optimizer
 from bellrecycle.audit import (
     _random_units,
     audit_conjecture,
@@ -368,8 +368,8 @@ class TestChunkedAudits:
         # chunk and fault it back in, ~7,300 minor faults a call at 2^16 samples
         code = (
             "import resource\n"
-            "from bellrecycle import audit\n"
-            "audit._usable_cpus = lambda: 1\n"
+            "from bellrecycle import audit, optimizer\n"
+            "optimizer._usable_cpus = lambda: 1\n"
             "for _ in range(3):\n"
             "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
             "    audit.run_all_audits(2**16, 1)\n"
@@ -521,9 +521,9 @@ class NoPool:
 class TestWorkerSplit:
     @pytest.mark.parametrize("samples", [3 * audit._CHUNK + 5, audit._CHUNK])
     def test_reports_do_not_depend_on_the_worker_count(self, monkeypatch, samples):
-        # 3 * 2^12 + 5 rows make four chunks, split 4, 2 + 2 and 1 + 1 + 2;
-        # 2^12 rows make one, which always runs here.  The fixed rows win
-        # every report, so each chunk's summary is compared too.
+        # 3 * 2^12 + 5 rows make four chunks, in strided blocks of 4, 2 + 2
+        # and 2 + 1 + 1; 2^12 rows make one, which always runs here.  The
+        # fixed rows win every report, so each chunk's summary is compared too.
         fold = audit._fold
         reports, summaries = [], []
 
@@ -533,7 +533,7 @@ class TestWorkerSplit:
 
         monkeypatch.setattr(audit, "_fold", recording)
         for cpus in (1, 2, 3):
-            monkeypatch.setattr(audit, "_usable_cpus", lambda cpus=cpus: cpus)
+            monkeypatch.setattr(optimizer, "_usable_cpus", lambda cpus=cpus: cpus)
             summaries.append([])
             reports.append(run_all_audits(samples, 8))
         assert reports[0] == reports[1] == reports[2]
@@ -544,15 +544,15 @@ class TestWorkerSplit:
     @pytest.mark.parametrize("cpus, samples", [(3, audit._CHUNK), (1, 3 * audit._CHUNK + 5)],
                              ids=["one-chunk", "one-cpu"])
     def test_starts_no_process(self, monkeypatch, cpus, samples):
-        monkeypatch.setattr(audit, "_usable_cpus", lambda: cpus)
-        monkeypatch.setattr(audit.concurrent.futures, "ProcessPoolExecutor", NoPool)
+        monkeypatch.setattr(optimizer, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(optimizer.concurrent.futures, "ProcessPoolExecutor", NoPool)
         assert [r.samples for r in run_all_audits(samples, 2)] == [
             samples + 1, samples + 1, samples + 3, samples + 1]
 
     @pytest.mark.parametrize("chunk", [_failing_chunk, _short_chunk_fails],
                              ids=["every-chunk", "second-block"])
     def test_no_process_outlives_a_failing_chunk(self, monkeypatch, chunk):
-        monkeypatch.setattr(audit, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(optimizer, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(audit, "_tradeoff_chunk", chunk)
         with pytest.raises(RuntimeError, match="chunk failed"):
             audit_tradeoff_chain(3 * audit._CHUNK + 5, 1)
@@ -571,8 +571,8 @@ class TestWorkerSplit:
     @pytest.mark.parametrize("seed", [-1, -500])
     def test_negative_seed_named_before_the_pool(self, monkeypatch, run, seed):
         # seeds down to -101 used to pass, by the accident of the per-audit offsets
-        monkeypatch.setattr(audit, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(audit.concurrent.futures, "ProcessPoolExecutor", NoPool)
+        monkeypatch.setattr(optimizer, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(optimizer.concurrent.futures, "ProcessPoolExecutor", NoPool)
         with pytest.raises(DomainError, match=f"seed must be non-negative, got {seed}"):
             run(3 * audit._CHUNK, seed)
 
@@ -588,8 +588,8 @@ class TestWorkerSplit:
     def test_non_integer_input_named_before_any_work(self, monkeypatch, run, samples, seed,
                                                      message):
         # numpy used to refuse these mid-audit, a seed with the audit's offset added
-        monkeypatch.setattr(audit, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(audit.concurrent.futures, "ProcessPoolExecutor", NoPool)
+        monkeypatch.setattr(optimizer, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(optimizer.concurrent.futures, "ProcessPoolExecutor", NoPool)
         monkeypatch.setattr(audit, "_chunk_rngs", NoPool)
         with pytest.raises(DomainError, match=re.escape(message)):
             run(samples, seed)

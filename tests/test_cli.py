@@ -143,6 +143,10 @@ class TestCurveCommand:
                             capsys)
         assert line == "error: seed must be non-negative, got -1"
 
+    def test_two_part_range_grid_named_exit_2(self, capsys):
+        line = assert_fails(["curve", "--grid", "0:1", "--budget", "10000"], 2, capsys)
+        assert line == "error: range grid must be start:stop:step, got '0:1'"
+
     def test_thread_count_preserves_output(self, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
@@ -440,6 +444,11 @@ class TestScenarioCommand:
         config = json.dumps(dict(self.CONFIG, state=state))
         line = assert_fails(["scenario", "--config", config], 2, capsys)
         assert line == "error: a = [nan, 0.0, 0.0] has a non-finite entry"
+
+    def test_unknown_measurement_kind_named_exit_2(self, capsys):
+        config = json.dumps(dict(self.CONFIG, kind="foo"))
+        line = assert_fails(["scenario", "--config", config], 2, capsys)
+        assert line == "error: unknown measurement kind 'foo'"
 
     def test_weak_pointer_requires_quality(self):
         config = dict(self.CONFIG)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,9 @@ from bellrecycle import (
     SIMPLE_MODEL,
     SQUARE_ROOT,
     BiasedWeakPointer,
+    ConstraintViolation,
     DomainError,
+    MeasurementKind,
     QualityExceedsReversibility,
     add_isotropic_noise,
     apply_chain,
@@ -56,6 +59,14 @@ class TestChannelOf:
         assert channel_of(obs, weak_pointer(0.5)).factor == 0.5
         with pytest.raises(QualityExceedsReversibility):
             channel_of(obs, weak_pointer(0.9))
+
+    @pytest.mark.parametrize("tag, quality, message", [
+        ("foo", None, "unknown measurement kind 'foo'"),
+        ("weak-pointer", 1.5, "quality 1.5 outside [0, 1]"),
+    ], ids=["unknown-tag", "quality-above-one"])
+    def test_malformed_kind_rejected(self, tag, quality, message):
+        with pytest.raises(ConstraintViolation, match=f"^{re.escape(message)}$"):
+            MeasurementKind(tag, quality)
 
     def test_weak_pointer_requires_unbiased(self):
         with pytest.raises(BiasedWeakPointer):

@@ -193,6 +193,10 @@ class TestRegionCurves:
         assert region1_parametric(0.0) == pytest.approx((2.0, 2.0), abs=1e-15)
         assert region1_parametric(1.0) == pytest.approx((0.0, 2 * ROOT2), abs=1e-15)
 
+    def test_region1_parametric_out_of_range(self):
+        with pytest.raises(DomainError, match=r"^parameter 1\.5 outside \[0, 1\]$"):
+            region1_parametric(1.5)
+
     def test_region1_parametric_midpoint(self):
         s, sstar = region1_parametric(0.5)
         assert s == pytest.approx(math.sqrt(1.5), abs=1e-12)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from bellrecycle import (
     ConstraintViolation,
+    DomainError,
     Infeasible,
     IndexOutOfRange,
     MeasurementPair,
@@ -141,6 +143,10 @@ class TestPlanMultibob:
         with pytest.raises(ConstraintViolation):
             plan_multibob(-np.eye(3), 1, margin=margin)
 
+    def test_non_integer_bob_count_named(self):
+        with pytest.raises(DomainError, match=r"^n_bobs must be an integer, got 2\.5$"):
+            plan_multibob(-np.eye(3), 2.5)
+
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_correlations_rejected(self, value):
         T = -np.eye(3)
@@ -266,6 +272,19 @@ class TestMultipairScenario:
         schedule = plan_multibob(-np.eye(3), 2, margin=0.05)
         with pytest.raises(ConstraintViolation, match=f"^{message}$"):
             multipair_scenario(m_alices, n_bobs, schedule)
+
+    @pytest.mark.parametrize("m_alices, n_bobs, name", [(1.5, 2, "m_alices"), (2, 1.5, "n_bobs")])
+    def test_non_integer_counts_named(self, m_alices, n_bobs, name):
+        schedule = plan_multibob(-np.eye(3), 2, margin=0.05)
+        with pytest.raises(DomainError, match=rf"^{name} must be an integer, got 1\.5$"):
+            multipair_scenario(m_alices, n_bobs, schedule)
+
+    def test_infeasible_base_schedule_names_the_first_failing_bob(self):
+        schedule = plan_multibob(-np.eye(3), 2, margin=0.05)
+        built = dataclasses.replace(schedule, chsh_values=(schedule.chsh_values[0], 2.0))
+        with pytest.raises(Infeasible) as err:
+            multipair_scenario(2, 2, built)
+        assert err.value.failing_n == 2
 
     def test_requires_enough_bobs(self):
         schedule = plan_multibob(-np.eye(3), 1, margin=0.05)

@@ -296,6 +296,10 @@ class TestFromReversibilityAngle:
         with pytest.raises(AngleOutOfRange):
             from_reversibility_angle(0.5, math.asin(0.5) + 1e-6)
 
+    def test_reversibility_out_of_range(self):
+        with pytest.raises(AngleOutOfRange, match=r"^reversibility 1\.5 outside \[0, 1\]$"):
+            from_reversibility_angle(1.5, 0)
+
     @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
     def test_non_finite_angle_rejected(self, alpha):
         with pytest.raises(AngleOutOfRange):

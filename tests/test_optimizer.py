@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import math
 import multiprocessing
@@ -652,10 +653,11 @@ class TestBoundaryCurve:
         monkeypatch.setattr(optimizer, "_usable_cpus", lambda: 2)
         grid = [0.7, 2.0]
         parallel = boundary_curve(grid, UNBIASED_SINGLET, budget=10_000, seed=13, workers=2)
-        # the workers called the wrapper in their own processes
-        assert calls == []
+        # this process ran the first block, and the worker called the
+        # wrapper in its own process
+        assert calls == [(0.7, UNBIASED_SINGLET, 10_000, 13)]
         assert parallel == boundary_curve(grid, UNBIASED_SINGLET, budget=10_000, seed=13)
-        assert len(calls) == 2
+        assert len(calls) == 3
 
     def test_empty_grid_rejected(self):
         with pytest.raises(DomainError):
@@ -666,10 +668,18 @@ class TestBoundaryCurve:
         with pytest.raises(DomainError):
             boundary_curve([1.0], UNBIASED_SINGLET, budget=10_000, workers=workers)
 
+    def test_non_integer_workers_named_before_the_pool(self, monkeypatch):
+        sizes = []
+        monkeypatch.setattr(optimizer.concurrent.futures, "ProcessPoolExecutor",
+                            self.recording_executor(sizes))
+        with pytest.raises(DomainError, match=r"^workers must be an integer, got 1\.5$"):
+            boundary_curve([1.0, 1.1], UNBIASED_SINGLET, budget=10_000, workers=1.5)
+        assert sizes == []
+
     @staticmethod
     def recording_executor(sizes):
         """An executor that starts no process: it records its size and
-        returns a placeholder per task."""
+        returns a placeholder per job of each submitted block."""
 
         class Recording:
             def __init__(self, max_workers):
@@ -681,31 +691,36 @@ class TestBoundaryCurve:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, *iterables):
-                return [None for _ in zip(*iterables)]
+            def submit(self, fn, block):
+                future = concurrent.futures.Future()
+                future.set_result([None] * len(block))
+                return future
 
         return Recording
 
     def test_pool_has_at_most_one_worker_per_point(self, monkeypatch):
+        # the calling process runs the first block, through this stand-in
         sizes = []
+        monkeypatch.setattr(optimizer, "boundary_point", lambda s, *args: s)
         monkeypatch.setattr(optimizer, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(optimizer.concurrent.futures, "ProcessPoolExecutor",
                             self.recording_executor(sizes))
         assert boundary_curve([0.5, 1.0], UNBIASED_SINGLET, budget=10_000,
-                              workers=5_000) == [None, None]
-        assert sizes == [2]
+                              workers=5_000) == [0.5, None]
+        assert sizes == [1]
         # one point runs in this process, without a pool
         boundary_curve([1.0], UNBIASED_SINGLET, budget=10_000, workers=5_000)
-        assert sizes == [2]
+        assert sizes == [1]
 
     def test_pool_has_at_most_one_worker_per_usable_cpu(self, monkeypatch):
         sizes = []
+        monkeypatch.setattr(optimizer, "boundary_point", lambda s, *args: s)
         monkeypatch.setattr(optimizer, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(optimizer.concurrent.futures, "ProcessPoolExecutor",
                             self.recording_executor(sizes))
         assert boundary_curve([0.5, 1.0, 1.5], UNBIASED_SINGLET, budget=10_000,
-                              workers=5_000) == [None] * 3
-        assert sizes == [2]
+                              workers=5_000) == [0.5, None, 1.5]
+        assert sizes == [1]
 
     def test_runs_in_place_in_a_daemonic_worker(self):
         # a multiprocessing.Pool worker may not start children of its own
@@ -744,3 +759,52 @@ class TestBoundaryCurve:
         with pytest.raises(DomainError, match=message):
             boundary_curve([1.0, 2.0], UNBIASED_SINGLET, budget=budget, seed=seed, workers=2)
         assert sizes == []
+
+
+class TestFanOut:
+    @staticmethod
+    def inline_executor(sizes, submitted):
+        """An executor that starts no process: it records its size and runs
+        each submitted block here."""
+
+        class Inline:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, block):
+                submitted.append(list(block))
+                future = concurrent.futures.Future()
+                future.set_result(fn(block))
+                return future
+
+        return Inline
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("jobs", range(1, 8))
+    def test_strided_blocks_in_job_order(self, monkeypatch, jobs, cpus):
+        monkeypatch.setattr(optimizer, "_usable_cpus", lambda: cpus)
+        for cap in (None, 1, 2, 3):
+            for sequence in (range, lambda n: [float(j) for j in range(n)]):
+                sizes, submitted, blocks = [], [], []
+                monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                                    self.inline_executor(sizes, submitted))
+
+                def task(block):
+                    blocks.append(list(block))
+                    return [10 * job for job in block]
+
+                results = optimizer._fan_out(task, sequence(jobs), cap)
+                assert results == [10 * job for job in range(jobs)]
+                w = min(cpus, jobs, jobs if cap is None else cap)
+                strided = [list(range(k, jobs, w)) for k in range(w)]
+                # the pool gets blocks 1..w-1 and this process runs block 0
+                assert submitted == strided[1:]
+                assert blocks == [*strided[1:], strided[0]]
+                # one job, one CPU or cap 1 make one block, and no executor
+                assert sizes == ([] if w == 1 else [w - 1])

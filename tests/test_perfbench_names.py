@@ -7,20 +7,22 @@ rather than the traced benchmark.  A wrapped function must also stay on its
 workload's path, or its spans read zero: the scalar workload reaches
 `multiparty.chain_chsh` only through its multibob requests, and the audit
 workload each audit only through `run_all_audits`' call of its `audit`
-module binding.  Spans
-recorded in an audit's pool workers are lost, so the audit workload's
-`bell.singular_values_batch` span must come from the calling process.
+module binding, and the curve workload the optimizer's names only through
+the bindings the tracer rebinds.  Spans recorded in pool workers are lost,
+so the audit workload's `bell.singular_values_batch` span must come from
+the calling process, which also runs its own block of curve points.
 """
 
 import ast
 import importlib
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import bellrecycle
-from bellrecycle import audit, bell, multiparty
+from bellrecycle import audit, bell, cli, multiparty, optimizer
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
@@ -95,6 +97,49 @@ def test_audit_calls_singular_values_batch_in_the_calling_process(monkeypatch, s
         return singular_values_batch(*args, **kwargs)
 
     monkeypatch.setattr(bell, "singular_values_batch", counting)
-    monkeypatch.setattr(audit, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(optimizer, "_usable_cpus", lambda: 2)
     audit.run_all_audits(samples, 1)
     assert len(calls) > 0
+
+
+def rebind(monkeypatch, module, name, calls):
+    """Replace every package binding of `module.name` with a wrapper that records
+    `name`, as the tracer does."""
+    original = getattr(module, name)
+
+    def call(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for module_name, loaded in list(sys.modules.items()):
+        if module_name == "bellrecycle" or module_name.startswith("bellrecycle."):
+            for attr, value in list(vars(loaded).items()):
+                if value is original:
+                    monkeypatch.setattr(loaded, attr, call)
+
+
+def test_curve_reaches_the_optimizer_by_its_module_bindings(monkeypatch, tmp_path):
+    # the curve workload's optimizer spans wrap these three functions
+    calls = []
+    for name in ("boundary_curve", "boundary_point", "make_batch_evaluator"):
+        rebind(monkeypatch, optimizer, name, calls)
+    out = tmp_path / "curve.json"
+    assert cli.main(["curve", "--grid", "1.0", "--budget", "10000", "--threads", "1",
+                     "--format", "json", "--out", str(out)]) == 0
+    assert calls == ["boundary_curve", "boundary_point", "make_batch_evaluator"]
+
+
+def test_curve_calls_boundary_point_in_the_calling_process(monkeypatch):
+    # with two workers the second block runs in a pool worker, whose calls
+    # land in its own copy of `calls`
+    calls = []
+    boundary_point = optimizer.boundary_point
+
+    def counting(s, *args, **kwargs):
+        calls.append(s)
+        return boundary_point(s, *args, **kwargs)
+
+    monkeypatch.setattr(optimizer, "boundary_point", counting)
+    monkeypatch.setattr(optimizer, "_usable_cpus", lambda: 2)
+    optimizer.boundary_curve([1.0, 1.1], budget=10_000, workers=2)
+    assert calls == [1.0]

@@ -11,6 +11,7 @@ from bellrecycle import (
     AngleOutOfRange,
     ConstraintViolation,
     ProbabilityOutOfRange,
+    TwoQubitState,
     add_isotropic_noise,
     density_matrix,
     from_schmidt,
@@ -120,6 +121,18 @@ class TestIsotropicNoise:
 
 
 class TestValidation:
+    def test_theta_shape_rejected(self):
+        with pytest.raises(ConstraintViolation,
+                           match=r"^theta has shape \(3, 4\), expected \(4, 4\)$"):
+            validate(TwoQubitState(np.zeros((3, 4))))
+
+    def test_unnormalised_theta_rejected(self):
+        theta = singlet().theta.copy()
+        theta[0, 0] = 0.5
+        with pytest.raises(ConstraintViolation,
+                           match=r"^theta\[0\]\[0\] = 0\.5, expected exactly 1$"):
+            validate(TwoQubitState(theta))
+
     def test_bloch_norm_rejected(self):
         with pytest.raises(ConstraintViolation):
             make_state([1.1, 0, 0], [0, 0, 0], np.zeros((3, 3)))
